@@ -33,9 +33,6 @@ from .errors import (
 from .petit import PetitAlgebra
 from .skewpoly import SkewPoly, right_divide
 
-VERIFY_SIZE_CAP = 4096
-
-
 @dataclass(frozen=True)
 class IsometryWitness:
     tau: Automorphism
@@ -208,10 +205,26 @@ def verify_witness_multiplicative(
     witness: IsometryWitness,
     sample_pairs: int | None = None,
     rng: random.Random | None = None,
+    algebras: tuple[PetitAlgebra, PetitAlgebra] | None = None,
 ) -> bool:
-    """Check G(x *_f y) = G(x) *_h G(y), exhaustively or on sampled pairs."""
-    A = PetitAlgebra(f)
-    B = PetitAlgebra(h)
+    """Check G(x *_f y) = G(x) *_h G(y), exhaustively or on sampled pairs.
+
+    The exhaustive check runs over the m * rm pairs x = t^i, y = b * t^j
+    (i, j < m, b in coeffring.additive_generators(S), r = 1 over Z_n), and is
+    equivalent to the check on all pairs.  G is additive and tau-semilinear,
+    G(a*x) = tau(a)*G(x), because tau is a ring automorphism and the
+    remainder of right division by h is left S-linear.  The products of S_f
+    and S_h are biadditive and left S-linear in the first slot, for the same
+    reason.  So D(x, y) = G(x *_f y) - G(x) *_h G(y) is additive in y and
+    tau-semilinear in x: D(a*x, y) = tau(a) * D(x, y).  Writing
+    x = sum a_i t^i and y as a sum of copies of the b * t^j gives
+    D(x, y) = sum tau(a_i) * D(t^i, y), a sum of copies of the D(t^i, b t^j),
+    so D vanishes everywhere exactly when it vanishes on those pairs.
+
+    ``algebras`` passes (S_f, S_h) already built, to share them between
+    witnesses of the same pair.
+    """
+    A, B = algebras or (PetitAlgebra(f), PetitAlgebra(h))
     memo = {}
 
     def gmap(x):
@@ -222,9 +235,7 @@ def verify_witness_multiplicative(
         return img
 
     if sample_pairs is None:
-        if A.size > VERIFY_SIZE_CAP:
-            raise ValueError("algebra too large for exhaustive verification")
-        pairs = itertools.product(A.elements(), repeat=2)
+        pairs = itertools.product(A.basis(), A.additive_generators())
     else:
         rng = rng or random.Random(0)
         ring = A.ring
@@ -241,30 +252,39 @@ def verify_witness_multiplicative(
     return True
 
 
-def find_isometry(f: SkewPoly, h: SkewPoly, chen_only: bool = False):
-    """Search for a degree-k > 1 monomial isomorphism witness, or None.
+def find_isometry(f: SkewPoly, h: SkewPoly, chen_only: bool = False, k: int | None = None):
+    """Search for a degree-k monomial isomorphism witness, or None.
 
-    Constacyclic pairs use the closed necessary condition first; every
-    candidate is confirmed by exhaustive multiplicativity of the induced map.
+    With k None every valid degree k > 1 is tried; otherwise only k, which
+    must be 1 or a valid degree (InvalidK if not).  Constacyclic pairs use
+    the closed necessary condition first; every candidate is confirmed by
+    exhaustive multiplicativity of the induced map.
     """
     _require_classifiable(f, h)
     ring = f.twist.ring
     sigma = f.twist.sigma
     m = int(f.degree)
+    degrees = valid_isometry_degrees(m, sigma.order)
+    if k is not None:
+        if k != 1 and k not in degrees:
+            raise InvalidK(f"k={k} violates the monomial-degree constraints")
+        degrees = [k]
     try:
         _constacyclic_constant(f)
         _constacyclic_constant(h)
         constacyclic = True
     except NotConstacyclic:
         constacyclic = False
+    algebras = None
     taus = [identity_aut(ring)] if chen_only else all_automorphisms(ring)
-    for k in valid_isometry_degrees(m, sigma.order):
+    for deg in degrees:
         for tau in taus:
             for alpha in ring.units:
-                w = IsometryWitness(tau, alpha, k)
-                if constacyclic and not check_isometry_k(f, h, tau, alpha, k):
+                w = IsometryWitness(tau, alpha, deg)
+                if constacyclic and not check_isometry_k(f, h, tau, alpha, deg):
                     continue
-                if verify_witness_multiplicative(f, h, w):
+                algebras = algebras or (PetitAlgebra(f), PetitAlgebra(h))
+                if verify_witness_multiplicative(f, h, w, algebras=algebras):
                     return w
     return None
 

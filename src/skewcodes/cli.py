@@ -15,7 +15,12 @@ import sys
 
 from . import __version__
 from .catalogue import poly_to_json, run_catalogue
-from .classify import classify_pair, count_constacyclic_classes, find_equivalence
+from .classify import (
+    classify_pair,
+    count_constacyclic_classes,
+    find_equivalence,
+    find_isometry,
+)
 from .codes import build_code, min_hamming_distance
 from .coeffring import Automorphism, make_field, make_residue_ring
 from .errors import EnumerationCapExceeded, SkewCodesError
@@ -104,39 +109,20 @@ def cmd_check_equiv(args) -> int:
     f = _parse_poly(ctx, tw, args.f)
     h = _parse_poly(ctx, tw, args.h)
     if args.k is not None and args.k != 1:
-        from .classify import IsometryWitness, check_isometry_k, verify_witness_multiplicative
-        from .coeffring import all_automorphisms, identity_aut
-
-        taus = [identity_aut(ctx)] if args.chen else all_automorphisms(ctx)
-        witness = None
-        for tau in taus:
-            for alpha in ctx.units:
-                w = IsometryWitness(tau, alpha, args.k)
-                if check_isometry_k(f, h, tau, alpha, args.k) and \
-                        verify_witness_multiplicative(f, h, w):
-                    witness = w
-                    break
-            if witness:
-                break
-        doc = {
-            "relation": ("ChenIsometric" if args.chen else "Isometric")
-            if witness
-            else "NotRelated",
-            "witness": witness.to_json() if witness else None,
-            "filter_reason": None,
-        }
-        _emit(doc, args)
-        return EXIT_OK
-    if args.chen:
+        w = find_isometry(f, h, chen_only=args.chen, k=args.k)
+        found = "ChenIsometric" if args.chen else "Isometric"
+    elif args.chen:
         w = find_equivalence(f, h, chen_only=True)
-        doc = {
-            "relation": "ChenEquivalent" if w else "NotRelated",
-            "witness": w.to_json() if w else None,
-            "filter_reason": None,
-        }
-        _emit(doc, args)
+        found = "ChenEquivalent"
+    else:
+        _emit(classify_pair(f, h).to_json(), args)
         return EXIT_OK
-    _emit(classify_pair(f, h).to_json(), args)
+    doc = {
+        "relation": found if w else "NotRelated",
+        "witness": w.to_json() if w else None,
+        "filter_reason": None,
+    }
+    _emit(doc, args)
     return EXIT_OK
 
 
@@ -250,7 +236,7 @@ def main(argv=None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (SkewCodesError, ValueError, KeyError) as exc:
+    except (SkewCodesError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -425,6 +425,20 @@ def unit_group(ctx: RingContext):
     return list(ctx.units)
 
 
+def additive_generators(ctx: RingContext):
+    """A generating set of (S, +): the F_p-basis 1, x, ..., x^(r-1) of GF(p^r), or {1} in Z_n.
+
+    Every element is a sum of copies of these, so a map that is additive in
+    an argument vanishes everywhere once it vanishes on them.
+    """
+    if ctx.kind == "field":
+        return [
+            ctx.element(tuple(int(i == j) for j in range(ctx.r)))
+            for i in range(ctx.r)
+        ]
+    return [ctx.one]
+
+
 def fixed_subring(sigma: Automorphism):
     """Elements fixed by sigma, in canonical order."""
     return [e for e in sigma.ctx.elements if sigma(e) == e]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .coeffring import additive_generators
 from .errors import (
     DegreeTooHigh,
     EnumerationCapExceeded,
@@ -68,6 +69,14 @@ class PetitAlgebra:
     def basis(self):
         return [SkewPoly.t_power(i, self.twist) for i in range(self.m)]
 
+    def additive_generators(self):
+        """b * t^j for b in additive_generators(S) and j < m: they generate (S_f, +)."""
+        return [
+            self.monomial(b, j)
+            for b in additive_generators(self.ring)
+            for j in range(self.m)
+        ]
+
     def elements(self):
         """All residues, in canonical coefficient order."""
         ring = self.ring
@@ -118,42 +127,37 @@ def f_is_two_sided(A: PetitAlgebra) -> bool:
 
 
 def is_associative(A: PetitAlgebra) -> bool:
-    """Exhaustive associator check over trilinear generators.
+    """Exhaustive associator check over additive generators.
 
-    The associator is additive in every slot and left S-linear in the first,
-    so vanishing on triples (t^i, b t^j, c t^k) is equivalent to vanishing
-    everywhere.
+    The associator [x, y, z] = (x*y)*z - x*(y*z) is additive in every slot,
+    because the product of S_f is biadditive (with or without delta).  It is
+    also left S-linear in the first slot: a*(g*h) = (a*g)*h in R, and if
+    g = q*f + r then a*g = (a*q)*f + a*r, so right remainders are left
+    S-linear.  Hence [x, y, z] = sum_i a_i [t^i, y, z] for x = sum a_i t^i,
+    and y, z may range over the additive generators b*t^j of S_f.  Vanishing
+    on the m * (rm)^2 triples (t^i, b t^j, c t^k), with b and c in
+    additive_generators(S) (r = 1 over Z_n), is therefore equivalent to
+    vanishing on all triples.
     """
-    ring = A.ring
-    m = A.m
-    for i in range(m):
-        x = A.monomial(ring.one, i)
-        for b in ring.elements:
-            if b.is_zero():
-                continue
-            for j in range(m):
-                y = A.monomial(b, j)
-                xy = A.mul(x, y)
-                for c in ring.elements:
-                    if c.is_zero():
-                        continue
-                    for k in range(m):
-                        z = A.monomial(c, k)
-                        if A.mul(xy, z) != A.mul(x, A.mul(y, z)):
-                            return False
+    gens = A.additive_generators()
+    for x in A.basis():
+        for y in gens:
+            xy = A.mul(x, y)
+            for z in gens:
+                if A.mul(xy, z) != A.mul(x, A.mul(y, z)):
+                    return False
     return True
 
 
 def _nucleus_size(A: PetitAlgebra, slot: int) -> int:
-    """Count elements whose associator vanishes in the given slot (0/1/2)."""
-    ring = A.ring
-    m = A.m
-    others = [
-        A.monomial(b, j)
-        for b in ring.elements
-        if not b.is_zero()
-        for j in range(m)
-    ]
+    """Count elements whose associator vanishes in the given slot (0/1/2).
+
+    x runs over all of S_f; the other two slots run over the additive
+    generators b*t^j only.  The associator is additive in each slot (see
+    is_associative), so for fixed x it vanishes on all pairs of the other two
+    slots exactly when it vanishes on pairs of generators.
+    """
+    others = A.additive_generators()
     count = 0
     for x in A.elements():
         ok = True

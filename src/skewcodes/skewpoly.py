@@ -280,10 +280,21 @@ def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_
 
 
 def all_monic_right_divisors(f: SkewPoly, cap: int = DEFAULT_ENUM_CAP):
-    """Monic right divisors of every degree 0..deg(f), sorted by (degree, coeffs)."""
+    """Monic right divisors of every degree 0..deg(f), sorted by (degree, coeffs).
+
+    A monic f has one monic right divisor of degree deg(f), f itself: if
+    f = c*g with g monic of degree deg(f), then c has degree 0 and equals the
+    leading coefficient of f, so c = 1 and g = f.  Only lower degrees are
+    enumerated for it.
+    """
+    m = int(f.degree)
     out = []
-    for d in range(int(f.degree) + 1):
+    for d in range(m):
         out.extend(enumerate_monic_right_divisors(f, d, cap=cap))
+    if f.is_monic:
+        out.append(f)
+    else:
+        out.extend(enumerate_monic_right_divisors(f, m, cap=cap))
     return out
 
 

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from skewcodes.classify import (
+    IsometryWitness,
     Relation,
     check_equivalence,
     check_isometry_k,
@@ -14,6 +15,7 @@ from skewcodes.classify import (
     equivalence_class_of,
     fast_reject,
     find_equivalence,
+    find_isometry,
     implied_relations,
     polycyclic_constacyclic_bridge,
     special_class_tests,
@@ -162,6 +164,32 @@ def test_witness_multiplicative_sampled():
     h = consta(TW, 3, OMEGA)
     w = find_equivalence(f, h)
     assert verify_witness_multiplicative(f, h, w, sample_pairs=200)
+
+
+def test_witness_verification_has_no_size_cap():
+    """GF(4), m = 7: 4^14 element pairs, checked exhaustively on 7 * 14 generator pairs."""
+    ident = identity_aut(GF4)
+    tw = TwistContext(GF4, ident)
+    f, h = consta(tw, 7, GF4.one), consta(tw, 7, OMEGA)
+    # t -> t^3 maps t^7 - 1 onto t^7 - w because w^3 = 1
+    assert verify_witness_multiplicative(f, h, IsometryWitness(ident, GF4.one, 3))
+    assert not verify_witness_multiplicative(f, h, IsometryWitness(ident, GF4.one, 1))
+    f = SkewPoly.from_ints([1, 0, 1, 0, 0, 0, 0, 1], TW)
+    h = SkewPoly.from_ints([2, 1, 0, 0, 1, 0, 0, 1], TW)
+    assert classify_pair(f, h).relation == Relation.NOT_RELATED
+
+
+def test_find_isometry_single_degree():
+    tw = TwistContext(GF4, identity_aut(GF4))
+    f, h = consta(tw, 5, GF4.one), consta(tw, 5, OMEGA)
+    w = find_isometry(f, h, k=3)
+    assert (w.k, w.alpha) == (3, GF4.one)  # N_5(alpha) * w^3 = 1
+    w = find_isometry(f, h, k=1)
+    assert (w.k, w.alpha) == (1, OMEGA)  # N_5(alpha) * w = 1
+    with pytest.raises(InvalidK):
+        find_isometry(f, h, k=5)  # k must be below m
+    with pytest.raises(InvalidK):
+        find_isometry(consta(TW, 5, GF4.one), consta(TW, 5, OMEGA), k=2)  # even, n = 2
 
 
 def test_valid_isometry_degrees():

@@ -71,6 +71,29 @@ def test_check_equiv_not_related(capsys):
     assert json.loads(out)["relation"] == "NotRelated"
 
 
+def test_check_equiv_k_non_constacyclic(capsys):
+    """--k searches the given degree for any pair, not only constacyclic ones."""
+    code, out = run(capsys, "check-equiv", "--field", "2,1", "--sigma", "0",
+                    "--f", "0,0,0,0,1", "--h", "0,0,0,1,1", "--k", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["relation"] == "Isometric"
+    assert doc["witness"]["k"] == 3
+
+
+def test_check_equiv_k_not_related(capsys):
+    code, out = run(capsys, "check-equiv", "--field", "2,2", "--sigma", "1",
+                    "--f", "1,0,1,0,0", "--h", "0.1,1,0,0,1", "--k", "3")
+    assert code == 0
+    assert json.loads(out)["relation"] == "NotRelated"
+
+
+def test_check_equiv_invalid_k(capsys):
+    code, _ = run(capsys, "check-equiv", "--field", "2,2", "--sigma", "1",
+                  "--f", "1,0,0", "--h", "1,0,0", "--k", "2")
+    assert code == 1
+
+
 def test_count_classes(capsys):
     code, out = run(capsys, "count-classes", "--field", "2,2", "--sigma", "1",
                     "--m", "2")
@@ -134,6 +157,20 @@ def test_out_flag(tmp_path, capsys):
     assert out == ""
     doc = json.loads(path.read_text())
     assert (doc["nonassoc"], doc["assoc"]) == (1, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("count-classes", "--field", "2,2", "--sigma", "1", "--m", "3"),
+    ("catalogue", "--field", "2,2", "--sigma", "1", "--m", "2", "--constacyclic"),
+])
+def test_out_flag_missing_directory(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.json"
+    code = main([*argv, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not path.exists()
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):

@@ -1,0 +1,224 @@
+"""Generator-reduced exhaustive checks against all-pairs and all-triples brute force.
+
+verify_witness_multiplicative, is_associative and the nucleus scan look only
+at additive generators b*t^j of S_f.  These tests keep the full scans, over
+multiplication tables of every element, as the reference.
+"""
+
+import itertools
+import random
+
+from skewcodes.classify import (
+    IsometryWitness,
+    isometry_image,
+    valid_isometry_degrees,
+    verify_witness_multiplicative,
+)
+from skewcodes.coeffring import (
+    Automorphism,
+    additive_generators,
+    all_automorphisms,
+    identity_aut,
+    make_field,
+    make_residue_ring,
+)
+from skewcodes.petit import PetitAlgebra, _nucleus_size, is_associative
+from skewcodes.skewpoly import SkewPoly, TwistContext
+
+GF2 = make_field(2, 1)
+GF4 = make_field(2, 2)
+GF9 = make_field(3, 2)
+Z4 = make_residue_ring(4)
+Z6 = make_residue_ring(6)
+OMEGA = GF4.from_json([0, 1])
+
+TW2 = TwistContext(GF2, identity_aut(GF2))
+TW4 = TwistContext(GF4, Automorphism(GF4, 1))
+TW9 = TwistContext(GF9, Automorphism(GF9, 1))
+TWZ4 = TwistContext(Z4, identity_aut(Z4))
+TWZ6 = TwistContext(Z6, identity_aut(Z6))
+
+
+def monics(tw, m):
+    ring = tw.ring
+    return [SkewPoly(list(tail) + [ring.one], tw)
+            for tail in itertools.product(ring.elements, repeat=m)]
+
+
+def consta(tw, m, d):
+    ring = tw.ring
+    return SkewPoly([-d] + [ring.zero] * (m - 1) + [ring.one], tw)
+
+
+class Tables:
+    """Multiplication tables of S_f over element indices, built once per f."""
+
+    def __init__(self):
+        self.cache = {}
+
+    def __call__(self, A):
+        key = (A.twist, A.f.coeffs)
+        if key not in self.cache:
+            elems = list(A.elements())
+            index = {x.coeffs: i for i, x in enumerate(elems)}
+            prod = [[index[A.mul(x, y).coeffs] for y in elems] for x in elems]
+            self.cache[key] = (elems, index, prod)
+        return self.cache[key]
+
+
+def test_additive_generators():
+    assert additive_generators(GF4) == [GF4.one, OMEGA]
+    assert additive_generators(GF9) == [GF9.one, GF9.from_json([0, 1])]
+    assert additive_generators(Z6) == [Z6.one]
+    A = PetitAlgebra(consta(TW4, 3, OMEGA))
+    assert len(A.additive_generators()) == 6  # r * m
+
+
+# -- witness verification ---------------------------------------------------
+
+
+def _witnesses(f, degrees=None):
+    ring = f.twist.ring
+    m = int(f.degree)
+    if degrees is None:
+        degrees = [1] + valid_isometry_degrees(m, f.twist.sigma.order)
+    for k in degrees:
+        for tau in all_automorphisms(ring):
+            for alpha in ring.units:
+                yield IsometryWitness(tau, alpha, k)
+
+
+def _compare_witnesses(pairs, degrees=None):
+    """Reduced vs all-pairs verdicts on every witness; the verdict counts."""
+    tables = Tables()
+    images = {}  # G depends on (h, witness) only
+    verdicts = {True: 0, False: 0}
+    for f, h in pairs:
+        A, B = PetitAlgebra(f), PetitAlgebra(h)
+        elems, index, prod_f = tables(A)
+        _, _, prod_h = tables(B)
+        n = len(elems)
+        for w in _witnesses(f, degrees):
+            key = (h.coeffs, w.tau.frob_exp, w.alpha.val, w.k)
+            if key not in images:
+                images[key] = [
+                    index[isometry_image(x, w.tau, w.alpha, w.k, reduce_by=h).coeffs]
+                    for x in elems
+                ]
+            g = images[key]
+            brute = all(g[prod_f[i][j]] == prod_h[g[i]][g[j]]
+                        for i in range(n) for j in range(n))
+            assert verify_witness_multiplicative(f, h, w, algebras=(A, B)) == brute, (f, h, w)
+            verdicts[brute] += 1
+    return verdicts
+
+
+def test_witnesses_gf4_m2_all_pairs():
+    quads = monics(TW4, 2)
+    verdicts = _compare_witnesses([(f, h) for f in quads for h in quads])
+    assert verdicts[True] and verdicts[False]
+
+
+def test_witnesses_gf4_constacyclic_m3():
+    cubics = [consta(TW4, 3, d) for d in GF4.units]
+    verdicts = _compare_witnesses([(f, h) for f in cubics for h in cubics])
+    assert verdicts[True] and verdicts[False]
+
+
+def test_witnesses_gf4_degrees_outside_the_valid_set():
+    """k = 2, 3 with sigma of order 2 on quadratics.
+
+    Here the pairs (t^i, t^j) alone miss maps that are not multiplicative;
+    the pairs (t^i, w t^j) catch them.
+    """
+    quads = monics(TW4, 2)
+    verdicts = _compare_witnesses([(f, h) for f in quads for h in quads], degrees=[2, 3])
+    assert verdicts[True] and verdicts[False]
+
+
+def test_witnesses_gf2_m5_monomial_degrees():
+    quintics = monics(TW2, 5)
+    pairs = random.Random(5).sample([(f, h) for f in quintics for h in quintics], 120)
+    pairs.append((SkewPoly.from_ints([0, 0, 0, 0, 1, 1], TW2),
+                  SkewPoly.from_ints([0, 0, 0, 1, 1, 1], TW2)))
+    verdicts = _compare_witnesses(pairs, degrees=[2, 3, 4])
+    assert verdicts[True] and verdicts[False]
+
+
+def test_witnesses_z4_m2_all_pairs():
+    quads = monics(TWZ4, 2)
+    verdicts = _compare_witnesses([(f, h) for f in quads for h in quads])
+    assert verdicts[True] and verdicts[False]
+
+
+def test_witnesses_z4_m3():
+    cubics = [consta(TWZ4, 3, d) for d in Z4.units]
+    cubics += random.Random(7).sample(monics(TWZ4, 3), 8)
+    verdicts = _compare_witnesses([(f, h) for f in cubics for h in cubics])
+    assert verdicts[True] and verdicts[False]
+
+
+def test_sampled_verification_rejects_a_bad_witness():
+    """The sampled path is kept; it still catches a map that is not multiplicative."""
+    f, h = consta(TW4, 3, GF4.one), consta(TW4, 3, OMEGA)
+    bad = IsometryWitness(identity_aut(GF4), GF4.one, 1)
+    assert not verify_witness_multiplicative(f, h, bad)
+    assert not verify_witness_multiplicative(f, h, bad, sample_pairs=200)
+
+
+# -- associativity and nuclei -----------------------------------------------
+
+
+def _brute_structure(A, tables):
+    """All-triples associativity and the three nucleus sizes."""
+    elems, _, prod = tables(A)
+    n = range(len(elems))
+
+    def assoc(u, v, w):
+        return prod[prod[u][v]][w] == prod[u][prod[v][w]]
+
+    sizes = (
+        sum(all(assoc(x, y, z) for y in n for z in n) for x in n),
+        sum(all(assoc(y, x, z) for y in n for z in n) for x in n),
+        sum(all(assoc(y, z, x) for y in n for z in n) for x in n),
+    )
+    return sizes[0] == len(elems), sizes
+
+
+def _compare_structure(polys):
+    tables = Tables()
+    seen = set()
+    for f in polys:
+        A = PetitAlgebra(f)
+        brute = _brute_structure(A, tables)
+        reduced = (is_associative(A), tuple(_nucleus_size(A, s) for s in range(3)))
+        assert reduced == brute, f
+        seen.add(brute[0])
+    return seen
+
+
+def test_structure_gf4_m2():
+    assert _compare_structure(monics(TW4, 2)) == {True, False}
+
+
+def test_structure_gf4_m3():
+    polys = [consta(TW4, 3, d) for d in GF4.units]
+    polys += [SkewPoly.t_power(3, TW4)]  # R t^3 is two-sided
+    polys += random.Random(3).sample(monics(TW4, 3), 3)
+    assert _compare_structure(polys) == {True, False}
+
+
+def test_structure_gf9_m2():
+    polys = [consta(TW9, 2, d) for d in GF9.units]
+    assert _compare_structure(polys) == {True, False}
+
+
+def test_structure_residue_rings_m2():
+    # sigma = id and delta = 0: every quotient is commutative and associative
+    assert _compare_structure(monics(TWZ4, 2)) == {True}
+    assert _compare_structure(monics(TWZ6, 2)) == {True}
+
+
+def test_structure_gf4_inner_delta():
+    tw = TwistContext(GF4, Automorphism(GF4, 1), delta_beta=OMEGA)
+    assert _compare_structure(monics(tw, 2)) == {True, False}

@@ -173,6 +173,14 @@ def test_divisors_of_t3_minus_1():
         assert is_right_divisor(f, g)
 
 
+def test_top_degree_divisor_is_f_itself():
+    """The brute-force degree-m scan finds exactly f, which is appended without a scan."""
+    for tail in itertools.product(GF4.elements, repeat=2):
+        f = SkewPoly(list(tail) + [GF4.one], TW)
+        assert enumerate_monic_right_divisors(f, 2) == [f]
+        assert [g for g in all_monic_right_divisors(f) if g.degree == 2] == [f]
+
+
 def test_t2_minus_omega_has_no_linear_divisor():
     """N_2(c) = c^3 = 1 for every unit, so t - c never divides t^2 - w."""
     f = SkewPoly([OMEGA, GF4.zero, GF4.one], TW)
