@@ -10,13 +10,11 @@ from .coeffring import (
     Element,
     RingContext,
     all_automorphisms,
-    apply_aut,
     identity_aut,
     make_field,
     make_residue_ring,
     norm_image,
     partial_norm,
-    unit_group,
 )
 from .skewpoly import (
     SkewPoly,

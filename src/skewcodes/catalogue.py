@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 from .classify import equivalence_class_of
 from .codes import build_code, min_hamming_distance
@@ -88,20 +87,14 @@ def run_catalogue(
     m: int,
     constacyclic: bool = False,
     cap: int = 2 ** 20,
-    threads: int = 1,
 ):
-    """One record per full-equivalence class; deterministic across thread counts."""
+    """One record per full-equivalence class, in canonical order."""
     if m < 2:
         raise InvalidConfig("catalogue needs degree m > 1")
     classes = partition_classes(twist, m, constacyclic, cap)
-    reps = [c["members"][0] for c in classes]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            code_lists = list(pool.map(lambda f: _codes_for(f, cap), reps))
-    else:
-        code_lists = [_codes_for(f, cap) for f in reps]
     records = []
-    for cls, rep, codes in zip(classes, reps, code_lists):
+    for cls in classes:
+        rep = cls["members"][0]
         records.append(
             {
                 "schema_version": SCHEMA_VERSION,
@@ -110,7 +103,7 @@ def run_catalogue(
                 "chen_classes": [
                     [poly_to_json(g) for g in sub] for sub in cls["chen"]
                 ],
-                "codes": codes,
+                "codes": _codes_for(rep, cap),
             }
         )
     return records

@@ -26,6 +26,7 @@ from .coeffring import (
 from .errors import (
     DegreeMismatch,
     DeltaNotZero,
+    InvalidConfig,
     InvalidK,
     NonUnit,
     NotConstacyclic,
@@ -262,9 +263,15 @@ def find_isometry(f: SkewPoly, h: SkewPoly, chen_only: bool = False, k: int | No
     """
     _require_classifiable(f, h)
     ring = f.twist.ring
-    sigma = f.twist.sigma
+    taus = [identity_aut(ring)] if chen_only else all_automorphisms(ring)
+    return _search_isometry(f, h, taus, k)
+
+
+def _search_isometry(f: SkewPoly, h: SkewPoly, taus, k: int | None = None):
+    """find_isometry over the given taus: by degree, then tau in the given order, then alpha."""
+    ring = f.twist.ring
     m = int(f.degree)
-    degrees = valid_isometry_degrees(m, sigma.order)
+    degrees = valid_isometry_degrees(m, f.twist.sigma.order)
     if k is not None:
         if k != 1 and k not in degrees:
             raise InvalidK(f"k={k} violates the monomial-degree constraints")
@@ -276,7 +283,6 @@ def find_isometry(f: SkewPoly, h: SkewPoly, chen_only: bool = False, k: int | No
     except NotConstacyclic:
         constacyclic = False
     algebras = None
-    taus = [identity_aut(ring)] if chen_only else all_automorphisms(ring)
     for deg in degrees:
         for tau in taus:
             for alpha in ring.units:
@@ -300,7 +306,9 @@ def classify_pair(f: SkewPoly, h: SkewPoly) -> ClassificationResult:
     w = find_isometry(f, h, chen_only=True)
     if w is not None:
         return ClassificationResult(Relation.CHEN_ISOMETRIC, w)
-    w = find_isometry(f, h, chen_only=False)
+    # tau = id failed at every degree above; the full search scans tau = id
+    # first at each degree, so skipping it finds the same first witness
+    w = _search_isometry(f, h, all_automorphisms(f.twist.ring)[1:])
     if w is not None:
         return ClassificationResult(Relation.ISOMETRIC, w)
     return ClassificationResult(Relation.NOT_RELATED, None, fast_reject(f, h))
@@ -349,6 +357,8 @@ def equivalence_class_of(h: SkewPoly, chen_only: bool = False):
 
 def count_constacyclic_classes(ctx: RingContext, sigma: Automorphism, m: int):
     """(nonassociative, associative) Chen-isometry class counts by coset enumeration."""
+    if m < 1:
+        raise InvalidConfig(f"class counts need degree m >= 1, got {m}")
     image = set(norm_image(sigma, m))
     total = len(ctx.units) // len(image)
     n = sigma.order

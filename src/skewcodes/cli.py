@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -149,10 +148,7 @@ def cmd_count_classes(args) -> int:
 def cmd_catalogue(args) -> int:
     ctx = _parse_ring(args)
     tw = _twist(args, ctx)
-    threads = args.threads or os.cpu_count() or 1
-    records = run_catalogue(
-        tw, args.m, constacyclic=args.constacyclic, cap=args.cap, threads=threads
-    )
+    records = run_catalogue(tw, args.m, constacyclic=args.constacyclic, cap=args.cap)
     lines = [json.dumps(rec, sort_keys=True) for rec in records]
     if args.out:
         with open(args.out, "w") as fh:
@@ -164,7 +160,7 @@ def cmd_catalogue(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_verify(degree3_samples=args.samples)
+    report = run_verify()
     _emit(report, args)
     return EXIT_OK if all(part["passed"] for part in report) else EXIT_VERIFY
 
@@ -192,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, required=True, help="degree of f")
         p.add_argument("--cap", type=int, default=2 ** 20, help="enumeration cap")
         p.add_argument("--out", help="write output to PATH instead of stdout")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads (0 = auto)")
 
     p = sub.add_parser("algebra-info", help="structural probe of the quotient algebra")
     common(p, poly_flags=("f",))
@@ -220,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_catalogue)
 
     p = sub.add_parser("verify", help="run the built-in cross-check suites")
-    p.add_argument("--samples", type=int, default=10_000,
-                   help="random pair samples for the degree-3 witness sweep")
     p.add_argument("--out", help="write output to PATH instead of stdout")
     p.set_defaults(func=cmd_verify)
 

@@ -1,7 +1,11 @@
 """Finite coefficient rings: GF(p^r) in the polynomial basis and residue rings Z_n.
 
-Field elements are digit vectors (little-endian, coordinates in the basis
-1, x, ..., x^(r-1)); residue elements are plain integers.  All contexts are
+Every ring is a pair of addition and multiplication tables over the indices
+0..q-1 of its elements.  Index 0 is zero.  Field indices follow the
+lexicographic order of the digit vectors (little-endian coordinates in the
+basis 1, x, ..., x^(r-1)) and residue indices are the residues themselves,
+so an element's index is also its sort key.  Only the constructors and the
+JSON / integer encodings know a field from a residue ring.  All contexts are
 immutable after construction and safe to share.
 """
 
@@ -18,10 +22,8 @@ from .errors import (
     ReducibleModulus,
 )
 
-DEFAULT_SIZE_CAP = 2 ** 16
-
-# mul tables are only materialized for rings this small
-_TABLE_CAP = 256
+# rings carry full q x q tables, so they are kept this small
+DEFAULT_SIZE_CAP = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -83,11 +85,11 @@ def _is_irreducible(modulus, p, r) -> bool:
 
 
 class Element:
-    """A value of a RingContext: a digit tuple (field) or an int (residue)."""
+    """An element of a RingContext: its index into the context's tables."""
 
     __slots__ = ("ctx", "val")
 
-    def __init__(self, ctx: "RingContext", val):
+    def __init__(self, ctx: "RingContext", val: int):
         self.ctx = ctx
         self.val = val
 
@@ -104,7 +106,7 @@ class Element:
         return hash((id(self.ctx), self.val))
 
     def __repr__(self):
-        return f"Element({self.val!r})"
+        return f"Element({self.to_json()!r})"
 
     def sort_key(self):
         return self.val
@@ -137,109 +139,87 @@ class Element:
         return self.ctx.inverse(self)
 
     def is_zero(self) -> bool:
-        return self is self.ctx.zero or self == self.ctx.zero
+        return self.val == 0
 
     def is_unit(self) -> bool:
         return self.ctx.is_unit(self)
 
     def to_json(self):
-        return list(self.val) if self.ctx.kind == "field" else self.val
+        """The digit list of a field element, the residue of a Z_n element."""
+        ctx = self.ctx
+        if ctx.kind == "field":
+            return [self.val // ctx.p ** (ctx.r - 1 - k) % ctx.p for k in range(ctx.r)]
+        return self.val
 
 
 class RingContext:
-    """GF(p^r) with an explicit irreducible modulus, or Z_n.
+    """A finite commutative ring given by addition and multiplication tables.
 
-    Use :func:`make_field` / :func:`make_residue_ring` instead of calling
-    the constructor directly.
+    ``add[i][j]`` and ``mul[i][j]`` are the indices of the sum and product of
+    the elements with indices i and j.  Negation, inverses and the
+    automorphism tables are read off these, so no operation depends on the
+    kind of ring.  Use :func:`make_field` / :func:`make_residue_ring` instead
+    of calling the constructor directly.
     """
 
-    def __init__(self, kind, p=None, r=None, modulus=None, n_mod=None):
+    def __init__(self, kind, add, mul, p=None, r=1, modulus=None, n_mod=None):
         self.kind = kind
         self.p = p
         self.r = r
-        self.modulus = tuple(modulus) if modulus is not None else None
+        self.modulus = modulus
         self.n_mod = n_mod
-        if kind == "field":
-            self.size = p ** r
-            self.char = p
-        else:
-            self.size = n_mod
-            self.char = n_mod
-        self._build()
-
-    def _build(self):
-        if self.kind == "field":
-            self.zero = Element(self, (0,) * self.r)
-            one = [0] * self.r
-            one[0] = 1
-            self.one = Element(self, tuple(one))
-            self.elements = [
-                Element(self, digits)
-                for digits in itertools.product(range(self.p), repeat=self.r)
-            ]
-        else:
-            self.zero = Element(self, 0)
-            self.one = Element(self, 1 % self.n_mod)
-            self.elements = [Element(self, v) for v in range(self.n_mod)]
-        self._by_val = {e.val: e for e in self.elements}
-        self._mul_table = None
-        if self.size <= _TABLE_CAP:
-            tbl = {}
-            for a in self.elements:
-                for b in self.elements:
-                    tbl[(a.val, b.val)] = self._raw_mul(a.val, b.val)
-            self._mul_table = tbl
-        self.units = [e for e in self.elements if self.is_unit(e)]
+        self.size = len(add)
+        self._add = add
+        self._mul = mul
+        self.elements = [Element(self, i) for i in range(self.size)]
+        self.zero = self.elements[0]
+        identity = list(range(self.size))
+        one = mul.index(identity)
+        self.one = self.elements[one]
+        self._neg = [row.index(0) for row in add]
+        self._inv = [row.index(one) if one in row else None for row in mul]
+        self.units = [e for e in self.elements if self._inv[e.val] is not None]
+        self._frobenius = {0: identity}
         self.xi = None
-
-    def element(self, val) -> Element:
-        """Canonical element for a raw value (digit tuple or residue int)."""
-        return self._by_val[val]
 
     def from_json(self, obj) -> Element:
         if self.kind == "field":
-            digits = tuple(int(c) % self.p for c in obj)
-            if len(digits) < self.r:
-                digits = digits + (0,) * (self.r - len(digits))
-            return self._by_val[digits]
-        return self._by_val[int(obj) % self.n_mod]
+            digits = [int(c) % self.p for c in obj]
+            if len(digits) > self.r:
+                raise ValueError(
+                    f"element {digits} has {len(digits)} digits; "
+                    f"elements of GF({self.size}) have at most {self.r}"
+                )
+            idx = 0
+            for d in digits + [0] * (self.r - len(digits)):
+                idx = idx * self.p + d
+            return self.elements[idx]
+        return self.elements[int(obj) % self.n_mod]
 
     def from_int(self, k: int) -> Element:
         """Embed an integer via repeated addition of 1 (digits of k base p for fields)."""
         if self.kind == "field":
-            digits = [0] * self.r
-            digits[0] = k % self.p
-            return self._by_val[tuple(digits)]
-        return self._by_val[k % self.n_mod]
+            return self.elements[k % self.p * self.p ** (self.r - 1)]
+        return self.elements[k % self.n_mod]
+
+    def frobenius_table(self, e: int):
+        """Index table of x -> x^(p^e), built once per exponent (e = 0 is the identity)."""
+        table = self._frobenius.get(e)
+        if table is None:
+            table = [self.pow(x, self.p ** e).val for x in self.elements]
+            self._frobenius[e] = table
+        return table
 
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
-        if self.kind == "field":
-            val = tuple((x + y) % self.p for x, y in zip(a.val, b.val))
-        else:
-            val = (a.val + b.val) % self.n_mod
-        return self._by_val[val]
+        return self.elements[self._add[a.val][b.val]]
 
     def neg(self, a: Element) -> Element:
-        if self.kind == "field":
-            val = tuple((-x) % self.p for x in a.val)
-        else:
-            val = (-a.val) % self.n_mod
-        return self._by_val[val]
-
-    def _raw_mul(self, u, v):
-        if self.kind == "field":
-            prod = _poly_mul_mod_p(u, v, self.p)
-            _, rem = _poly_divmod_p(prod, list(self.modulus), self.p)
-            rem = rem + [0] * (self.r - len(rem))
-            return tuple(rem[: self.r])
-        return (u * v) % self.n_mod
+        return self.elements[self._neg[a.val]]
 
     def mul(self, a: Element, b: Element) -> Element:
-        if self._mul_table is not None:
-            return self._by_val[self._mul_table[(a.val, b.val)]]
-        return self._by_val[self._raw_mul(a.val, b.val)]
+        return self.elements[self._mul[a.val][b.val]]
 
     def pow(self, a: Element, n: int) -> Element:
         if n < 0:
@@ -255,16 +235,13 @@ class RingContext:
         return out
 
     def is_unit(self, a: Element) -> bool:
-        if self.kind == "field":
-            return a.val != self.zero.val
-        return gcd(a.val, self.n_mod) == 1
+        return self._inv[a.val] is not None
 
     def inverse(self, a: Element) -> Element:
-        if not self.is_unit(a):
+        inv = self._inv[a.val]
+        if inv is None:
             raise NonUnit(f"{a!r} is not invertible")
-        if self.kind == "field":
-            return self.pow(a, self.size - 2)
-        return self._by_val[pow(a.val, -1, self.n_mod)]
+        return self.elements[inv]
 
     def mult_order(self, a: Element) -> int:
         if not self.is_unit(a):
@@ -278,31 +255,21 @@ class RingContext:
 
 
 class Automorphism:
-    """A ring automorphism: x -> x^(p^e) on GF(p^r), or the identity on Z_n."""
+    """A ring automorphism: x -> x^(p^e) on GF(p^r), or the identity on Z_n (r = 1)."""
 
     __slots__ = ("ctx", "frob_exp", "_table")
 
     def __init__(self, ctx: RingContext, frob_exp: int = 0):
-        if ctx.kind != "field":
-            if frob_exp != 0:
-                raise ValueError("residue rings only carry the identity automorphism")
-            self.frob_exp = 0
-        else:
-            self.frob_exp = frob_exp % ctx.r
+        if ctx.kind != "field" and frob_exp != 0:
+            raise ValueError("residue rings only carry the identity automorphism")
         self.ctx = ctx
-        self._table = None
-        if ctx.size <= _TABLE_CAP:
-            q = ctx.p ** self.frob_exp if ctx.kind == "field" else 1
-            self._table = {e.val: ctx.pow(e, q).val for e in ctx.elements}
+        self.frob_exp = frob_exp % ctx.r
+        self._table = ctx.frobenius_table(self.frob_exp)
 
     def __call__(self, a: Element) -> Element:
         if a.ctx is not self.ctx:
             raise ContextMismatch("element from a different ring context")
-        if self._table is not None:
-            return self.ctx._by_val[self._table[a.val]]
-        if self.ctx.kind != "field":
-            return a
-        return self.ctx.pow(a, self.ctx.p ** self.frob_exp)
+        return self.ctx.elements[self._table[a.val]]
 
     def __eq__(self, other):
         return (
@@ -323,14 +290,10 @@ class Automorphism:
 
     @property
     def order(self) -> int:
-        if self.ctx.kind != "field" or self.frob_exp == 0:
-            return 1
         return self.ctx.r // gcd(self.ctx.r, self.frob_exp)
 
     def power(self, i: int) -> "Automorphism":
-        if self.ctx.kind != "field":
-            return self
-        return Automorphism(self.ctx, (self.frob_exp * i) % self.ctx.r)
+        return Automorphism(self.ctx, self.frob_exp * i)
 
     def inverse(self) -> "Automorphism":
         return self.power(-1)
@@ -338,8 +301,6 @@ class Automorphism:
     def compose(self, other: "Automorphism") -> "Automorphism":
         if other.ctx is not self.ctx:
             raise ContextMismatch("automorphisms of different rings")
-        if self.ctx.kind != "field":
-            return self
         return Automorphism(self.ctx, self.frob_exp + other.frob_exp)
 
 
@@ -348,10 +309,8 @@ def identity_aut(ctx: RingContext) -> Automorphism:
 
 
 def all_automorphisms(ctx: RingContext):
-    """Aut(GF(p^r)) = powers of the Frobenius; Aut(Z_n) = {id}."""
-    if ctx.kind == "field":
-        return [Automorphism(ctx, e) for e in range(ctx.r)]
-    return [Automorphism(ctx, 0)]
+    """Aut(GF(p^r)) = powers of the Frobenius; Aut(Z_n) = {id}, as Z_n has r = 1."""
+    return [Automorphism(ctx, e) for e in range(ctx.r)]
 
 
 def default_modulus(p: int, r: int):
@@ -363,14 +322,14 @@ def default_modulus(p: int, r: int):
     raise ReducibleModulus(f"no irreducible polynomial found for p={p}, r={r}")
 
 
-def make_field(p: int, r: int, modulus=None, size_cap: int = DEFAULT_SIZE_CAP) -> RingContext:
+def make_field(p: int, r: int, modulus=None) -> RingContext:
     """Construct GF(p^r) with a verified irreducible modulus and a primitive element."""
     if not _is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if r < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** r > size_cap:
-        raise EnumerationCapExceeded(f"ring size {p ** r} exceeds cap {size_cap}")
+    if p ** r > DEFAULT_SIZE_CAP:
+        raise EnumerationCapExceeded(f"ring size {p ** r} exceeds cap {DEFAULT_SIZE_CAP}")
     if modulus is None:
         modulus = default_modulus(p, r)
     else:
@@ -379,26 +338,33 @@ def make_field(p: int, r: int, modulus=None, size_cap: int = DEFAULT_SIZE_CAP) -
             raise ReducibleModulus("modulus must be monic of degree r")
         if not _is_irreducible(list(modulus), p, r):
             raise ReducibleModulus(f"{list(modulus)} is reducible over F_{p}")
-    ctx = RingContext("field", p=p, r=r, modulus=modulus)
+    digits = list(itertools.product(range(p), repeat=r))
+    index = {d: i for i, d in enumerate(digits)}
+
+    def product(u, v):
+        _, rem = _poly_divmod_p(_poly_mul_mod_p(u, v, p), list(modulus), p)
+        return tuple(rem + [0] * (r - len(rem)))
+
+    add = [[index[tuple((x + y) % p for x, y in zip(u, v))] for v in digits] for u in digits]
+    mul = [[index[product(u, v)] for v in digits] for u in digits]
+    ctx = RingContext("field", add, mul, p=p, r=r, modulus=modulus)
     order = p ** r - 1
-    for e in ctx.elements:
-        if ctx.is_unit(e) and (order == 1 or ctx.mult_order(e) == order):
+    for e in ctx.units:
+        if order == 1 or ctx.mult_order(e) == order:
             ctx.xi = e
             break
     return ctx
 
 
-def make_residue_ring(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> RingContext:
+def make_residue_ring(n: int) -> RingContext:
     """Construct Z_n (identity automorphism only)."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    if n > size_cap:
-        raise EnumerationCapExceeded(f"ring size {n} exceeds cap {size_cap}")
-    return RingContext("residue", n_mod=n)
-
-
-def apply_aut(tau: Automorphism, a: Element) -> Element:
-    return tau(a)
+    if n > DEFAULT_SIZE_CAP:
+        raise EnumerationCapExceeded(f"ring size {n} exceeds cap {DEFAULT_SIZE_CAP}")
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[a * b % n for b in range(n)] for a in range(n)]
+    return RingContext("residue", add, mul, n_mod=n)
 
 
 def partial_norm(tau: Automorphism, beta: Element, i: int) -> Element:
@@ -420,11 +386,6 @@ def norm_image(tau: Automorphism, m: int):
     return sorted(seen, key=Element.sort_key)
 
 
-def unit_group(ctx: RingContext):
-    """All units in canonical (lexicographic repr) order."""
-    return list(ctx.units)
-
-
 def additive_generators(ctx: RingContext):
     """A generating set of (S, +): the F_p-basis 1, x, ..., x^(r-1) of GF(p^r), or {1} in Z_n.
 
@@ -432,10 +393,7 @@ def additive_generators(ctx: RingContext):
     an argument vanishes everywhere once it vanishes on them.
     """
     if ctx.kind == "field":
-        return [
-            ctx.element(tuple(int(i == j) for j in range(ctx.r)))
-            for i in range(ctx.r)
-        ]
+        return [ctx.elements[ctx.p ** (ctx.r - 1 - i)] for i in range(ctx.r)]
     return [ctx.one]
 
 

@@ -16,7 +16,7 @@ from .errors import (
     NonMonic,
     NotARightDivisor,
 )
-from .skewpoly import SkewPoly, TwistContext, right_divide, skew_mul
+from .skewpoly import SkewPoly, TwistContext, _t_times, right_divide, skew_mul
 
 DEFAULT_PROBE_CAP = 4096
 
@@ -55,12 +55,19 @@ class PetitAlgebra:
         self.twist = f.twist
         self.ring = f.twist.ring
         self.m = int(f.degree)
-        # t^j mod_r f for 0 <= j <= 2(m-1); reduction is left S-linear
+        # t^j mod_r f for 0 <= j <= 2(m-1), as its nonzero (k, coefficient) terms
         self._red = [
-            right_divide(SkewPoly.t_power(j, self.twist), f)[1]
+            _terms(right_divide(SkewPoly.t_power(j, self.twist), f)[1])
             for j in range(2 * self.m - 1)
         ]
-        self._sig = [self.twist.sigma.power(i) for i in range(self.m)]
+        # _tb[i][b] holds the terms of t^i * b in S[t; sigma, delta], i < m, by
+        # applying t*a = sigma(a)*t + delta(a) i times; its degree is at most i
+        self._tb = [[] for _ in range(self.m)]
+        for b in self.ring.elements:
+            poly = SkewPoly([b], self.twist)
+            for i in range(self.m):
+                self._tb[i].append(_terms(poly))
+                poly = _t_times(poly)
 
     @property
     def size(self) -> int:
@@ -84,25 +91,32 @@ class PetitAlgebra:
             yield SkewPoly(digits, self.twist)
 
     def mul(self, g: SkewPoly, h: SkewPoly) -> SkewPoly:
-        if self.twist.has_delta:
-            return right_divide(skew_mul(g, h), self.f)[1]
-        ring = self.ring
-        acc = [ring.zero] * self.m
+        """g*h mod_r f for g, h of degree < m, with or without delta.
+
+        g*h = sum_(i,j) g_i * (t^i * h_j) * t^j, and t^i * h_j = sum_l c_l t^l,
+        so g*h = sum g_i * c_l * t^(l+j).  Right remainders are left
+        S-linear, so g*h mod_r f = sum g_i * c_l * (t^(l+j) mod_r f), with
+        l + j <= 2(m-1).  For delta = 0, t^i * b = sigma^i(b) * t^i.
+        """
+        acc = [self.ring.zero] * self.m
         for i, gi in enumerate(g.coeffs):
             if gi.is_zero():
                 continue
-            sig_i = self._sig[i]
+            tb = self._tb[i]
             for j, hj in enumerate(h.coeffs):
-                if hj.is_zero():
-                    continue
-                c = gi * sig_i(hj)
-                for k, rk in enumerate(self._red[i + j].coeffs):
-                    if not rk.is_zero():
+                for l, c in tb[hj.val]:
+                    c = gi * c
+                    for k, rk in self._red[l + j]:
                         acc[k] = acc[k] + c * rk
         return SkewPoly(acc, self.twist)
 
     def monomial(self, a, i):
         return SkewPoly.monomial(a, i, self.twist)
+
+
+def _terms(poly: SkewPoly):
+    """The (degree, coefficient) pairs of the nonzero terms of poly."""
+    return [(k, c) for k, c in enumerate(poly.coeffs) if not c.is_zero()]
 
 
 def petit_mul(A: PetitAlgebra, g: SkewPoly, h: SkewPoly) -> SkewPoly:

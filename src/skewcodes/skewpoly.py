@@ -34,8 +34,6 @@ class TwistContext:
     def __init__(self, ring: RingContext, sigma: Automorphism, delta_beta: Element | None = None):
         if sigma.ctx is not ring:
             raise ContextMismatch("sigma acts on a different ring")
-        if ring.kind == "residue" and not sigma.is_identity:
-            raise ContextMismatch("Z_n carries only the identity automorphism")
         if delta_beta is not None and delta_beta.ctx is not ring:
             raise ContextMismatch("delta parameter from a different ring")
         self.ring = ring
@@ -44,16 +42,11 @@ class TwistContext:
         self._check_derivation_law()
 
     def _check_derivation_law(self):
-        # delta(ab) = sigma(a)delta(b) + delta(a)b; exhaustive for small rings
+        # delta(ab) = sigma(a)delta(b) + delta(a)b, over every pair
         if self.delta_beta is None:
             return
-        ring = self.ring
-        if ring.size <= 256:
-            sample = ring.elements
-        else:
-            sample = ring.elements[:: max(1, ring.size // 64)]
-        for a in sample:
-            for b in sample:
+        for a in self.ring.elements:
+            for b in self.ring.elements:
                 lhs = self.delta(a * b)
                 rhs = self.sigma(a) * self.delta(b) + self.delta(a) * b
                 if lhs != rhs:
@@ -157,7 +150,7 @@ class SkewPoly:
         return hash((self.twist, self.coeffs))
 
     def __repr__(self):
-        return f"SkewPoly({[c.val for c in self.coeffs]})"
+        return f"SkewPoly({[c.to_json() for c in self.coeffs]})"
 
     def _check(self, other: "SkewPoly"):
         if not isinstance(other, SkewPoly) or other.twist != self.twist:

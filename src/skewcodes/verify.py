@@ -9,7 +9,6 @@ the acceptance tests both run these.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .catalogue import run_catalogue
 from .classify import (
@@ -48,8 +47,6 @@ from .skewpoly import (
     skew_mul,
 )
 
-ASSOC_SIZE_CAP = 4096
-
 
 def _divisors(r: int):
     return [s for s in range(1, r + 1) if r % s == 0]
@@ -86,8 +83,6 @@ def check_associativity_criterion() -> dict:
             n = sigma.order
             tw = TwistContext(K, sigma)
             for m in (2, 3, 4):
-                if K.size ** m > ASSOC_SIZE_CAP:
-                    continue
                 for d in K.units:
                     A = PetitAlgebra(_constacyclic(tw, m, d))
                     expected = sigma(d) == d and m % n == 0
@@ -135,12 +130,11 @@ def _monic_polys(tw: TwistContext, degree: int):
         yield SkewPoly(list(tail) + [ring.one], tw)
 
 
-def check_witness_soundness(degree3_samples: int = 10_000, seed: int = 42) -> dict:
+def check_witness_soundness() -> dict:
     """Every certified equivalence witness induces a multiplicative map.
 
-    Degree 2 over GF(4): every monic pair, every witness, exhaustive element
-    pairs.  Degree 3: randomly sampled monic pairs, each certified witness
-    verified exhaustively (results cached per distinct pair).
+    Degree 2 over GF(4): every monic pair, every witness.  Degree 3: every
+    monic pair, its first witness.  Each witness is verified exhaustively.
     """
     K, tw = _gf4_frobenius()
     failures = []
@@ -159,27 +153,19 @@ def check_witness_soundness(degree3_samples: int = 10_000, seed: int = 42) -> di
                              "h": [c.to_json() for c in h.coeffs],
                              "witness": w.to_json()}
                         )
-    rng = random.Random(seed)
     cubics = list(_monic_polys(tw, 3))
-    cache = {}
-    for _ in range(degree3_samples):
-        f = rng.choice(cubics)
-        h = rng.choice(cubics)
-        w = find_equivalence(f, h)
-        if w is None:
-            continue
-        checked += 1
-        key = (f.coeffs, h.coeffs, w.tau.frob_exp, w.alpha.val)
-        ok = cache.get(key)
-        if ok is None:
-            ok = verify_witness_multiplicative(f, h, w)
-            cache[key] = ok
-        if not ok:
-            failures.append(
-                {"f": [c.to_json() for c in f.coeffs],
-                 "h": [c.to_json() for c in h.coeffs],
-                 "witness": w.to_json()}
-            )
+    for f in cubics:
+        for h in cubics:
+            w = find_equivalence(f, h)
+            if w is None:
+                continue
+            checked += 1
+            if not verify_witness_multiplicative(f, h, w):
+                failures.append(
+                    {"f": [c.to_json() for c in f.coeffs],
+                     "h": [c.to_json() for c in h.coeffs],
+                     "witness": w.to_json()}
+                )
     return _report("witness-soundness", failures, checked)
 
 
@@ -392,12 +378,12 @@ def check_structural_identities() -> dict:
     )
 
 
-def run_verify(degree3_samples: int = 10_000) -> list[dict]:
+def run_verify() -> list[dict]:
     """All suites, in acceptance order."""
     return [
         check_associativity_criterion(),
         check_counting_formulas(),
-        check_witness_soundness(degree3_samples=degree3_samples),
+        check_witness_soundness(),
         check_catalogue_structure(),
         check_parameter_preservation(),
         check_filter_soundness(),

@@ -45,7 +45,7 @@ def test_criterion_2_counting():
 def test_criterion_3_witness_soundness():
     """Certified witnesses always induce multiplicative maps (GF(4), deg 2 and 3)."""
     t0 = time.time()
-    rep = check_witness_soundness(degree3_samples=10_000)
+    rep = check_witness_soundness()
     _gate(3, "witness soundness", rep, time.time() - t0, budget=30)
 
 

@@ -179,6 +179,26 @@ def test_witness_verification_has_no_size_cap():
     assert classify_pair(f, h).relation == Relation.NOT_RELATED
 
 
+def test_classify_pair_verifies_no_witness_twice(monkeypatch):
+    """NotRelated over GF(4), m = 4: each (f, h, tau, alpha, k) is verified once."""
+    import skewcodes.classify as classify
+
+    seen = []
+    verify = classify.verify_witness_multiplicative
+
+    def counting(f, h, w, **kwargs):
+        seen.append((f.coeffs, h.coeffs, w.tau.frob_exp, w.alpha.val, w.k))
+        return verify(f, h, w, **kwargs)
+
+    monkeypatch.setattr(classify, "verify_witness_multiplicative", counting)
+    f = SkewPoly([GF4.from_json(c) for c in ([1, 1], [1, 0], [1, 0], [1, 0])] + [GF4.one], TW)
+    h = SkewPoly([GF4.from_json(c) for c in ([1, 0], [1, 0], [1, 1], [1, 0])] + [GF4.one], TW)
+    assert classify_pair(f, h).relation == Relation.NOT_RELATED
+    # k = 3 is the one valid degree; tau = id and the Frobenius, 3 units each
+    assert len(seen) == 6
+    assert len(set(seen)) == len(seen)
+
+
 def test_find_isometry_single_degree():
     tw = TwistContext(GF4, identity_aut(GF4))
     f, h = consta(tw, 5, GF4.one), consta(tw, 5, OMEGA)

@@ -112,7 +112,7 @@ def test_count_classes_residue(capsys):
 
 def test_catalogue_constacyclic(capsys):
     code, out = run(capsys, "catalogue", "--field", "2,2", "--sigma", "1",
-                    "--m", "2", "--constacyclic", "--threads", "1")
+                    "--m", "2", "--constacyclic")
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert len(lines) == 2  # two full-equivalence classes
@@ -120,11 +120,11 @@ def test_catalogue_constacyclic(capsys):
     assert all(rec["schema_version"] == 1 for rec in lines)
 
 
-def test_catalogue_deterministic_across_threads(capsys):
+def test_catalogue_deterministic(capsys):
     args = ["catalogue", "--field", "2,2", "--sigma", "1", "--m", "2",
             "--constacyclic"]
-    _, out1 = run(capsys, *args, "--threads", "1")
-    _, out2 = run(capsys, *args, "--threads", "4")
+    _, out1 = run(capsys, *args)
+    _, out2 = run(capsys, *args)
     assert out1 == out2
 
 
@@ -142,6 +142,25 @@ def test_catalogue_cap_exceeded(capsys):
 def test_invalid_field_spec(capsys):
     code, _ = run(capsys, "algebra-info", "--field", "4,1", "--f", "1,0")
     assert code == 1
+
+
+def test_element_with_too_many_digits(capsys):
+    code = main(["check-equiv", "--field", "2,2", "--sigma", "1",
+                 "--f", "0.1.1,0", "--h", "1,0"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: element [0, 1, 1] has 3 digits")
+    assert "at most 2" in err
+
+
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_count_classes_rejects_nonpositive_m(capsys, m):
+    code = main(["count-classes", "--field", "2,2", "--sigma", "1", "--m", m])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: class counts need degree m >= 1")
+    assert "Traceback" not in captured.err
 
 
 def test_missing_ring_spec(capsys):
@@ -178,10 +197,10 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(
         cli, "run_verify",
-        lambda degree3_samples: [{"name": "x", "passed": False, "checked": 0,
-                                  "failures": [], "failure_count": 1}],
+        lambda: [{"name": "x", "passed": False, "checked": 0,
+                  "failures": [], "failure_count": 1}],
     )
-    code, _ = run(capsys, "verify", "--samples", "1")
+    code, _ = run(capsys, "verify")
     assert code == 3
 
 
@@ -190,8 +209,8 @@ def test_verify_exit_code_on_success(monkeypatch, capsys):
 
     monkeypatch.setattr(
         cli, "run_verify",
-        lambda degree3_samples: [{"name": "x", "passed": True, "checked": 1,
-                                  "failures": [], "failure_count": 0}],
+        lambda: [{"name": "x", "passed": True, "checked": 1,
+                  "failures": [], "failure_count": 0}],
     )
     code, out = run(capsys, "verify")
     assert code == 0

@@ -53,6 +53,24 @@ def test_mul_agrees_with_reduction_inner_delta():
             assert A.mul(x, y) == right_divide(skew_mul(x, y), A.f)[1]
 
 
+@pytest.mark.parametrize("p,r,e", [(2, 3, 1), (2, 3, 2), (3, 2, 1)])
+def test_mul_agrees_with_reduction_inner_delta_monomials(p, r, e):
+    """delta != 0 over GF(8) and GF(9), m = 3, on every pair of monomials b t^i, c t^j.
+
+    Both products are biadditive, so agreeing on the monomials, which
+    generate (S_f, +), is agreeing everywhere.
+    """
+    K = make_field(p, r)
+    beta = K.elements[-1]
+    tw = TwistContext(K, Automorphism(K, e), delta_beta=beta)
+    f = SkewPoly([K.elements[1], K.zero, K.elements[2], K.one], tw)
+    A = PetitAlgebra(f)
+    monomials = [A.monomial(b, i) for b in K.elements for i in range(A.m)]
+    for x in monomials:
+        for y in monomials:
+            assert A.mul(x, y) == right_divide(skew_mul(x, y), f)[1]
+
+
 def test_petit_mul_degree_guard():
     t2 = SkewPoly.t_power(2, TW)
     with pytest.raises(DegreeTooHigh):
