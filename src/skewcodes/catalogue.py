@@ -5,10 +5,10 @@ from __future__ import annotations
 import itertools
 
 from .classify import equivalence_class_of
-from .codes import build_code, min_hamming_distance
+from .codes import code_class_codes, min_hamming_distance
 from .errors import EnumerationCapExceeded, InvalidConfig
 from .petit import PetitAlgebra
-from .skewpoly import SkewPoly, TwistContext, all_monic_right_divisors
+from .skewpoly import SkewPoly, TwistContext
 
 SCHEMA_VERSION = 1
 
@@ -50,12 +50,13 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
         members = [g for g in equivalence_class_of(f, chen_only=False) if g in pending]
         for g in members:
             pending.pop(g, None)
+        member_set = set(members)
         chen = []
         seen = set()
         for g in members:
             if g in seen:
                 continue
-            sub = [x for x in equivalence_class_of(g, chen_only=True) if x in set(members)]
+            sub = [x for x in equivalence_class_of(g, chen_only=True) if x in member_set]
             seen.update(sub)
             chen.append(sub)
         chen.sort(key=lambda sub: sub[0].sort_key())
@@ -65,21 +66,15 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
 
 
 def _codes_for(f: SkewPoly, cap: int):
-    A = PetitAlgebra(f)
-    out = []
-    for g in all_monic_right_divisors(f, cap=cap):
-        if g.degree >= A.m:
-            continue
-        C = build_code(A, g)
-        out.append(
-            {
-                "g": poly_to_json(g),
-                "length": C.length,
-                "dim": C.dimension,
-                "min_dist": min_hamming_distance(C, cap=cap),
-            }
-        )
-    return out
+    return [
+        {
+            "g": poly_to_json(C.g),
+            "length": C.length,
+            "dim": C.dimension,
+            "min_dist": min_hamming_distance(C, cap=cap),
+        }
+        for C in code_class_codes(PetitAlgebra(f), cap=cap)
+    ]
 
 
 def run_catalogue(

@@ -13,8 +13,10 @@ import json
 import sys
 
 from . import __version__
-from .catalogue import poly_to_json, run_catalogue
+from .catalogue import run_catalogue
 from .classify import (
+    ClassificationResult,
+    Relation,
     classify_pair,
     count_constacyclic_classes,
     find_equivalence,
@@ -109,19 +111,15 @@ def cmd_check_equiv(args) -> int:
     h = _parse_poly(ctx, tw, args.h)
     if args.k is not None and args.k != 1:
         w = find_isometry(f, h, chen_only=args.chen, k=args.k)
-        found = "ChenIsometric" if args.chen else "Isometric"
+        found = Relation.CHEN_ISOMETRIC if args.chen else Relation.ISOMETRIC
     elif args.chen:
         w = find_equivalence(f, h, chen_only=True)
-        found = "ChenEquivalent"
+        found = Relation.CHEN_EQUIVALENT
     else:
         _emit(classify_pair(f, h).to_json(), args)
         return EXIT_OK
-    doc = {
-        "relation": found if w else "NotRelated",
-        "witness": w.to_json() if w else None,
-        "filter_reason": None,
-    }
-    _emit(doc, args)
+    result = ClassificationResult(found if w else Relation.NOT_RELATED, w)
+    _emit(result.to_json(), args)
     return EXIT_OK
 
 
@@ -222,7 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help / --version and 2 on a usage error,
+        # which is the cap code here; usage errors are invalid input
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
         return args.func(args)
     except EnumerationCapExceeded as exc:

@@ -6,14 +6,10 @@ g, t*g, ..., t^(m-deg g-1)*g inside the quotient algebra of f.
 
 from __future__ import annotations
 
-import itertools
-
-from .coeffring import Element
 from .errors import EnumerationCapExceeded, WitnessInvalid
 from .petit import PetitAlgebra, left_ideal_span
 from .skewpoly import (
     SkewPoly,
-    TwistContext,
     all_monic_right_divisors,
     left_divide,
     monic_scale,
@@ -49,15 +45,13 @@ class LinearCode:
             raise EnumerationCapExceeded(
                 f"{ring.size}^{self.dimension} codewords exceed cap {cap}"
             )
-        words = set()
-        for combo in itertools.product(ring.elements, repeat=self.dimension):
-            word = [ring.zero] * self.length
-            for s, row in zip(combo, self.gen_matrix):
-                if s.is_zero():
-                    continue
-                for idx, c in enumerate(row):
-                    word[idx] = word[idx] + s * c
-            words.add(tuple(word))
+        # span one row at a time: words becomes {w + s*row} for every scalar s
+        words = {(ring.zero,) * self.length}
+        for row in self.gen_matrix:
+            multiples = [tuple(s * c for c in row) for s in ring.elements]
+            words = {
+                tuple(x + y for x, y in zip(w, sr)) for w in words for sr in multiples
+            }
         self._codewords = frozenset(words)
         return self._codewords
 

@@ -16,7 +16,7 @@ from .errors import (
     NonMonic,
     NotARightDivisor,
 )
-from .skewpoly import SkewPoly, TwistContext, _t_times, right_divide, skew_mul
+from .skewpoly import SkewPoly, right_divide, skew_mul
 
 DEFAULT_PROBE_CAP = 4096
 
@@ -24,9 +24,9 @@ DEFAULT_PROBE_CAP = 4096
 @dataclass(frozen=True)
 class StructureReport:
     is_associative: bool
-    left_nucleus_dim: int | None
-    middle_nucleus_dim: int | None
-    right_nucleus_dim: int | None
+    left_nucleus_dim: int
+    middle_nucleus_dim: int
+    right_nucleus_dim: int
     f_two_sided: bool
 
     def to_json(self):
@@ -44,9 +44,7 @@ class StructureReport:
 class PetitAlgebra:
     """S_f for a monic f of degree m >= 2: residues of degree < m under *."""
 
-    def __init__(self, f: SkewPoly, twist: TwistContext | None = None):
-        if twist is not None and f.twist != twist:
-            raise ValueError("f does not live under the given twist")
+    def __init__(self, f: SkewPoly):
         if not f.is_monic:
             raise NonMonic("f must be monic")
         if f.degree < 2:
@@ -60,14 +58,8 @@ class PetitAlgebra:
             _terms(right_divide(SkewPoly.t_power(j, self.twist), f)[1])
             for j in range(2 * self.m - 1)
         ]
-        # _tb[i][b] holds the terms of t^i * b in S[t; sigma, delta], i < m, by
-        # applying t*a = sigma(a)*t + delta(a) i times; its degree is at most i
-        self._tb = [[] for _ in range(self.m)]
-        for b in self.ring.elements:
-            poly = SkewPoly([b], self.twist)
-            for i in range(self.m):
-                self._tb[i].append(_terms(poly))
-                poly = _t_times(poly)
+        # _tb[i][b] holds the terms of t^i * b for i < m, shared with the twist
+        self._tb = [self.twist.t_times(i) for i in range(self.m)]
 
     @property
     def size(self) -> int:
@@ -96,7 +88,8 @@ class PetitAlgebra:
         g*h = sum_(i,j) g_i * (t^i * h_j) * t^j, and t^i * h_j = sum_l c_l t^l,
         so g*h = sum g_i * c_l * t^(l+j).  Right remainders are left
         S-linear, so g*h mod_r f = sum g_i * c_l * (t^(l+j) mod_r f), with
-        l + j <= 2(m-1).  For delta = 0, t^i * b = sigma^i(b) * t^i.
+        l + j <= 2(m-1).  The c_l come from TwistContext.t_times; for
+        delta = 0, t^i * b = sigma^i(b) * t^i.
         """
         acc = [self.ring.zero] * self.m
         for i, gi in enumerate(g.coeffs):
@@ -208,21 +201,19 @@ def _dim_from_count(A: PetitAlgebra, count: int) -> int:
     return d
 
 
-def probe_structure(
-    A: PetitAlgebra, include_nuclei: bool = True, cap: int = DEFAULT_PROBE_CAP
-) -> StructureReport:
-    """Associativity, nucleus dimensions, and two-sidedness of f."""
-    if A.ring.size ** A.m > 2 ** 16:
-        raise EnumerationCapExceeded("algebra too large for structural probes")
+def probe_structure(A: PetitAlgebra, cap: int = DEFAULT_PROBE_CAP) -> StructureReport:
+    """Associativity, nucleus dimensions, and two-sidedness of f.
+
+    The nucleus scans run over every element of S_f, so an algebra of more
+    than cap elements is refused before any work.
+    """
+    if A.size > cap:
+        raise EnumerationCapExceeded(
+            f"structural probes over {A.size} elements exceed cap {cap}"
+        )
     two_sided = f_is_two_sided(A)
     assoc = is_associative(A)
-    dims = (None, None, None)
-    if include_nuclei:
-        if A.size > cap:
-            raise EnumerationCapExceeded(
-                f"nucleus scan over {A.size} elements exceeds cap {cap}"
-            )
-        dims = tuple(_dim_from_count(A, _nucleus_size(A, s)) for s in range(3))
+    dims = [_dim_from_count(A, _nucleus_size(A, s)) for s in range(3)]
     return StructureReport(
         is_associative=assoc,
         left_nucleus_dim=dims[0],

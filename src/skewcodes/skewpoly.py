@@ -1,8 +1,9 @@
 """Skew polynomial arithmetic over a twisted coefficient ring.
 
-Multiplication follows the commutation rule t*a = sigma(a)*t + delta(a),
-applied one power of t at a time.  Left and right Euclidean division are
-available whenever the divisor has an invertible leading coefficient.
+The commutation rule t*a = sigma(a)*t + delta(a) is applied in one place,
+TwistContext.t_times, which tabulates t^i * b for every b.  The product and
+both Euclidean divisions (available whenever the divisor has an invertible
+leading coefficient) read that table.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class TwistContext:
     delta is either zero or the inner derivation a -> beta*(sigma(a) - a).
     """
 
-    __slots__ = ("ring", "sigma", "delta_beta")
+    __slots__ = ("ring", "sigma", "delta_beta", "_t_table")
 
     def __init__(self, ring: RingContext, sigma: Automorphism, delta_beta: Element | None = None):
         if sigma.ctx is not ring:
@@ -40,6 +41,8 @@ class TwistContext:
         self.sigma = sigma
         self.delta_beta = delta_beta
         self._check_derivation_law()
+        # _t_table[i][b] holds the nonzero terms of t^i * b; level 0 is b itself
+        self._t_table = [[[(0, b)] if not b.is_zero() else [] for b in ring.elements]]
 
     def _check_derivation_law(self):
         # delta(ab) = sigma(a)delta(b) + delta(a)b, over every pair
@@ -60,6 +63,27 @@ class TwistContext:
         if self.delta_beta is None:
             return self.ring.zero
         return self.delta_beta * (self.sigma(a) - a)
+
+    def t_times(self, i: int):
+        """The nonzero terms (l, c) of t^i * b = sum c * t^l, for every b, indexed by b.val.
+
+        Level i comes from level i - 1 by t*a = sigma(a)*t + delta(a), so for
+        b != 0, t^i * b has degree i with top coefficient sigma^i(b).  Levels are
+        built on demand and kept, so every polynomial and quotient algebra
+        under this twist shares them.
+        """
+        table = self._t_table
+        while len(table) <= i:
+            zero = self.ring.zero
+            level = []
+            for terms in table[-1]:
+                out = [zero] * (len(table) + 1)
+                for l, c in terms:
+                    out[l + 1] = out[l + 1] + self.sigma(c)
+                    out[l] = out[l] + self.delta(c)
+                level.append([(l, c) for l, c in enumerate(out) if not c.is_zero()])
+            table.append(level)
+        return table[i]
 
     def __eq__(self, other):
         return (
@@ -133,9 +157,6 @@ class SkewPoly:
         """Coefficients padded with zeros to the given length."""
         return tuple(self.coeff(i) for i in range(length))
 
-    def hamming_weight(self) -> int:
-        return sum(1 for c in self.coeffs if not c.is_zero())
-
     def sort_key(self):
         return (len(self.coeffs), tuple(c.sort_key() for c in self.coeffs))
 
@@ -179,74 +200,79 @@ class SkewPoly:
         return skew_mul(self, other)
 
 
-def _t_times(h: SkewPoly) -> SkewPoly:
-    """t * h via the commutation rule, one step."""
-    tw = h.twist
-    ring = tw.ring
-    out = [ring.zero] * (len(h.coeffs) + 1)
-    for j, c in enumerate(h.coeffs):
-        out[j + 1] = out[j + 1] + tw.sigma(c)
-        d = tw.delta(c)
-        if not d.is_zero():
-            out[j] = out[j] + d
-    return SkewPoly(out, tw)
-
-
 def skew_mul(g: SkewPoly, h: SkewPoly) -> SkewPoly:
-    """The product g*h in S[t; sigma, delta]."""
+    """The product g*h = sum_(i,j) g_i * (t^i * h_j) * t^j in S[t; sigma, delta]."""
     g._check(h)
     tw = g.twist
     if g.is_zero or h.is_zero:
         return SkewPoly.zero(tw)
-    acc = SkewPoly.zero(tw)
-    shifted = h
+    acc = [tw.ring.zero] * (len(g.coeffs) + len(h.coeffs) - 1)
     for i, gi in enumerate(g.coeffs):
-        if not gi.is_zero():
-            acc = acc + shifted.scale_left(gi)
-        if i + 1 < len(g.coeffs):
-            shifted = _t_times(shifted)
-    return acc
+        if gi.is_zero():
+            continue
+        tb = tw.t_times(i)
+        for j, hj in enumerate(h.coeffs):
+            for l, c in tb[hj.val]:
+                acc[l + j] = acc[l + j] + gi * c
+    return SkewPoly(acc, tw)
+
+
+def _divisor_degree(g: SkewPoly, f: SkewPoly) -> int:
+    g._check(f)
+    if f.is_zero or not f.coeffs[-1].is_unit():
+        raise NonInvertibleLeadingCoefficient("divisor needs an invertible leading coefficient")
+    return len(f.coeffs) - 1
 
 
 def right_divide(g: SkewPoly, f: SkewPoly):
-    """q, rem with g = q*f + rem and deg(rem) < deg(f)."""
-    g._check(f)
+    """q, rem with g = q*f + rem and deg(rem) < deg(f).
+
+    Each step cancels the leading term of rem with (c t^d)*f, which is
+    sum_j c * (t^d * f_j) * t^j and has leading coefficient c * sigma^d(lc(f)).
+    """
+    df = _divisor_degree(g, f)
     tw = g.twist
-    if f.is_zero or not f.coeffs[-1].is_unit():
-        raise NonInvertibleLeadingCoefficient("divisor needs an invertible leading coefficient")
-    sigma = tw.sigma
-    lead_inv = f.coeffs[-1].inverse()
-    df = len(f.coeffs) - 1
-    q = SkewPoly.zero(tw)
-    rem = g
-    while not rem.is_zero and rem.degree >= df:
-        d = len(rem.coeffs) - 1 - df
-        # leading term of (c t^d) * f is c * sigma^d(lc(f)) * t^(deg g)
-        c = rem.coeffs[-1] * sigma.power(d)(lead_inv)
-        term = SkewPoly.monomial(c, d, tw)
-        q = q + term
-        rem = rem - skew_mul(term, f)
-    return q, rem
+    lead_inv = f.coeffs[-1].inverse().val
+    rem = list(g.coeffs)
+    q = [tw.ring.zero] * max(len(rem) - df, 0)
+    for top in range(len(rem) - 1, df - 1, -1):
+        if rem[top].is_zero():
+            continue
+        d = top - df
+        tb = tw.t_times(d)
+        # sigma^d(lc(f)^-1) is the top coefficient of t^d * lc(f)^-1
+        c = rem[top] * tb[lead_inv][-1][1]
+        q[d] = c
+        neg_c = -c
+        for j, fj in enumerate(f.coeffs):
+            for l, e in tb[fj.val]:
+                rem[l + j] = rem[l + j] + neg_c * e
+    return SkewPoly(q, tw), SkewPoly(rem[:df], tw)
 
 
 def left_divide(g: SkewPoly, f: SkewPoly):
-    """q, rem with g = f*q + rem and deg(rem) < deg(f)."""
-    g._check(f)
+    """q, rem with g = f*q + rem and deg(rem) < deg(f).
+
+    Each step cancels the leading term of rem with f*(c t^d), which is
+    sum_j f_j * (t^j * c) * t^d and has leading coefficient lc(f) * sigma^deg(f)(c).
+    """
+    df = _divisor_degree(g, f)
     tw = g.twist
-    if f.is_zero or not f.coeffs[-1].is_unit():
-        raise NonInvertibleLeadingCoefficient("divisor needs an invertible leading coefficient")
-    sigma = tw.sigma
-    df = len(f.coeffs) - 1
-    q = SkewPoly.zero(tw)
-    rem = g
-    while not rem.is_zero and rem.degree >= df:
-        d = len(rem.coeffs) - 1 - df
-        # leading term of f * (c t^d) is lc(f) * sigma^df(c) * t^(deg g)
-        c = sigma.power(-df)(f.coeffs[-1].inverse() * rem.coeffs[-1])
-        term = SkewPoly.monomial(c, d, tw)
-        q = q + term
-        rem = rem - skew_mul(f, term)
-    return q, rem
+    unshift = tw.sigma.power(-df)
+    lead_inv = f.coeffs[-1].inverse()
+    f_terms = [(-fj, tw.t_times(j)) for j, fj in enumerate(f.coeffs) if not fj.is_zero()]
+    rem = list(g.coeffs)
+    q = [tw.ring.zero] * max(len(rem) - df, 0)
+    for top in range(len(rem) - 1, df - 1, -1):
+        if rem[top].is_zero():
+            continue
+        d = top - df
+        c = unshift(lead_inv * rem[top])
+        q[d] = c
+        for neg_fj, tb in f_terms:
+            for l, e in tb[c.val]:
+                rem[l + d] = rem[l + d] + neg_fj * e
+    return SkewPoly(q, tw), SkewPoly(rem[:df], tw)
 
 
 def is_right_divisor(f: SkewPoly, g: SkewPoly) -> bool:

@@ -18,12 +18,11 @@ from .classify import (
     count_constacyclic_classes_formula,
     fast_reject,
     find_equivalence,
-    trailing_coeffs,
     verify_witness_multiplicative,
 )
 from .codes import (
     apply_isometry_to_code,
-    build_code,
+    code_class_codes,
     min_hamming_distance,
     shift_closure_check,
 )
@@ -41,7 +40,6 @@ from .skewpoly import (
     TwistContext,
     all_monic_right_divisors,
     left_divide,
-    monic_scale,
     psi,
     right_divide,
     skew_mul,
@@ -223,11 +221,9 @@ def check_parameter_preservation() -> dict:
             failures.append({"pair": (repr(f), repr(h)), "error": "no witness"})
             continue
         A = PetitAlgebra(f)
-        divisors_f = [g for g in all_monic_right_divisors(f) if g.degree < A.m]
         divisors_h = {g for g in all_monic_right_divisors(h) if g.degree < A.m}
         images = set()
-        for g in divisors_f:
-            C = build_code(A, g)
+        for C in code_class_codes(A):
             D = apply_isometry_to_code(C, w, h)
             images.add(D.g)
             checked += 1
@@ -235,7 +231,7 @@ def check_parameter_preservation() -> dict:
             after = (D.length, D.dimension, min_hamming_distance(D))
             if before != after:
                 failures.append(
-                    {"pair": (repr(f), repr(h)), "g": repr(g),
+                    {"pair": (repr(f), repr(h)), "g": repr(C.g),
                      "before": before, "after": after}
                 )
         if images != divisors_h:
@@ -349,14 +345,10 @@ def check_shift_closure() -> dict:
     failures = []
     checked = 0
     for f in targets:
-        A = PetitAlgebra(f)
-        for g in all_monic_right_divisors(f):
-            if g.degree >= A.m:
-                continue
-            C = build_code(A, g)
+        for C in code_class_codes(PetitAlgebra(f)):
             checked += 1
             if not shift_closure_check(C):
-                failures.append({"f": repr(f), "g": repr(g)})
+                failures.append({"f": repr(f), "g": repr(C.g)})
     return _report("shift-closure", failures, checked)
 
 

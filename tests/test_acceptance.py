@@ -74,4 +74,4 @@ def test_criterion_7_structural_identities():
     """Division reconstruction, psi anti-multiplicativity, norm cocycle, shift closure."""
     t0 = time.time()
     rep = check_structural_identities()
-    _gate(7, "structural identities", rep, time.time() - t0)
+    _gate(7, "structural identities", rep, time.time() - t0, budget=120)

@@ -159,13 +159,6 @@ def test_witness_multiplicative():
     assert verify_witness_multiplicative(f, h, w)
 
 
-def test_witness_multiplicative_sampled():
-    f = consta(TW, 3, GF4.one)
-    h = consta(TW, 3, OMEGA)
-    w = find_equivalence(f, h)
-    assert verify_witness_multiplicative(f, h, w, sample_pairs=200)
-
-
 def test_witness_verification_has_no_size_cap():
     """GF(4), m = 7: 4^14 element pairs, checked exhaustively on 7 * 14 generator pairs."""
     ident = identity_aut(GF4)

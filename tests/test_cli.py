@@ -32,6 +32,19 @@ def test_algebra_info_nonassociative(capsys):
     assert doc["associative"] is False
 
 
+def test_algebra_info_cap(capsys):
+    """t^3 + 1 over GF(4) has 64 elements: --cap 64 probes it, --cap 63 exits 2."""
+    argv = ("algebra-info", "--field", "2,2", "--sigma", "1", "--f", "1,0,0")
+    code, out = run(capsys, *argv, "--cap", "64")
+    assert code == 0
+    assert json.loads(out)["associative"] is False
+    code = main([*argv, "--cap", "63"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_mindist(capsys):
     code, out = run(capsys, "mindist", "--field", "2,2", "--sigma", "1",
                     "--f", "1,0,0", "--g", "1")  # t^3 - 1, g = t - 1
@@ -161,6 +174,21 @@ def test_count_classes_rejects_nonpositive_m(capsys, m):
     assert captured.out == ""
     assert captured.err.startswith("error: class counts need degree m >= 1")
     assert "Traceback" not in captured.err
+
+
+def test_usage_error_exits_1(capsys):
+    """An unknown option is invalid input (exit 1), not the cap code 2."""
+    code = main(["catalogue", "--ring", "6", "--m", "2", "--threads", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "unrecognized arguments: --threads 2" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["catalogue", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
 
 
 def test_missing_ring_spec(capsys):

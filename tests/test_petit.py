@@ -3,7 +3,7 @@
 import pytest
 
 from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
-from skewcodes.errors import DegreeTooHigh, NonMonic, NotARightDivisor
+from skewcodes.errors import DegreeTooHigh, EnumerationCapExceeded, NonMonic, NotARightDivisor
 from skewcodes.petit import (
     PetitAlgebra,
     f_is_two_sided,
@@ -123,6 +123,16 @@ def test_probe_structure_report():
     doc = rep.to_json()
     assert doc["associative"] is True
     assert doc["nucleus_dims"] == [4, 4, 4]
+
+
+def test_probe_structure_cap_boundary():
+    """The cap is the only size limit: t^3 + 1 over GF(4) has 64 elements."""
+    A = PetitAlgebra(consta(TW, 3, GF4.one))
+    assert A.size == 64
+    # nonassociative: sigma has order 2, which does not divide m = 3
+    assert not probe_structure(A, cap=64).is_associative
+    with pytest.raises(EnumerationCapExceeded):
+        probe_structure(A, cap=63)
 
 
 def test_nonassociative_nucleus_drops():

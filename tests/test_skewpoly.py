@@ -150,6 +150,51 @@ def test_division_reconstruction_small():
             assert rem.degree < f.degree
 
 
+def test_division_reconstruction_inner_delta():
+    """Both divisions with delta != 0: every g of degree <= 3 by every monic f of degree 1..3."""
+    tw = TwistContext(GF4, FROB, delta_beta=OMEGA)
+    polys = [SkewPoly(list(tail), tw) for tail in itertools.product(GF4.elements, repeat=4)]
+    monics = [SkewPoly(list(tail) + [GF4.one], tw)
+              for d in (1, 2, 3) for tail in itertools.product(GF4.elements, repeat=d)]
+    for g in polys:
+        for f in monics:
+            q, rem = right_divide(g, f)
+            assert skew_mul(q, f) + rem == g
+            assert rem.degree < f.degree
+            q, rem = left_divide(g, f)
+            assert skew_mul(f, q) + rem == g
+            assert rem.degree < f.degree
+
+
+def _t_times_reference(tw, b, i):
+    """The nonzero terms of t^i * b, applying t*a = sigma(a)*t + beta*(sigma(a) - a) i times."""
+    zero = tw.ring.zero
+    beta = tw.delta_beta
+    poly = [b]
+    for _ in range(i):
+        out = [zero] * (len(poly) + 1)
+        for l, c in enumerate(poly):
+            out[l + 1] = out[l + 1] + tw.sigma(c)
+            if beta is not None:
+                out[l] = out[l] + beta * (tw.sigma(c) - c)
+        poly = out
+    return [(l, c) for l, c in enumerate(poly) if not c.is_zero()]
+
+
+@pytest.mark.parametrize("inner", [False, True])
+@pytest.mark.parametrize("p,r,e", [(2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1)])
+def test_t_times_matches_commutation_rule(p, r, e, inner):
+    """t_times(i)[b] over GF(4), GF(8), GF(9), with delta = 0 and inner delta != 0, i <= 5."""
+    K = make_field(p, r)
+    tw = TwistContext(K, Automorphism(K, e), delta_beta=K.xi if inner else None)
+    assert tw.has_delta == inner
+    for i in range(6):
+        table = tw.t_times(i)
+        assert table is tw.t_times(i)
+        for b in K.elements:
+            assert table[b.val] == _t_times_reference(tw, b, i)
+
+
 def test_division_by_zero_divisor_leading_coeff():
     Z6 = make_residue_ring(6)
     tw = TwistContext(Z6, identity_aut(Z6))
