@@ -97,10 +97,11 @@ def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Elemen
     m = int(f.degree)
     a = trailing_coeffs(f)
     b = trailing_coeffs(h)
+    x = alpha  # sigma^i(alpha)
     for i in range(m):
-        factor = partial_norm(sigma, sigma.power(i)(alpha), m - i)
-        if tau(a[i]) != factor * b[i]:
+        if tau(a[i]) != partial_norm(sigma, x, m - i) * b[i]:
             return False
+        x = sigma(x)
     return True
 
 
@@ -331,11 +332,11 @@ def equivalence_class_of(h: SkewPoly, chen_only: bool = False):
     out = set()
     for tau in taus:
         for alpha in ring.units:
-            ta = tau(alpha)
-            coeffs = [
-                -(partial_norm(sigma, sigma.power(i)(ta), m - i) * tau(b[i]))
-                for i in range(m)
-            ]
+            x = tau(alpha)  # sigma^i(tau(alpha))
+            coeffs = []
+            for i in range(m):
+                coeffs.append(-(partial_norm(sigma, x, m - i) * tau(b[i])))
+                x = sigma(x)
             out.add(SkewPoly(coeffs + [ring.one], tw))
     return sorted(out, key=SkewPoly.sort_key)
 

@@ -180,6 +180,7 @@ class RingContext:
         self._inv = [row.index(one) if one in row else None for row in mul]
         self.units = [e for e in self.elements if self._inv[e.val] is not None]
         self._frobenius = {0: identity}
+        self._automorphisms = None
         self.xi = None
 
     def from_json(self, obj) -> Element:
@@ -305,12 +306,17 @@ class Automorphism:
 
 
 def identity_aut(ctx: RingContext) -> Automorphism:
-    return Automorphism(ctx, 0)
+    return all_automorphisms(ctx)[0]
 
 
 def all_automorphisms(ctx: RingContext):
-    """Aut(GF(p^r)) = powers of the Frobenius; Aut(Z_n) = {id}, as Z_n has r = 1."""
-    return [Automorphism(ctx, e) for e in range(ctx.r)]
+    """Aut(GF(p^r)) = powers of the Frobenius; Aut(Z_n) = {id}, as Z_n has r = 1.
+
+    Built once per ring and shared, as a tuple.
+    """
+    if ctx._automorphisms is None:
+        ctx._automorphisms = tuple(Automorphism(ctx, e) for e in range(ctx.r))
+    return ctx._automorphisms
 
 
 def default_modulus(p: int, r: int):

@@ -30,7 +30,7 @@ class TwistContext:
     delta is either zero or the inner derivation a -> beta*(sigma(a) - a).
     """
 
-    __slots__ = ("ring", "sigma", "delta_beta", "_t_table")
+    __slots__ = ("ring", "sigma", "delta_beta", "_t_table", "_opposite")
 
     def __init__(self, ring: RingContext, sigma: Automorphism, delta_beta: Element | None = None):
         if sigma.ctx is not ring:
@@ -43,6 +43,7 @@ class TwistContext:
         self._check_derivation_law()
         # _t_table[i][b] holds the nonzero terms of t^i * b; level 0 is b itself
         self._t_table = [[[(0, b)] if not b.is_zero() else [] for b in ring.elements]]
+        self._opposite = None
 
     def _check_derivation_law(self):
         # delta(ab) = sigma(a)delta(b) + delta(a)b, over every pair
@@ -84,6 +85,17 @@ class TwistContext:
                 level.append([(l, c) for l, c in enumerate(out) if not c.is_zero()])
             table.append(level)
         return table[i]
+
+    def opposite(self) -> "TwistContext":
+        """The twist under sigma^-1 and delta = 0 that psi maps into, built once.
+
+        Its opposite is this twist again, so psi(psi(g)) lives where g does
+        and both sides keep their t_times tables.
+        """
+        if self._opposite is None:
+            self._opposite = TwistContext(self.ring, self.sigma.inverse())
+            self._opposite._opposite = self
+        return self._opposite
 
     def __eq__(self, other):
         return (
@@ -258,16 +270,17 @@ def left_divide(g: SkewPoly, f: SkewPoly):
     """
     df = _divisor_degree(g, f)
     tw = g.twist
-    unshift = tw.sigma.power(-df)
+    ring = tw.ring
+    unshift = ring.frobenius_table(-df * tw.sigma.frob_exp % ring.r)  # sigma^(-deg f)
     lead_inv = f.coeffs[-1].inverse()
     f_terms = [(-fj, tw.t_times(j)) for j, fj in enumerate(f.coeffs) if not fj.is_zero()]
     rem = list(g.coeffs)
-    q = [tw.ring.zero] * max(len(rem) - df, 0)
+    q = [ring.zero] * max(len(rem) - df, 0)
     for top in range(len(rem) - 1, df - 1, -1):
         if rem[top].is_zero():
             continue
         d = top - df
-        c = unshift(lead_inv * rem[top])
+        c = ring.elements[unshift[(lead_inv * rem[top]).val]]
         q[d] = c
         for neg_fj, tb in f_terms:
             for l, e in tb[c.val]:
@@ -305,11 +318,42 @@ def all_monic_right_divisors(f: SkewPoly, cap: int = DEFAULT_ENUM_CAP):
     f = c*g with g monic of degree deg(f), then c has degree 0 and equals the
     leading coefficient of f, so c = 1 and g = f.  Only lower degrees are
     enumerated for it.
+
+    For a monic f of degree m and delta = 0 (S is commutative) only degrees
+    d <= m // 2 are scanned.  A higher degree d comes from the other half:
+
+    * g -> q with f = q*g is a bijection from the monic right divisors of
+      degree d onto the monic left divisors of degree m - d.  Right division
+      by a monic g is exact and unique, and lc(f) = lc(q)*sigma^(m-d)(lc(g))
+      = lc(q), so q is monic.  Conversely f = q*g with q monic of degree m - d
+      gives lc(f) = sigma^(m-d)(lc(g)), so g is monic of degree d and is the
+      quotient of left_divide(f, q), which is unique.
+    * q |_l f  <=>  psi(q) |_r psi(f).  psi is a bijection of S[t; sigma] onto
+      S[t; sigma^-1] that fixes degrees and monicity, and it is
+      anti-multiplicative: psi(a t^i * b t^j) = sigma^(-i-j)(a) sigma^(-j)(b)
+      t^(i+j) = psi(b t^j) * psi(a t^i) under sigma^-1.  So f = q*g exactly
+      when psi(f) = psi(g)*psi(q).
+
+    Hence the monic right divisors of f of degree d > m // 2 are the left
+    quotients of f by psi^-1(p), for p over the monic right divisors of psi(f)
+    of degree m - d < m - m // 2, a degree the lower half already scans.
+    psi^-1 is psi under sigma^-1: sum b_k t^k -> sum sigma^k(b_k) t^k.
     """
     m = int(f.degree)
+    halved = f.is_monic and not f.twist.has_delta
+    top = m // 2 if halved else m - 1
     out = []
-    for d in range(m):
+    for d in range(top + 1):
         out.extend(enumerate_monic_right_divisors(f, d, cap=cap))
+    if halved:
+        f_psi = psi(f)
+        for d in range(top + 1, m):
+            found = [
+                left_divide(f, psi(p))[0]
+                for p in enumerate_monic_right_divisors(f_psi, m - d, cap=cap)
+            ]
+            found.sort(key=SkewPoly.sort_key)
+            out.extend(found)
     if f.is_monic:
         out.append(f)
     else:
@@ -347,12 +391,17 @@ def companion_matrix(f: SkewPoly):
 def psi(g: SkewPoly) -> SkewPoly:
     """The canonical anti-automorphism image of g (delta = 0, commutative S).
 
-    Maps sum a_k t^k to sum sigma^(-k)(a_k) t^k, living under sigma inverse.
+    Maps sum a_k t^k to sum sigma^(-k)(a_k) t^k, living under sigma inverse
+    (the twist's opposite).  sigma^(-k) is read from the ring's Frobenius
+    tables, so no automorphism is built per coefficient.
     """
     tw = g.twist
     if tw.has_delta:
         raise DeltaNotZero("psi is only implemented for delta = 0")
-    sigma = tw.sigma
-    target = TwistContext(tw.ring, sigma.inverse())
-    coeffs = [sigma.power(-k)(c) for k, c in enumerate(g.coeffs)]
-    return SkewPoly(coeffs, target)
+    ring = tw.ring
+    e = -tw.sigma.frob_exp
+    coeffs = [
+        ring.elements[ring.frobenius_table(e * k % ring.r)[c.val]]
+        for k, c in enumerate(g.coeffs)
+    ]
+    return SkewPoly(coeffs, tw.opposite())

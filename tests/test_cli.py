@@ -1,6 +1,8 @@
 """CLI behaviour: JSON output, exit codes, deterministic catalogues."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -39,6 +41,25 @@ def test_algebra_info_cap(capsys):
     assert code == 0
     assert json.loads(out)["associative"] is False
     code = main([*argv, "--cap", "63"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_mindist_cap(capsys):
+    """--cap bounds the messages enumerated, not q^dim.
+
+    The binary [7, 4, 3] Hamming code (g = t^3 + t + 1 inside t^7 - 1) takes
+    the 4 weight-1 messages (best 3) and the 6 weight-2 messages, then stops
+    at weight 3 >= best: 10 messages, below its 2^4 codewords.
+    """
+    argv = ("mindist", "--field", "2,1", "--sigma", "0",
+            "--f", "1,0,0,0,0,0,0", "--g", "1,1,0")
+    code, out = run(capsys, *argv, "--cap", "10")
+    assert code == 0
+    assert json.loads(out)["min_dist"] == 3
+    code = main([*argv, "--cap", "9"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -243,3 +264,18 @@ def test_verify_exit_code_on_success(monkeypatch, capsys):
     code, out = run(capsys, "verify")
     assert code == 0
     assert json.loads(out)[0]["passed"] is True
+
+
+def test_catalogue_reach_gf9_m6(capsys):
+    """GF(9), Frobenius, m = 6, constacyclic: the same bytes as the exhaustive
+    codeword and divisor scans gave, within 10 s (those scans took about 10 s
+    on a 2-core host)."""
+    t0 = time.perf_counter()
+    code, out = run(capsys, "catalogue", "--field", "3,2", "--sigma", "1",
+                    "--m", "6", "--constacyclic")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "617a463293fe51f0f5e11c249350959cc68176b7c08266dbd2ae94b2351df1a3"
+    )
+    assert elapsed <= 10, f"runtime {elapsed:.1f}s over budget 10s"

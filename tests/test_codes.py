@@ -1,7 +1,10 @@
 """Code construction: generator matrices, shift closure, distance, parity check."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skewcodes.catalogue import partition_classes
 from skewcodes.classify import IsometryWitness, find_equivalence
 from skewcodes.codes import (
     LinearCode,
@@ -13,10 +16,10 @@ from skewcodes.codes import (
     parity_check,
     shift_closure_check,
 )
-from skewcodes.coeffring import Automorphism, identity_aut, make_field
+from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
 from skewcodes.errors import WitnessInvalid
 from skewcodes.petit import PetitAlgebra
-from skewcodes.skewpoly import SkewPoly, TwistContext, all_monic_right_divisors
+from skewcodes.skewpoly import SkewPoly, TwistContext, all_monic_right_divisors, skew_mul
 
 GF4 = make_field(2, 2)
 FROB = Automorphism(GF4, 1)
@@ -91,6 +94,117 @@ def test_min_distance_of_full_algebra():
 def test_zero_code_has_no_distance():
     with pytest.raises(ValueError):
         min_hamming_distance(LinearCode(A3, None, []))
+
+
+def _twist(ring, e=0):
+    return TwistContext(ring, Automorphism(ring, e))
+
+
+def test_raw_span_without_distinct_unit_pivots():
+    """Rows sharing a pivot column, or ending in a non-unit, have no systematic form."""
+    one, zero = GF4.one, GF4.zero
+    C = LinearCode.from_rows(A3, [(one, zero, one), (zero, one, one)])
+    with pytest.raises(ValueError):
+        min_hamming_distance(C)
+    Z4 = make_residue_ring(4)
+    A = PetitAlgebra(SkewPoly.from_ints([1, 0, 0, 1], _twist(Z4)))
+    two = Z4.from_int(2)
+    with pytest.raises(ValueError):
+        min_hamming_distance(LinearCode.from_rows(A, [(Z4.one, two, Z4.zero)]))
+
+
+def brute_force_distance(C):
+    """Minimum weight over every nonzero codeword."""
+    weights = (sum(1 for c in word if not c.is_zero()) for word in C.codewords())
+    return min(w for w in weights if w)
+
+
+CATALOGUES = [
+    ("GF(4) Frobenius m=3", _twist(GF4, 1), 3, False),
+    ("GF(9) Frobenius m=3 constacyclic", _twist(make_field(3, 2), 1), 3, True),
+    ("Z_4 m=3", _twist(make_residue_ring(4)), 3, False),
+    ("Z_6 m=3", _twist(make_residue_ring(6)), 3, False),
+    ("Z_9 m=2", _twist(make_residue_ring(9)), 2, False),
+]
+
+
+@pytest.mark.parametrize("label,tw,m,constacyclic", CATALOGUES, ids=[c[0] for c in CATALOGUES])
+def test_min_distance_matches_codewords_on_catalogues(label, tw, m, constacyclic):
+    """The information-set search equals the minimum weight over every codeword,
+    for every code of every member of every class."""
+    checked = 0
+    for cls in partition_classes(tw, m, constacyclic, 2 ** 20):
+        for f in cls["members"]:
+            for C in code_class_codes(PetitAlgebra(f)):
+                assert min_hamming_distance(C) == brute_force_distance(C), (f, C.g)
+                checked += 1
+    assert checked > 0
+
+
+HYPOTHESIS_TWISTS = [
+    _twist(make_field(2, 1)),
+    _twist(make_field(3, 1)),
+    _twist(GF4, 0),
+    _twist(GF4, 1),
+    _twist(make_field(2, 3), 1),
+    _twist(make_field(3, 2), 1),
+    _twist(make_residue_ring(4)),
+    _twist(make_residue_ring(6)),
+    _twist(make_residue_ring(8)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_min_distance_matches_codewords_property(data):
+    """f = h*g for random monic h, g with deg f = 2..6 (at most 4096 residues),
+    so that f has a nontrivial right divisor; every monic right divisor of f."""
+    tw = data.draw(st.sampled_from(HYPOTHESIS_TWISTS))
+    ring = tw.ring
+    m = data.draw(st.integers(2, max(d for d in range(2, 7) if ring.size ** d <= 4096)))
+    d = data.draw(st.integers(1, m - 1))
+
+    def monic(degree):
+        tail = data.draw(st.lists(st.sampled_from(ring.elements), min_size=degree,
+                                  max_size=degree))
+        return SkewPoly(tail + [ring.one], tw)
+
+    g = monic(d)
+    f = skew_mul(monic(m - d), g)
+    codes = code_class_codes(PetitAlgebra(f))
+    assert g in [C.g for C in codes]
+    for C in codes:
+        assert min_hamming_distance(C) == brute_force_distance(C)
+
+
+def test_min_distance_word_inside_the_information_set():
+    """Rows 1110 and 1101 over GF(2) have weight 3, but their sum 0011 has weight 2 and
+    is zero off the pivots: the weight-2 messages must be searched although best = 3."""
+    K = make_field(2, 1)
+    one, zero = K.one, K.zero
+    A = PetitAlgebra(SkewPoly([one, zero, zero, zero, one], _twist(K)))
+    C = LinearCode.from_rows(A, [(one, one, one, zero), (one, one, zero, one)])
+    assert min_hamming_distance(C) == 2 == brute_force_distance(C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_min_distance_matches_codewords_on_pivoted_rows(data):
+    """Random rows ending in units at distinct columns, in any order: a from_rows span
+    that need not be shift closed, against every codeword."""
+    tw = data.draw(st.sampled_from(HYPOTHESIS_TWISTS))
+    ring = tw.ring
+    m = data.draw(st.integers(2, 7))
+    k = data.draw(st.integers(1, max(j for j in range(1, m + 1) if ring.size ** j <= 4096)))
+    pivots = data.draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True))
+    rows = []
+    for col in pivots:
+        head = data.draw(st.lists(st.sampled_from(ring.elements), min_size=col, max_size=col))
+        unit = data.draw(st.sampled_from(ring.units))
+        rows.append(tuple(head + [unit] + [ring.zero] * (m - col - 1)))
+    A = PetitAlgebra(SkewPoly([ring.one] + [ring.zero] * (m - 1) + [ring.one], tw))
+    C = LinearCode.from_rows(A, rows)
+    assert min_hamming_distance(C) == brute_force_distance(C)
 
 
 def test_transport_preserves_parameters():

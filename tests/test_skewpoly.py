@@ -226,6 +226,72 @@ def test_top_degree_divisor_is_f_itself():
         assert [g for g in all_monic_right_divisors(f) if g.degree == 2] == [f]
 
 
+def _per_degree_scan(f):
+    """Every degree scanned; a monic f is its own only monic divisor of top degree."""
+    m = int(f.degree)
+    out = [g for d in range(m) for g in enumerate_monic_right_divisors(f, d)]
+    return out + ([f] if f.is_monic else enumerate_monic_right_divisors(f, m))
+
+
+def _monics(tw, m, constacyclic):
+    ring = tw.ring
+    if constacyclic:
+        return [SkewPoly([-a] + [ring.zero] * (m - 1) + [ring.one], tw) for a in ring.units]
+    return [SkewPoly(list(tail) + [ring.one], tw)
+            for tail in itertools.product(ring.elements, repeat=m)]
+
+
+def _tw(ring, e=0):
+    return TwistContext(ring, Automorphism(ring, e))
+
+
+HALVED_CONFIGS = [
+    ("GF(4) id m=3", _tw(GF4, 0), 3, False),
+    ("GF(4) Frobenius m=3", _tw(GF4, 1), 3, False),
+    ("GF(4) Frobenius m=4", _tw(GF4, 1), 4, False),
+    ("GF(2) m=6", _tw(make_field(2, 1)), 6, False),
+    ("GF(4) Frobenius m=5 constacyclic", _tw(GF4, 1), 5, True),
+    ("GF(8) sigma^2 m=4 constacyclic", _tw(make_field(2, 3), 2), 4, True),
+    ("GF(9) Frobenius m=3 constacyclic", _tw(make_field(3, 2), 1), 3, True),
+    ("GF(9) Frobenius m=4 constacyclic", _tw(make_field(3, 2), 1), 4, True),
+    ("Z_4 m=3", _tw(make_residue_ring(4)), 3, False),
+    ("Z_6 m=3", _tw(make_residue_ring(6)), 3, False),
+    ("Z_9 m=2", _tw(make_residue_ring(9)), 2, False),
+]
+
+
+@pytest.mark.parametrize("label,tw,m,constacyclic", HALVED_CONFIGS,
+                         ids=[c[0] for c in HALVED_CONFIGS])
+def test_all_divisors_match_per_degree_scan(label, tw, m, constacyclic):
+    """The psi-halved search (monic f, delta = 0) equals the brute-force scan of every degree."""
+    for f in _monics(tw, m, constacyclic):
+        assert all_monic_right_divisors(f) == _per_degree_scan(f), f
+
+
+def test_all_divisors_match_per_degree_scan_on_products():
+    """f = h*g of degree 5 over GF(4) with the Frobenius, g over every monic quadratic:
+    degrees 3 and 4 come from divisors of psi(f) of degree 2 and 1, and psi^-1
+    moves the t-coefficient w of a quadratic to w^2."""
+    h = SkewPoly([GF4.one, OMEGA, GF4.zero, GF4.one], TW)
+    for g in _monics(TW, 2, False):
+        f = skew_mul(h, g)
+        divs = all_monic_right_divisors(f)
+        assert g in divs
+        assert divs == _per_degree_scan(f), f
+
+
+def test_all_divisors_brute_force_paths():
+    """delta != 0 and a non-monic f keep the scan of every degree."""
+    tw = TwistContext(GF4, FROB, delta_beta=OMEGA)
+    for f in _monics(tw, 3, False):
+        assert all_monic_right_divisors(f) == _per_degree_scan(f), f
+    for tail in itertools.product(GF4.elements, repeat=3):
+        f = SkewPoly(list(tail) + [OMEGA], TW)  # leading coefficient w
+        divs = all_monic_right_divisors(f)
+        assert divs == _per_degree_scan(f), f
+        assert divs[-1] == monic_scale(f)
+
+
 def test_t2_minus_omega_has_no_linear_divisor():
     """N_2(c) = c^3 = 1 for every unit, so t - c never divides t^2 - w."""
     f = SkewPoly([OMEGA, GF4.zero, GF4.one], TW)
