@@ -188,13 +188,14 @@ def isometry_image(poly: SkewPoly, tau: Automorphism, alpha: Element, k: int,
                    reduce_by: SkewPoly | None = None) -> SkewPoly:
     """G(sum d_i t^i) = sum tau(d_i) N_i^(sigma^k)(alpha) t^(k i), optionally reduced."""
     tw = poly.twist
-    sigma_k = tw.sigma.power(k)
-    out = SkewPoly.zero(tw)
+    ring = tw.ring
+    sigma_k = ring.frobenius_table(tw.sigma.frob_exp * k % ring.r)
+    coeffs = [ring.zero] * (k * len(poly.coeffs))  # the degrees k*i are distinct
+    norm, x = ring.one, alpha  # N_i(alpha) and sigma^(k i)(alpha)
     for i, d in enumerate(poly.coeffs):
-        if d.is_zero():
-            continue
-        c = tau(d) * partial_norm(sigma_k, alpha, i)
-        out = out + SkewPoly.monomial(c, k * i, tw)
+        coeffs[k * i] = tau(d) * norm
+        norm, x = norm * x, ring.elements[sigma_k[x.val]]
+    out = SkewPoly(coeffs, tw)
     if reduce_by is not None:
         out = right_divide(out, reduce_by)[1]
     return out
@@ -283,12 +284,11 @@ def _search_isometry(f: SkewPoly, h: SkewPoly, taus, k: int | None = None):
 
 def classify_pair(f: SkewPoly, h: SkewPoly) -> ClassificationResult:
     """Strongest relation between the classes of f and h, with a witness."""
-    w = find_equivalence(f, h, chen_only=True)
+    # the scan is tau-major with tau = id first: a Chen witness comes first if one exists
+    w = find_equivalence(f, h)
     if w is not None:
-        return ClassificationResult(Relation.CHEN_EQUIVALENT, w)
-    w = find_equivalence(f, h, chen_only=False)
-    if w is not None:
-        return ClassificationResult(Relation.EQUIVALENT, w)
+        relation = Relation.CHEN_EQUIVALENT if w.tau.is_identity else Relation.EQUIVALENT
+        return ClassificationResult(relation, w)
     w = find_isometry(f, h, chen_only=True)
     if w is not None:
         return ClassificationResult(Relation.CHEN_ISOMETRIC, w)

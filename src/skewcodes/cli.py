@@ -82,9 +82,7 @@ def cmd_algebra_info(args) -> int:
     ctx = _parse_ring(args)
     tw = _twist(args, ctx)
     f = _parse_poly(ctx, tw, args.f)
-    A = PetitAlgebra(f)
-    report = probe_structure(A, cap=args.cap)
-    _emit(report.to_json(), args)
+    _emit(probe_structure(PetitAlgebra(f)).to_json(), args)
     return EXIT_OK
 
 
@@ -184,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if needs_m:
             p.add_argument("--m", type=int, required=True, help="degree of f")
-        p.add_argument("--cap", type=int, default=2 ** 20, help="enumeration cap")
         p.add_argument("--out", help="write output to PATH instead of stdout")
 
     p = sub.add_parser("algebra-info", help="structural probe of the quotient algebra")
@@ -193,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", help="generator matrix and minimum distance")
     common(p, poly_flags=("f", "g"))
+    p.add_argument("--cap", type=int, default=2 ** 20, help="enumeration cap")
     p.set_defaults(func=cmd_mindist)
 
     p = sub.add_parser("check-equiv", help="classify the relation between two classes")
@@ -207,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalogue", help="deduplicated catalogue of code classes")
     common(p, needs_m=True)
+    p.add_argument("--cap", type=int, default=2 ** 20, help="enumeration cap")
     p.add_argument("--constacyclic", action="store_true",
                    help="restrict to f = t^m - a")
     p.set_defaults(func=cmd_catalogue)

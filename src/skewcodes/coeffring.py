@@ -177,6 +177,10 @@ class RingContext:
         one = mul.index(identity)
         self.one = self.elements[one]
         self._neg = [row.index(0) for row in add]
+        # the additive order of 1: p for GF(p^r), n for Z_n
+        self.characteristic, x = 1, one
+        while x:
+            self.characteristic, x = self.characteristic + 1, add[x][one]
         self._inv = [row.index(one) if one in row else None for row in mul]
         self.units = [e for e in self.elements if self._inv[e.val] is not None]
         self._frobenius = {0: identity}
@@ -198,10 +202,8 @@ class RingContext:
         return self.elements[int(obj) % self.n_mod]
 
     def from_int(self, k: int) -> Element:
-        """Embed an integer via repeated addition of 1 (digits of k base p for fields)."""
-        if self.kind == "field":
-            return self.elements[k % self.p * self.p ** (self.r - 1)]
-        return self.elements[k % self.n_mod]
+        """Embed an integer as k * 1, of index (k mod c) * index(1): 1 is one base-c digit."""
+        return self.elements[k % self.characteristic * self.one.val]
 
     def frobenius_table(self, e: int):
         """Index table of x -> x^(p^e), built once per exponent (e = 0 is the identity)."""
@@ -398,9 +400,7 @@ def additive_generators(ctx: RingContext):
     Every element is a sum of copies of these, so a map that is additive in
     an argument vanishes everywhere once it vanishes on them.
     """
-    if ctx.kind == "field":
-        return [ctx.elements[ctx.p ** (ctx.r - 1 - i)] for i in range(ctx.r)]
-    return [ctx.one]
+    return [ctx.elements[ctx.characteristic ** (ctx.r - 1 - i)] for i in range(ctx.r)]
 
 
 def fixed_subring(sigma: Automorphism):

@@ -1,24 +1,19 @@
 """Quotient algebras R/Rf with multiplication g*h reduced by f on the right.
 
-These are nonassociative in general; structural probes (associator checks,
-nuclei, two-sidedness of f) are exhaustive over small instances.
+These are nonassociative in general.  The structural probes (associativity,
+nuclei as kernels, two-sidedness of f) are exact and work on additive
+generators: none enumerates the elements of S_f.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .coeffring import additive_generators
-from .errors import (
-    DegreeTooHigh,
-    EnumerationCapExceeded,
-    NonMonic,
-    NotARightDivisor,
-)
+from .errors import DegreeTooHigh, NonMonic, NotARightDivisor
 from .skewpoly import SkewPoly, right_divide, skew_mul
-
-DEFAULT_PROBE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -60,10 +55,6 @@ class PetitAlgebra:
         ]
         # _tb[i][b] holds the terms of t^i * b for i < m, shared with the twist
         self._tb = [self.twist.t_times(i) for i in range(self.m)]
-
-    @property
-    def size(self) -> int:
-        return self.ring.size ** self.m
 
     def basis(self):
         return [SkewPoly.t_power(i, self.twist) for i in range(self.m)]
@@ -122,15 +113,8 @@ def petit_mul(A: PetitAlgebra, g: SkewPoly, h: SkewPoly) -> SkewPoly:
 
 def f_is_two_sided(A: PetitAlgebra) -> bool:
     """Whether Rf is a two-sided ideal: f*t and f*a reduce to 0 mod_r f."""
-    f = A.f
-    t = SkewPoly.t_power(1, A.twist)
-    if not right_divide(skew_mul(f, t), f)[1].is_zero:
-        return False
-    for a in A.ring.elements:
-        prod = skew_mul(f, SkewPoly([a], A.twist))
-        if not right_divide(prod, f)[1].is_zero:
-            return False
-    return True
+    factors = [SkewPoly.t_power(1, A.twist)] + [SkewPoly([a], A.twist) for a in A.ring.elements]
+    return all(right_divide(skew_mul(A.f, g), A.f)[1].is_zero for g in factors)
 
 
 def is_associative(A: PetitAlgebra) -> bool:
@@ -156,70 +140,83 @@ def is_associative(A: PetitAlgebra) -> bool:
     return True
 
 
-def _nucleus_size(A: PetitAlgebra, slot: int) -> int:
-    """Count elements whose associator vanishes in the given slot (0/1/2).
+def _nucleus_orders(A: PetitAlgebra):
+    """Orders of the left, middle and right nuclei of S_f, each as a kernel.
 
-    x runs over all of S_f; the other two slots run over the additive
-    generators b*t^j only.  The associator is additive in each slot (see
-    is_associative), so for fixed x it vanishes on all pairs of the other two
-    slots exactly when it vanishes on pairs of generators.
+    With c the characteristic of S (p for GF(p^r), n for Z_n), the base-c
+    digits of coefficient indices give (S_f, +) = Z_c^N, N = rm, with the
+    generators g_i = b*t^j as basis.  The associator is additive in every
+    slot (see is_associative), so the nucleus of a slot is the kernel of the
+    Z-linear phi(x) = ([x in that slot] on all generator pairs of the others),
+    of order c^N / |im phi|; im phi is spanned by the rows phi(g_i), read off
+    the N^3 generator associators, computed once for the three slots.
     """
-    others = A.additive_generators()
-    count = 0
-    for x in A.elements():
-        ok = True
-        for y in others:
-            for z in others:
-                if slot == 0:
-                    triple = (x, y, z)
-                elif slot == 1:
-                    triple = (y, x, z)
-                else:
-                    triple = (y, z, x)
-                u, v, w = triple
-                if A.mul(A.mul(u, v), w) != A.mul(u, A.mul(v, w)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    c = A.ring.characteristic
+    gens = A.additive_generators()
+    digits = [[v // b.val % c for b in additive_generators(A.ring)] for v in range(A.ring.size)]
+    prod = [[A.mul(x, y) for y in gens] for x in gens]
+    rows = [[[] for _ in gens] for _ in range(3)]
+    for i, j, k in itertools.product(range(len(gens)), repeat=3):
+        assoc = A.mul(prod[i][j], gens[k]) - A.mul(gens[i], prod[j][k])
+        coords = [d for l in range(A.m) for d in digits[assoc.coeff(l).val]]
+        for slot, x in enumerate((i, j, k)):
+            rows[slot][x].extend(coords)
+    return [c ** len(gens) // _image_order(slot_rows, c) for slot_rows in rows]
+
+
+def _image_order(rows, c: int) -> int:
+    """Order of the subgroup of Z_c^K spanned by rows (lists of ints in [0, c)).
+
+    One echelon pass over Z of the rows and the c*e_j, c*e_j being the first
+    pivot of column j.  A row r leading at column j meets its pivot P in
+    Euclid steps (P, r) -> (r, P - q*r), q = P_j // r_j, of determinant -1:
+    the span is kept, entries may be reduced mod c, and the steps end in a
+    pivot P' with entry g = gcd(P_j, r_j) and a residual, 0 at column j, that
+    goes on to later columns.  As P = (P_j/g)*P' + u*residual, (c/d_j)*P_j
+    stays in the span of the later pivots for every pivot P_j with entry d_j.
+    So the span is the sums of x_j*P_j with 0 <= x_j < c/d_j (reduce from the
+    left), which differ at their first differing x_j: its order is prod c/d_j.
+    """
+    pivots = {}
+    for row in rows:
+        while any(row):
+            j = next(k for k, x in enumerate(row) if x)
+            piv = pivots.get(j) or [c if k == j else 0 for k in range(len(row))]
+            while row[j]:
+                q = piv[j] // row[j]
+                piv, row = row, [(x - q * y) % c for x, y in zip(piv, row)]
+            pivots[j] = piv
+    return math.prod(c // piv[j] for j, piv in pivots.items())
+
+
+def _nucleus_size(A: PetitAlgebra, slot: int) -> int:
+    """The order of the nucleus in the given slot (0 left, 1 middle, 2 right)."""
+    return _nucleus_orders(A)[slot]
 
 
 def _dim_from_count(A: PetitAlgebra, count: int) -> int:
-    """log_p of the nucleus size (field case); module-rank lower bound over Z_n."""
-    if A.ring.kind == "field":
-        p = A.ring.p
-        d = 0
-        while p ** d < count:
-            d += 1
-        return d
-    d = 0
-    while A.ring.n_mod ** (d + 1) <= count:
+    """The largest d with c^d <= count, c the characteristic of S (log_p over a field)."""
+    d, c = 0, A.ring.characteristic
+    while c ** (d + 1) <= count:
         d += 1
     return d
 
 
-def probe_structure(A: PetitAlgebra, cap: int = DEFAULT_PROBE_CAP) -> StructureReport:
+def probe_structure(A: PetitAlgebra) -> StructureReport:
     """Associativity, nucleus dimensions, and two-sidedness of f.
 
-    The nucleus scans run over every element of S_f, so an algebra of more
-    than cap elements is refused before any work.
+    No element of S_f is enumerated: the nuclei are kernels of maps on
+    generators (see _nucleus_orders), and S_f is associative exactly when
+    its left nucleus is all of S_f.
     """
-    if A.size > cap:
-        raise EnumerationCapExceeded(
-            f"structural probes over {A.size} elements exceed cap {cap}"
-        )
-    two_sided = f_is_two_sided(A)
-    assoc = is_associative(A)
-    dims = [_dim_from_count(A, _nucleus_size(A, s)) for s in range(3)]
+    orders = _nucleus_orders(A)
+    dims = [_dim_from_count(A, order) for order in orders]
     return StructureReport(
-        is_associative=assoc,
+        is_associative=orders[0] == A.ring.size ** A.m,
         left_nucleus_dim=dims[0],
         middle_nucleus_dim=dims[1],
         right_nucleus_dim=dims[2],
-        f_two_sided=two_sided,
+        f_two_sided=f_is_two_sided(A),
     )
 
 

@@ -192,6 +192,30 @@ def test_classify_pair_verifies_no_witness_twice(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+@pytest.mark.parametrize("f, h, relation", [
+    (consta(TW, 2, OMEGA), consta(TW, 2, OMEGA2), Relation.EQUIVALENT),
+    (consta(TW, 3, GF4.one), consta(TW, 3, OMEGA), Relation.CHEN_EQUIVALENT),
+    (SkewPoly([GF4.from_json(c) for c in ([1, 1], [1, 0], [1, 0], [1, 0])] + [GF4.one], TW),
+     SkewPoly([GF4.from_json(c) for c in ([1, 0], [1, 0], [1, 1], [1, 0])] + [GF4.one], TW),
+     Relation.NOT_RELATED),
+])
+def test_classify_pair_checks_no_equivalence_twice(monkeypatch, f, h, relation):
+    """One equivalence scan: each (tau, alpha) is checked at most once per call."""
+    import skewcodes.classify as classify
+
+    seen = []
+    check = classify.check_equivalence
+
+    def counting(f, h, tau, alpha):
+        seen.append((tau.frob_exp, alpha.val))
+        return check(f, h, tau, alpha)
+
+    monkeypatch.setattr(classify, "check_equivalence", counting)
+    assert classify_pair(f, h).relation == relation
+    assert seen
+    assert len(set(seen)) == len(seen)
+
+
 def test_find_isometry_single_degree():
     tw = TwistContext(GF4, identity_aut(GF4))
     f, h = consta(tw, 5, GF4.one), consta(tw, 5, OMEGA)

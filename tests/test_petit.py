@@ -1,11 +1,15 @@
 """Quotient algebra structure: multiplication mod_r f, associativity, nuclei."""
 
+import itertools
+import random
+
 import pytest
 
 from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
-from skewcodes.errors import DegreeTooHigh, EnumerationCapExceeded, NonMonic, NotARightDivisor
+from skewcodes.errors import DegreeTooHigh, NonMonic, NotARightDivisor
 from skewcodes.petit import (
     PetitAlgebra,
+    _image_order,
     f_is_two_sided,
     is_associative,
     left_ideal_span,
@@ -125,14 +129,67 @@ def test_probe_structure_report():
     assert doc["nucleus_dims"] == [4, 4, 4]
 
 
-def test_probe_structure_cap_boundary():
-    """The cap is the only size limit: t^3 + 1 over GF(4) has 64 elements."""
-    A = PetitAlgebra(consta(TW, 3, GF4.one))
-    assert A.size == 64
-    # nonassociative: sigma has order 2, which does not divide m = 3
-    assert not probe_structure(A, cap=64).is_associative
-    with pytest.raises(EnumerationCapExceeded):
-        probe_structure(A, cap=63)
+def test_probe_structure_reach_gf4_m9():
+    """t^9 + 1 over GF(4) has 4^9 = 262,144 elements; no probe enumerates them."""
+    rep = probe_structure(PetitAlgebra(consta(TW, 9, GF4.one)))
+    # nonassociative: sigma has order 2, which does not divide m = 9
+    assert not rep.is_associative
+    assert (rep.left_nucleus_dim, rep.middle_nucleus_dim, rep.right_nucleus_dim) == (2, 2, 9)
+
+
+def _eigenring_order(A):
+    """|{g : deg g < m, f*g in Rf}|, by brute force over every residue g."""
+    return sum(
+        right_divide(skew_mul(A.f, g), A.f)[1].is_zero for g in A.elements()
+    )
+
+
+@pytest.mark.parametrize("p,r,e,m", [
+    (2, 2, 1, 2), (2, 2, 1, 3), (2, 3, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2),
+])
+def test_nuclei_match_petits_theorem(p, r, e, m):
+    """Petit's theorem as an oracle, over every monic f of degree m.
+
+    When S_f over a field is not associative, its left and middle nuclei are
+    S and its right nucleus is the eigenring {g : f*g in Rf} (J.-C. Petit
+    1966; C. Brown and S. Pumplün, "The automorphisms of Petit's algebras",
+    Comm. Algebra 2018).  Nucleus dimensions are over F_p, so |S| = p^r has
+    dimension r.
+    """
+    K = make_field(p, r)
+    tw = TwistContext(K, Automorphism(K, e))
+    nonassociative = 0
+    for tail in itertools.product(K.elements, repeat=m):
+        A = PetitAlgebra(SkewPoly(list(tail) + [K.one], tw))
+        if is_associative(A):
+            continue
+        nonassociative += 1
+        rep = probe_structure(A)
+        assert not rep.is_associative
+        assert (rep.left_nucleus_dim, rep.middle_nucleus_dim) == (r, r), A.f
+        assert p ** rep.right_nucleus_dim == _eigenring_order(A), A.f
+    assert nonassociative
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 6, 8, 9, 12])
+def test_image_order_matches_span_enumeration(c):
+    """The echelon count equals the size of the span, closed by brute force.
+
+    Over Z_n every S_f is associative (sigma = id, so delta = 0), so the
+    algebras never reach a proper kernel over a composite c; random rows do.
+    """
+    rng = random.Random(c)
+    for _ in range(40):
+        width = rng.randint(1, 4)
+        rows = [[rng.choice([0, 0, rng.randrange(c)]) for _ in range(width)]
+                for _ in range(rng.randint(1, 3))]
+        span = {(0,) * width}
+        while True:
+            grown = span | {tuple((x + y) % c for x, y in zip(v, r)) for v in span for r in rows}
+            if grown == span:
+                break
+            span = grown
+        assert _image_order([list(r) for r in rows], c) == len(span), rows
 
 
 def test_nonassociative_nucleus_drops():
