@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .classify import equivalence_class_of
+from .classify import _class_orbit
 from .codes import code_class_codes, min_hamming_distance
 from .errors import EnumerationCapExceeded, InvalidConfig
 from .petit import PetitAlgebra
@@ -23,46 +23,53 @@ def poly_to_json(poly: SkewPoly) -> dict:
 
 
 def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
+    """Monic degree-m candidates as index tuples, in canonical order."""
     ring = twist.ring
+    one = ring.one.val
     if constacyclic:
         if len(ring.units) > cap:
             raise EnumerationCapExceeded("unit enumeration exceeds cap")
-        return [
-            SkewPoly([-a] + [ring.zero] * (m - 1) + [ring.one], twist)
-            for a in ring.units
-        ]
+        return [(ring._neg[a.val],) + (0,) * (m - 1) + (one,) for a in ring.units]
     if ring.size ** m > cap:
         raise EnumerationCapExceeded(f"{ring.size}^{m} candidate polynomials exceed cap {cap}")
-    return [
-        SkewPoly(list(tail) + [ring.one], twist)
-        for tail in itertools.product(ring.elements, repeat=m)
-    ]
+    return [tail + (one,) for tail in itertools.product(range(ring.size), repeat=m)]
 
 
 def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int):
-    """Full-equivalence classes (each with its Chen subclasses), canonically ordered."""
+    """Full-equivalence classes (each with its Chen subclasses), canonically ordered.
+
+    Candidates, members and Chen subclasses are keyed by index tuples, which
+    sort in sort_key order; they become SkewPolys on the way out.
+    """
     candidates = _candidates(twist, m, constacyclic, cap)
-    pending = {f: None for f in candidates}  # insertion ordered
+    pending = dict.fromkeys(candidates)  # insertion ordered
     classes = []
     for f in candidates:
         if f not in pending:
             continue
-        members = [g for g in equivalence_class_of(f, chen_only=False) if g in pending]
+        members = sorted(g for g in _class_orbit(twist, f, chen_only=False) if g in pending)
         for g in members:
-            pending.pop(g, None)
+            del pending[g]
         member_set = set(members)
         chen = []
         seen = set()
         for g in members:
             if g in seen:
                 continue
-            sub = [x for x in equivalence_class_of(g, chen_only=True) if x in member_set]
+            sub = sorted(x for x in _class_orbit(twist, g, chen_only=True) if x in member_set)
             seen.update(sub)
             chen.append(sub)
-        chen.sort(key=lambda sub: sub[0].sort_key())
-        classes.append({"members": members, "chen": chen})
-    classes.sort(key=lambda c: c["members"][0].sort_key())
-    return classes
+        chen.sort(key=lambda sub: sub[0])
+        classes.append((members, chen))
+    classes.sort(key=lambda cls: cls[0][0])
+    poly = SkewPoly.from_indices
+    return [
+        {
+            "members": [poly(g, twist) for g in members],
+            "chen": [[poly(g, twist) for g in sub] for sub in chen],
+        }
+        for members, chen in classes
+    ]
 
 
 def _codes_for(f: SkewPoly, cap: int):

@@ -9,7 +9,7 @@ All predicates require delta = 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import gcd
 
@@ -33,17 +33,18 @@ from .errors import (
 from .petit import PetitAlgebra
 from .skewpoly import SkewPoly, right_divide
 
-@dataclass(frozen=True)
-class IsometryWitness:
-    tau: Automorphism
-    alpha: Element
-    k: int = 1
 
-    def __post_init__(self):
-        if not self.alpha.is_unit():
+class IsometryWitness(namedtuple("IsometryWitness", "tau alpha k", defaults=(1,))):
+    """A map t -> alpha * t^k twisted by tau; alpha must be a unit and k >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, tau: Automorphism, alpha: Element, k: int = 1):
+        if not alpha.is_unit():
             raise NonUnit("witness scalar must be a unit")
-        if self.k < 1:
+        if k < 1:
             raise InvalidK("monomial degree must be positive")
+        return super().__new__(cls, tau, alpha, k)
 
     def to_json(self):
         return {
@@ -61,11 +62,10 @@ class Relation(Enum):
     NOT_RELATED = "NotRelated"
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    relation: Relation
-    witness: IsometryWitness | None
-    filter_reason: str | None = None
+class ClassificationResult(
+    namedtuple("ClassificationResult", "relation witness filter_reason", defaults=(None,))
+):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -321,24 +321,45 @@ def implied_relations(relation: Relation):
 
 def equivalence_class_of(h: SkewPoly, chen_only: bool = False):
     """All h_(tau, alpha), deduplicated and canonically ordered."""
-    if h.twist.has_delta:
-        raise DeltaNotZero("classification predicates require delta = 0")
     tw = h.twist
+    orbit = _class_orbit(tw, [c.val for c in h.coeffs], chen_only)
+    # all members have degree m, so index tuple order is sort_key order
+    return [SkewPoly.from_indices(v, tw) for v in sorted(orbit)]
+
+
+def _class_orbit(tw, hv, chen_only: bool):
+    """The (tau, alpha) orbit of h (index list hv, degree m) as index tuples of length m + 1.
+
+    h_(tau, alpha) = t^m - sum N_(m-i)(sigma^i(tau(alpha))) * tau(b_i) t^i,
+    with b_i = -h_i, so its coefficient at t^i is N_(m-i)(x_i) * tau(h_i),
+    x_i = sigma^i(tau(alpha)) (tau is additive).  N_(m-i)(x_i) is the product
+    x_i * x_(i+1) * ... * x_(m-1) of conjugates, so the norms come from one
+    running product from i = m - 1 down, read from the tables (S is
+    commutative, so the order of the factors does not matter).
+    """
+    if tw.has_delta:
+        raise DeltaNotZero("classification predicates require delta = 0")
     ring = tw.ring
-    sigma = tw.sigma
-    m = int(h.degree)
-    b = trailing_coeffs(h)
+    mul = ring._mul
+    sig = ring.frobenius_table(tw.sigma.frob_exp)
+    one = ring.one.val
+    m = len(hv) - 1
     taus = [identity_aut(ring)] if chen_only else all_automorphisms(ring)
     out = set()
     for tau in taus:
+        tt = ring.frobenius_table(tau.frob_exp)
+        th = [tt[c] for c in hv[:m]]
         for alpha in ring.units:
-            x = tau(alpha)  # sigma^i(tau(alpha))
-            coeffs = []
-            for i in range(m):
-                coeffs.append(-(partial_norm(sigma, x, m - i) * tau(b[i])))
-                x = sigma(x)
-            out.add(SkewPoly(coeffs + [ring.one], tw))
-    return sorted(out, key=SkewPoly.sort_key)
+            conj = [tt[alpha.val]]
+            for _ in range(m - 1):
+                conj.append(sig[conj[-1]])
+            coeffs = [0] * m + [one]
+            norm = one
+            for i in range(m - 1, -1, -1):
+                norm = mul[conj[i]][norm]
+                coeffs[i] = mul[norm][th[i]]
+            out.add(tuple(coeffs))
+    return out
 
 
 def count_constacyclic_classes(ctx: RingContext, sigma: Automorphism, m: int):
@@ -406,12 +427,11 @@ def polycyclic_constacyclic_bridge(
     return lhs
 
 
-@dataclass(frozen=True)
-class SpecialClassReport:
-    equivalent_to_cyclic: bool
-    cyclic_witness: IsometryWitness | None
-    equivalent_to_negacyclic: bool
-    negacyclic_witness: IsometryWitness | None
+class SpecialClassReport(namedtuple(
+    "SpecialClassReport",
+    "equivalent_to_cyclic cyclic_witness equivalent_to_negacyclic negacyclic_witness",
+)):
+    __slots__ = ()
 
     def to_json(self):
         return {

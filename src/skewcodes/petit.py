@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .coeffring import additive_generators
 from .errors import DegreeTooHigh, NonMonic, NotARightDivisor
-from .skewpoly import SkewPoly, right_divide, skew_mul
+from .skewpoly import SkewPoly, _mul_indices, _right_reduce, right_divide, skew_mul
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    is_associative: bool
-    left_nucleus_dim: int
-    middle_nucleus_dim: int
-    right_nucleus_dim: int
-    f_two_sided: bool
+class StructureReport(namedtuple(
+    "StructureReport",
+    "is_associative left_nucleus_dim middle_nucleus_dim right_nucleus_dim f_two_sided",
+)):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -48,13 +46,30 @@ class PetitAlgebra:
         self.twist = f.twist
         self.ring = f.twist.ring
         self.m = int(f.degree)
-        # t^j mod_r f for 0 <= j <= 2(m-1), as its nonzero (k, coefficient) terms
-        self._red = [
-            _terms(right_divide(SkewPoly.t_power(j, self.twist), f)[1])
-            for j in range(2 * self.m - 1)
-        ]
-        # _tb[i][b] holds the terms of t^i * b for i < m, shared with the twist
+        self._red = self._reductions()
+        # _tb[i][b] holds the index terms of t^i * b for i < m, shared with the twist
         self._tb = [self.twist.t_times(i) for i in range(self.m)]
+
+    def _reductions(self):
+        """The nonzero index terms (k, c) of t^j mod_r f, for 0 <= j <= 2(m-1).
+
+        One reduction step per power: if t^(j-1) = q*f + r with deg r < m,
+        then t^j = (t*q)*f + t*r, and (t*q)*f lies in the left ideal Rf, so
+        t^j and t*r have the same remainder.  t*r has degree at most m, so
+        one step of right division by the monic f (subtracting c*f, c the
+        coefficient of t^m, also in Rf) leaves degree < m.  Remainders mod_r
+        a monic f are unique: a nonzero q*f has degree deg q + m.
+        """
+        fv = [c.val for c in self.f.coeffs]
+        one = self.ring.one.val
+        rem = [one]  # t^0
+        out = [[(0, one)]]
+        for _ in range(2 * self.m - 2):
+            rem = _mul_indices([0, one], rem, self.twist)
+            _right_reduce(rem, fv, self.twist)
+            rem = rem[:self.m]
+            out.append([(k, c) for k, c in enumerate(rem) if c])
+        return out
 
     def basis(self):
         return [SkewPoly.t_power(i, self.twist) for i in range(self.m)]
@@ -80,27 +95,26 @@ class PetitAlgebra:
         so g*h = sum g_i * c_l * t^(l+j).  Right remainders are left
         S-linear, so g*h mod_r f = sum g_i * c_l * (t^(l+j) mod_r f), with
         l + j <= 2(m-1).  The c_l come from TwistContext.t_times; for
-        delta = 0, t^i * b = sigma^i(b) * t^i.
+        delta = 0, t^i * b = sigma^i(b) * t^i.  The sum runs on indices.
         """
-        acc = [self.ring.zero] * self.m
+        add, mul = self.ring._add, self.ring._mul
+        red = self._red
+        acc = [0] * self.m
+        hv = [c.val for c in h.coeffs]
         for i, gi in enumerate(g.coeffs):
             if gi.is_zero():
                 continue
+            row = mul[gi.val]
             tb = self._tb[i]
-            for j, hj in enumerate(h.coeffs):
-                for l, c in tb[hj.val]:
-                    c = gi * c
-                    for k, rk in self._red[l + j]:
-                        acc[k] = acc[k] + c * rk
-        return SkewPoly(acc, self.twist)
+            for j, hj in enumerate(hv):
+                for l, c in tb[hj]:
+                    coef = mul[row[c]]
+                    for k, rk in red[l + j]:
+                        acc[k] = add[acc[k]][coef[rk]]
+        return SkewPoly.from_indices(acc, self.twist)
 
     def monomial(self, a, i):
         return SkewPoly.monomial(a, i, self.twist)
-
-
-def _terms(poly: SkewPoly):
-    """The (degree, coefficient) pairs of the nonzero terms of poly."""
-    return [(k, c) for k, c in enumerate(poly.coeffs) if not c.is_zero()]
 
 
 def petit_mul(A: PetitAlgebra, g: SkewPoly, h: SkewPoly) -> SkewPoly:

@@ -1,9 +1,11 @@
 """Skew polynomial arithmetic over a twisted coefficient ring.
 
 The commutation rule t*a = sigma(a)*t + delta(a) is applied in one place,
-TwistContext.t_times, which tabulates t^i * b for every b.  The product and
-both Euclidean divisions (available whenever the divisor has an invertible
-leading coefficient) read that table.
+TwistContext.t_times, which tabulates t^i * b for every b as terms over
+element indices.  The product, both Euclidean divisions (available whenever
+the divisor has an invertible leading coefficient) and the divisor scan read
+that table and run on little-endian lists of indices into the ring's tables;
+Element coefficients appear only where a SkewPoly goes in or comes out.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class TwistContext:
         self.sigma = sigma
         self.delta_beta = delta_beta
         self._check_derivation_law()
-        # _t_table[i][b] holds the nonzero terms of t^i * b; level 0 is b itself
-        self._t_table = [[[(0, b)] if not b.is_zero() else [] for b in ring.elements]]
+        # _t_table[i][b] holds the nonzero index terms of t^i * b; level 0 is b itself
+        self._t_table = [[[(0, b)] if b else [] for b in range(ring.size)]]
         self._opposite = None
 
     def _check_derivation_law(self):
@@ -66,24 +68,30 @@ class TwistContext:
         return self.delta_beta * (self.sigma(a) - a)
 
     def t_times(self, i: int):
-        """The nonzero terms (l, c) of t^i * b = sum c * t^l, for every b, indexed by b.val.
+        """The nonzero index terms (l, c) of t^i * b = sum c * t^l, for every b, indexed by b.
 
-        Level i comes from level i - 1 by t*a = sigma(a)*t + delta(a), so for
-        b != 0, t^i * b has degree i with top coefficient sigma^i(b).  Levels are
-        built on demand and kept, so every polynomial and quotient algebra
-        under this twist shares them.
+        Level i comes from level i - 1 by t*a = sigma(a)*t + delta(a), read
+        from sigma's Frobenius table and a table of delta built once for the
+        levels added, so for b != 0, t^i * b has degree i with top coefficient
+        sigma^i(b).  Levels are built on demand and kept, so every polynomial
+        and quotient algebra under this twist shares them.
         """
         table = self._t_table
-        while len(table) <= i:
-            zero = self.ring.zero
-            level = []
-            for terms in table[-1]:
-                out = [zero] * (len(table) + 1)
-                for l, c in terms:
-                    out[l + 1] = out[l + 1] + self.sigma(c)
-                    out[l] = out[l] + self.delta(c)
-                level.append([(l, c) for l, c in enumerate(out) if not c.is_zero()])
-            table.append(level)
+        if len(table) <= i:
+            ring = self.ring
+            add = ring._add
+            sig = ring.frobenius_table(self.sigma.frob_exp)
+            beta = 0 if self.delta_beta is None else self.delta_beta.val
+            dlt = [ring._mul[beta][add[sig[c]][ring._neg[c]]] for c in range(ring.size)]
+            while len(table) <= i:
+                level = []
+                for terms in table[-1]:
+                    out = [0] * (len(table) + 1)
+                    for l, c in terms:
+                        out[l + 1] = add[out[l + 1]][sig[c]]
+                        out[l] = add[out[l]][dlt[c]]
+                    level.append([(l, c) for l, c in enumerate(out) if c])
+                table.append(level)
         return table[i]
 
     def opposite(self) -> "TwistContext":
@@ -128,6 +136,18 @@ class SkewPoly:
     def from_ints(cls, ints, twist: TwistContext) -> "SkewPoly":
         ring = twist.ring
         return cls([ring.from_int(k) for k in ints], twist)
+
+    @classmethod
+    def from_indices(cls, vals, twist: TwistContext) -> "SkewPoly":
+        """The polynomial of a little-endian list of element indices."""
+        n = len(vals)
+        while n and not vals[n - 1]:
+            n -= 1
+        elements = twist.ring.elements
+        poly = cls.__new__(cls)
+        poly.coeffs = tuple([elements[v] for v in vals[:n]])
+        poly.twist = twist
+        return poly
 
     @classmethod
     def zero(cls, twist: TwistContext) -> "SkewPoly":
@@ -216,17 +236,27 @@ def skew_mul(g: SkewPoly, h: SkewPoly) -> SkewPoly:
     """The product g*h = sum_(i,j) g_i * (t^i * h_j) * t^j in S[t; sigma, delta]."""
     g._check(h)
     tw = g.twist
-    if g.is_zero or h.is_zero:
-        return SkewPoly.zero(tw)
-    acc = [tw.ring.zero] * (len(g.coeffs) + len(h.coeffs) - 1)
-    for i, gi in enumerate(g.coeffs):
-        if gi.is_zero():
+    return SkewPoly.from_indices(
+        _mul_indices([c.val for c in g.coeffs], [c.val for c in h.coeffs], tw), tw
+    )
+
+
+def _mul_indices(gv, hv, tw: TwistContext):
+    """skew_mul on little-endian index lists; the index list of g*h."""
+    if not gv or not hv:
+        return []
+    ring = tw.ring
+    add, mul = ring._add, ring._mul
+    acc = [0] * (len(gv) + len(hv) - 1)
+    for i, gi in enumerate(gv):
+        if not gi:
             continue
+        row = mul[gi]
         tb = tw.t_times(i)
-        for j, hj in enumerate(h.coeffs):
-            for l, c in tb[hj.val]:
-                acc[l + j] = acc[l + j] + gi * c
-    return SkewPoly(acc, tw)
+        for j, hj in enumerate(hv):
+            for l, c in tb[hj]:
+                acc[l + j] = add[acc[l + j]][row[c]]
+    return acc
 
 
 def _divisor_degree(g: SkewPoly, f: SkewPoly) -> int:
@@ -236,30 +266,41 @@ def _divisor_degree(g: SkewPoly, f: SkewPoly) -> int:
     return len(f.coeffs) - 1
 
 
-def right_divide(g: SkewPoly, f: SkewPoly):
-    """q, rem with g = q*f + rem and deg(rem) < deg(f).
+def _right_reduce(rem, fv, tw: TwistContext, q=None):
+    """Right-reduce the index list rem by the index list fv in place.
 
-    Each step cancels the leading term of rem with (c t^d)*f, which is
-    sum_j c * (t^d * f_j) * t^j and has leading coefficient c * sigma^d(lc(f)).
+    fv must have a unit leading coefficient.  Each step cancels the leading
+    term of rem with (c t^d)*f, which is sum_j c * (t^d * f_j) * t^j and has
+    leading coefficient c * sigma^d(lc(f)); c is stored in q[d] when q is
+    given.  Afterwards rem[:deg f] is the remainder and the rest is zero.
     """
-    df = _divisor_degree(g, f)
-    tw = g.twist
-    lead_inv = f.coeffs[-1].inverse().val
-    rem = list(g.coeffs)
-    q = [tw.ring.zero] * max(len(rem) - df, 0)
+    ring = tw.ring
+    add, mul, neg = ring._add, ring._mul, ring._neg
+    df = len(fv) - 1
+    lead_inv = ring._inv[fv[-1]]
     for top in range(len(rem) - 1, df - 1, -1):
-        if rem[top].is_zero():
+        if not rem[top]:
             continue
         d = top - df
         tb = tw.t_times(d)
         # sigma^d(lc(f)^-1) is the top coefficient of t^d * lc(f)^-1
-        c = rem[top] * tb[lead_inv][-1][1]
-        q[d] = c
-        neg_c = -c
-        for j, fj in enumerate(f.coeffs):
-            for l, e in tb[fj.val]:
-                rem[l + j] = rem[l + j] + neg_c * e
-    return SkewPoly(q, tw), SkewPoly(rem[:df], tw)
+        c = mul[rem[top]][tb[lead_inv][-1][1]]
+        if q is not None:
+            q[d] = c
+        row = mul[neg[c]]
+        for j, fj in enumerate(fv):
+            for l, e in tb[fj]:
+                rem[l + j] = add[rem[l + j]][row[e]]
+
+
+def right_divide(g: SkewPoly, f: SkewPoly):
+    """q, rem with g = q*f + rem and deg(rem) < deg(f), by _right_reduce."""
+    df = _divisor_degree(g, f)
+    tw = g.twist
+    rem = [c.val for c in g.coeffs]
+    q = [0] * max(len(rem) - df, 0)
+    _right_reduce(rem, [c.val for c in f.coeffs], tw, q)
+    return SkewPoly.from_indices(q, tw), SkewPoly.from_indices(rem[:df], tw)
 
 
 def left_divide(g: SkewPoly, f: SkewPoly):
@@ -271,21 +312,21 @@ def left_divide(g: SkewPoly, f: SkewPoly):
     df = _divisor_degree(g, f)
     tw = g.twist
     ring = tw.ring
+    add, mul, neg = ring._add, ring._mul, ring._neg
     unshift = ring.frobenius_table(-df * tw.sigma.frob_exp % ring.r)  # sigma^(-deg f)
-    lead_inv = f.coeffs[-1].inverse()
-    f_terms = [(-fj, tw.t_times(j)) for j, fj in enumerate(f.coeffs) if not fj.is_zero()]
-    rem = list(g.coeffs)
-    q = [ring.zero] * max(len(rem) - df, 0)
+    lead_inv = mul[ring._inv[f.coeffs[-1].val]]
+    f_terms = [(mul[neg[fj.val]], tw.t_times(j)) for j, fj in enumerate(f.coeffs) if fj.val]
+    rem = [c.val for c in g.coeffs]
+    q = [0] * max(len(rem) - df, 0)
     for top in range(len(rem) - 1, df - 1, -1):
-        if rem[top].is_zero():
+        if not rem[top]:
             continue
         d = top - df
-        c = ring.elements[unshift[(lead_inv * rem[top]).val]]
-        q[d] = c
-        for neg_fj, tb in f_terms:
-            for l, e in tb[c.val]:
-                rem[l + d] = rem[l + d] + neg_fj * e
-    return SkewPoly(q, tw), SkewPoly(rem[:df], tw)
+        c = q[d] = unshift[lead_inv[rem[top]]]
+        for row, tb in f_terms:
+            for l, e in tb[c]:
+                rem[l + d] = add[rem[l + d]][row[e]]
+    return SkewPoly.from_indices(q, tw), SkewPoly.from_indices(rem[:df], tw)
 
 
 def is_right_divisor(f: SkewPoly, g: SkewPoly) -> bool:
@@ -294,20 +335,28 @@ def is_right_divisor(f: SkewPoly, g: SkewPoly) -> bool:
 
 
 def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_ENUM_CAP):
-    """All monic right divisors of f of the given degree, brute force, sorted."""
+    """All monic right divisors of f of the given degree, brute force, sorted.
+
+    Candidates run over index tails in itertools.product order, which is
+    sort_key order (all have degree `degree`, and an index is its element's
+    sort key), so the divisors come out sorted.  Each is tested by
+    _right_reduce on index lists; only the divisors found become SkewPolys.
+    """
     tw = f.twist
     ring = tw.ring
     if ring.size ** degree > cap:
         raise EnumerationCapExceeded(
             f"{ring.size}^{degree} candidate divisors exceed cap {cap}"
         )
+    fv = [c.val for c in f.coeffs]
+    one = ring.one.val
     found = []
-    for tail in itertools.product(ring.elements, repeat=degree):
-        g = SkewPoly(list(tail) + [ring.one], tw)
-        _, rem = right_divide(f, g)
-        if rem.is_zero:
-            found.append(g)
-    found.sort(key=SkewPoly.sort_key)
+    for tail in itertools.product(range(ring.size), repeat=degree):
+        gv = [*tail, one]
+        rem = fv[:]
+        _right_reduce(rem, gv, tw)
+        if not any(rem[:degree]):
+            found.append(SkewPoly.from_indices(gv, tw))
     return found
 
 

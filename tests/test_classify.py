@@ -103,6 +103,28 @@ def test_equivalence_class_partition():
                     (find_equivalence(f, h, chen_only=chen) is not None)
 
 
+def _twist(ring, e=0):
+    return TwistContext(ring, Automorphism(ring, e))
+
+
+ORBIT_CONFIGS = [
+    ("GF(4) Frobenius m=3", TW, 3),
+    ("Z_4 m=3", _twist(make_residue_ring(4)), 3),
+    ("GF(9) Frobenius m=2", _twist(make_field(3, 2), 1), 2),
+]
+
+
+@pytest.mark.parametrize("label,tw,m", ORBIT_CONFIGS, ids=[c[0] for c in ORBIT_CONFIGS])
+def test_class_orbit_matches_witness_search(label, tw, m):
+    """equivalence_class_of(f) is {h : find_equivalence(f, h) is not None} over
+    every monic h, sorted, for every monic f; the same with chen_only=True."""
+    polys = monic_polys(tw, m)
+    for chen in (False, True):
+        for f in polys:
+            expected = [h for h in polys if find_equivalence(f, h, chen_only=chen) is not None]
+            assert equivalence_class_of(f, chen_only=chen) == expected, (f, chen)
+
+
 def test_class_of_t2_minus_omega():
     f = consta(TW, 2, OMEGA)
     assert equivalence_class_of(f, chen_only=True) == [f]

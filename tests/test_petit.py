@@ -75,6 +75,36 @@ def test_mul_agrees_with_reduction_inner_delta_monomials(p, r, e):
             assert A.mul(x, y) == right_divide(skew_mul(x, y), f)[1]
 
 
+def _monic_cubics(tw):
+    ring = tw.ring
+    return [SkewPoly(list(tail) + [ring.one], tw)
+            for tail in itertools.product(ring.elements, repeat=3)]
+
+
+def _twist(ring, e=0):
+    return TwistContext(ring, Automorphism(ring, e))
+
+
+REDUCTION_TWISTS = [
+    ("GF(4) Frobenius", TW),
+    ("GF(4) inner delta", TwistContext(GF4, FROB, delta_beta=OMEGA)),
+    ("Z_4", _twist(make_residue_ring(4))),
+    ("Z_6", _twist(make_residue_ring(6))),
+]
+
+
+@pytest.mark.parametrize("label,tw", REDUCTION_TWISTS, ids=[c[0] for c in REDUCTION_TWISTS])
+def test_reductions_match_right_divide(label, tw):
+    """The one-step _red[j] is the remainder of right_divide(t^j, f), j <= 2m - 2,
+    for every monic cubic f."""
+    for f in _monic_cubics(tw):
+        A = PetitAlgebra(f)
+        assert len(A._red) == 2 * A.m - 1
+        for j, terms in enumerate(A._red):
+            rem = right_divide(SkewPoly.t_power(j, tw), f)[1]
+            assert terms == [(k, c.val) for k, c in enumerate(rem.coeffs) if not c.is_zero()], (f, j)
+
+
 def test_petit_mul_degree_guard():
     t2 = SkewPoly.t_power(2, TW)
     with pytest.raises(DegreeTooHigh):

@@ -184,7 +184,9 @@ def _t_times_reference(tw, b, i):
 @pytest.mark.parametrize("inner", [False, True])
 @pytest.mark.parametrize("p,r,e", [(2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 2, 1)])
 def test_t_times_matches_commutation_rule(p, r, e, inner):
-    """t_times(i)[b] over GF(4), GF(8), GF(9), with delta = 0 and inner delta != 0, i <= 5."""
+    """t_times(i)[b] over GF(4), GF(8), GF(9), with delta = 0 and inner delta != 0, i <= 5.
+
+    The table holds index terms (l, c.val) of the reference's Element terms."""
     K = make_field(p, r)
     tw = TwistContext(K, Automorphism(K, e), delta_beta=K.xi if inner else None)
     assert tw.has_delta == inner
@@ -192,7 +194,7 @@ def test_t_times_matches_commutation_rule(p, r, e, inner):
         table = tw.t_times(i)
         assert table is tw.t_times(i)
         for b in K.elements:
-            assert table[b.val] == _t_times_reference(tw, b, i)
+            assert table[b.val] == [(l, c.val) for l, c in _t_times_reference(tw, b, i)]
 
 
 def test_division_by_zero_divisor_leading_coeff():
@@ -266,6 +268,30 @@ def test_all_divisors_match_per_degree_scan(label, tw, m, constacyclic):
     """The psi-halved search (monic f, delta = 0) equals the brute-force scan of every degree."""
     for f in _monics(tw, m, constacyclic):
         assert all_monic_right_divisors(f) == _per_degree_scan(f), f
+
+
+PRODUCT_CONFIGS = [
+    ("GF(4) Frobenius m=4", _tw(GF4, 1), 4),
+    ("Z_4 m=3", _tw(make_residue_ring(4)), 3),
+    ("GF(9) Frobenius m=3", _tw(make_field(3, 2), 1), 3),
+    ("GF(4) inner delta m=3", TwistContext(GF4, FROB, delta_beta=OMEGA), 3),
+]
+
+
+@pytest.mark.parametrize("label,tw,m", PRODUCT_CONFIGS, ids=[c[0] for c in PRODUCT_CONFIGS])
+def test_all_divisors_match_products(label, tw, m):
+    """Product-side oracle: the monic right divisors of every monic f of degree m
+    are the g of all monic products q*g = f with deg q + deg g = m.
+
+    The first three configs take the psi-halved path, the delta != 0 one the
+    scan of every degree; no division is used to build the oracle."""
+    oracle = {}
+    for d in range(m + 1):
+        for q in _monics(tw, m - d, False):
+            for g in _monics(tw, d, False):
+                oracle.setdefault(skew_mul(q, g), set()).add(g)
+    for f in _monics(tw, m, False):
+        assert all_monic_right_divisors(f) == sorted(oracle[f], key=SkewPoly.sort_key), f
 
 
 def test_all_divisors_match_per_degree_scan_on_products():
