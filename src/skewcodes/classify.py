@@ -8,7 +8,6 @@ All predicates require delta = 0.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from enum import Enum
 from math import gcd
@@ -31,7 +30,7 @@ from .errors import (
     NotConstacyclic,
 )
 from .petit import PetitAlgebra
-from .skewpoly import SkewPoly, right_divide
+from .skewpoly import SkewPoly, _right_reduce, right_divide
 
 
 class IsometryWitness(namedtuple("IsometryWitness", "tau alpha k", defaults=(1,))):
@@ -201,6 +200,38 @@ def isometry_image(poly: SkewPoly, tau: Automorphism, alpha: Element, k: int,
     return out
 
 
+def _image_table(h: SkewPoly, witness: IsometryWitness):
+    """images[j] = G(t^j) = N_j^(sigma^k)(alpha) * t^(k j) mod_r h for j < m, as index lists.
+
+    One in-place right reduction by h per entry; each list has length m.
+    """
+    tw = h.twist
+    ring = tw.ring
+    mul = ring._mul
+    sigma_k = ring.frobenius_table(tw.sigma.frob_exp * witness.k % ring.r)
+    hv = [c.val for c in h.coeffs]
+    m = len(hv) - 1
+    images = []
+    norm, x = ring.one.val, witness.alpha.val  # N_j(alpha) and sigma^(k j)(alpha)
+    for j in range(m):
+        rem = [0] * (witness.k * j) + [norm]
+        _right_reduce(rem, hv, tw)
+        images.append((rem + [0] * m)[:m])
+        norm, x = mul[norm][x], sigma_k[x]
+    return images
+
+
+def _apply_images(images, tt, xv, ring: RingContext):
+    """G(x) = sum_j tau(x_j) * images[j] on index lists, tt the table of tau."""
+    add, mul = ring._add, ring._mul
+    acc = [0] * len(images)
+    for xj, img in zip(xv, images):
+        if xj:
+            row = mul[tt[xj]]
+            acc = [add[a][row[v]] for a, v in zip(acc, img)]
+    return acc
+
+
 def verify_witness_multiplicative(
     f: SkewPoly,
     h: SkewPoly,
@@ -213,30 +244,35 @@ def verify_witness_multiplicative(
     (i, j < m, b in coeffring.additive_generators(S), r = 1 over Z_n), and is
     equivalent to the check on all pairs.  G is additive and tau-semilinear,
     G(a*x) = tau(a)*G(x), because tau is a ring automorphism and the
-    remainder of right division by h is left S-linear.  The products of S_f
-    and S_h are biadditive and left S-linear in the first slot, for the same
-    reason.  So D(x, y) = G(x *_f y) - G(x) *_h G(y) is additive in y and
-    tau-semilinear in x: D(a*x, y) = tau(a) * D(x, y).  Writing
-    x = sum a_i t^i and y as a sum of copies of the b * t^j gives
+    remainder of right division by h is left S-linear:
+    (a*p) mod_r h = a*(p mod_r h), as p = q*h + r gives a*p = (a*q)*h + a*r.
+    The products of S_f and S_h are biadditive and left S-linear in the
+    first slot, for the same reason.  So D(x, y) = G(x *_f y) - G(x) *_h G(y)
+    is additive in y and tau-semilinear in x: D(a*x, y) = tau(a) * D(x, y).
+    Writing x = sum a_i t^i and y as a sum of copies of the b * t^j gives
     D(x, y) = sum tau(a_i) * D(t^i, y), a sum of copies of the D(t^i, b t^j),
     so D vanishes everywhere exactly when it vanishes on those pairs.
+
+    G itself is read from the m images of t^j (_image_table): by additivity
+    and tau-semilinearity, G(x) = sum_j tau(x_j) * G(t^j) for x = sum x_j t^j,
+    so G(t^i) = images[i] and G(b t^j) = tau(b) * images[j].  Everything runs
+    on index lists, with the products of S_f and S_h from mul_indices.
 
     ``algebras`` passes (S_f, S_h) already built, to share them between
     witnesses of the same pair.
     """
     A, B = algebras or (PetitAlgebra(f), PetitAlgebra(h))
-    memo = {}
-
-    def gmap(x):
-        img = memo.get(x.coeffs)
-        if img is None:
-            img = isometry_image(x, witness.tau, witness.alpha, witness.k, reduce_by=h)
-            memo[x.coeffs] = img
-        return img
-
-    for x, y in itertools.product(A.basis(), A.additive_generators()):
-        if gmap(A.mul(x, y)) != B.mul(gmap(x), gmap(y)):
-            return False
+    ring = f.twist.ring
+    tt = ring.frobenius_table(witness.tau.frob_exp)
+    images = _image_table(h, witness)
+    gens = A._generator_indices()
+    one = ring.one.val
+    for i in range(A.m):
+        x = [0] * i + [one]  # G(x) = images[i]
+        for y in gens:
+            lhs = _apply_images(images, tt, A.mul_indices(x, y), ring)
+            if lhs != B.mul_indices(images[i], _apply_images(images, tt, y, ring)):
+                return False
     return True
 
 

@@ -9,6 +9,7 @@ integer; over GF(p^r) each element is its digit vector joined by dots
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -161,6 +162,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(part["passed"] for part in report) else EXIT_VERIFY
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewcodes",

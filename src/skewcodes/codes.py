@@ -7,7 +7,7 @@ g, t*g, ..., t^(m-deg g-1)*g inside the quotient algebra of f.
 from __future__ import annotations
 
 from .errors import EnumerationCapExceeded, WitnessInvalid
-from .petit import PetitAlgebra, left_ideal_span
+from .petit import PetitAlgebra, _left_ideal_span, left_ideal_span
 from .skewpoly import (
     SkewPoly,
     all_monic_right_divisors,
@@ -58,18 +58,24 @@ class LinearCode:
 
 def build_code(A: PetitAlgebra, g: SkewPoly) -> LinearCode:
     """The code of the principal left ideal of g; rows per the shifted images of g."""
-    span = left_ideal_span(A, g)
-    rows = [poly.coeff_vector(A.m) for poly in span]
-    return LinearCode(A, g, rows)
+    return _code_of_span(A, g, left_ideal_span(A, g))
+
+
+def _code_of_span(A: PetitAlgebra, g: SkewPoly, span) -> LinearCode:
+    return LinearCode(A, g, [poly.coeff_vector(A.m) for poly in span])
 
 
 def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_CODEWORD_CAP):
-    """One code per monic right divisor of f of degree 0..m-1."""
-    out = []
-    for g in all_monic_right_divisors(A.f, cap=cap):
-        if g.degree < A.m:
-            out.append(build_code(A, g))
-    return out
+    """One code per monic right divisor of f of degree 0..m-1.
+
+    The divisors come from all_monic_right_divisors, so their spans skip
+    left_ideal_span's divisor check.
+    """
+    return [
+        _code_of_span(A, g, _left_ideal_span(A, g))
+        for g in all_monic_right_divisors(A.f, cap=cap)
+        if g.degree < A.m
+    ]
 
 
 def shift_closure_check(C: LinearCode, cap: int = DEFAULT_CODEWORD_CAP) -> bool:

@@ -76,11 +76,11 @@ class PetitAlgebra:
 
     def additive_generators(self):
         """b * t^j for b in additive_generators(S) and j < m: they generate (S_f, +)."""
-        return [
-            self.monomial(b, j)
-            for b in additive_generators(self.ring)
-            for j in range(self.m)
-        ]
+        return [SkewPoly.from_indices(v, self.twist) for v in self._generator_indices()]
+
+    def _generator_indices(self):
+        """additive_generators() as index lists, b-major and j-minor."""
+        return [[0] * j + [b.val] for b in additive_generators(self.ring) for j in range(self.m)]
 
     def elements(self):
         """All residues, in canonical coefficient order."""
@@ -89,29 +89,34 @@ class PetitAlgebra:
             yield SkewPoly(digits, self.twist)
 
     def mul(self, g: SkewPoly, h: SkewPoly) -> SkewPoly:
-        """g*h mod_r f for g, h of degree < m, with or without delta.
+        """g*h mod_r f for g, h of degree < m, with or without delta (see mul_indices)."""
+        return SkewPoly.from_indices(
+            self.mul_indices([c.val for c in g.coeffs], [c.val for c in h.coeffs]), self.twist
+        )
+
+    def mul_indices(self, gv, hv):
+        """The product on little-endian index lists of length <= m; the index list of g*h, length m.
 
         g*h = sum_(i,j) g_i * (t^i * h_j) * t^j, and t^i * h_j = sum_l c_l t^l,
         so g*h = sum g_i * c_l * t^(l+j).  Right remainders are left
         S-linear, so g*h mod_r f = sum g_i * c_l * (t^(l+j) mod_r f), with
         l + j <= 2(m-1).  The c_l come from TwistContext.t_times; for
-        delta = 0, t^i * b = sigma^i(b) * t^i.  The sum runs on indices.
+        delta = 0, t^i * b = sigma^i(b) * t^i.
         """
         add, mul = self.ring._add, self.ring._mul
         red = self._red
         acc = [0] * self.m
-        hv = [c.val for c in h.coeffs]
-        for i, gi in enumerate(g.coeffs):
-            if gi.is_zero():
+        for i, gi in enumerate(gv):
+            if not gi:
                 continue
-            row = mul[gi.val]
+            row = mul[gi]
             tb = self._tb[i]
             for j, hj in enumerate(hv):
                 for l, c in tb[hj]:
                     coef = mul[row[c]]
                     for k, rk in red[l + j]:
                         acc[k] = add[acc[k]][coef[rk]]
-        return SkewPoly.from_indices(acc, self.twist)
+        return acc
 
     def monomial(self, a, i):
         return SkewPoly.monomial(a, i, self.twist)
@@ -142,14 +147,17 @@ def is_associative(A: PetitAlgebra) -> bool:
     and y, z may range over the additive generators b*t^j of S_f.  Vanishing
     on the m * (rm)^2 triples (t^i, b t^j, c t^k), with b and c in
     additive_generators(S) (r = 1 over Z_n), is therefore equivalent to
-    vanishing on all triples.
+    vanishing on all triples.  The products run on index lists.
     """
-    gens = A.additive_generators()
-    for x in A.basis():
+    mul = A.mul_indices
+    gens = A._generator_indices()
+    one = A.ring.one.val
+    for i in range(A.m):
+        x = [0] * i + [one]
         for y in gens:
-            xy = A.mul(x, y)
+            xy = mul(x, y)
             for z in gens:
-                if A.mul(xy, z) != A.mul(x, A.mul(y, z)):
+                if mul(xy, z) != mul(x, mul(y, z)):
                     return False
     return True
 
@@ -163,16 +171,19 @@ def _nucleus_orders(A: PetitAlgebra):
     slot (see is_associative), so the nucleus of a slot is the kernel of the
     Z-linear phi(x) = ([x in that slot] on all generator pairs of the others),
     of order c^N / |im phi|; im phi is spanned by the rows phi(g_i), read off
-    the N^3 generator associators, computed once for the three slots.
+    the N^3 generator associators, computed once for the three slots on
+    index lists, each as add[l][neg[r]] coefficientwise.
     """
-    c = A.ring.characteristic
-    gens = A.additive_generators()
-    digits = [[v // b.val % c for b in additive_generators(A.ring)] for v in range(A.ring.size)]
-    prod = [[A.mul(x, y) for y in gens] for x in gens]
+    ring = A.ring
+    c, add, neg = ring.characteristic, ring._add, ring._neg
+    mul = A.mul_indices
+    gens = A._generator_indices()
+    digits = [[v // b.val % c for b in additive_generators(ring)] for v in range(ring.size)]
+    prod = [[mul(x, y) for y in gens] for x in gens]
     rows = [[[] for _ in gens] for _ in range(3)]
     for i, j, k in itertools.product(range(len(gens)), repeat=3):
-        assoc = A.mul(prod[i][j], gens[k]) - A.mul(gens[i], prod[j][k])
-        coords = [d for l in range(A.m) for d in digits[assoc.coeff(l).val]]
+        lhs, rhs = mul(prod[i][j], gens[k]), mul(gens[i], prod[j][k])
+        coords = [d for l, r in zip(lhs, rhs) for d in digits[add[l][neg[r]]]]
         for slot, x in enumerate((i, j, k)):
             rows[slot][x].extend(coords)
     return [c ** len(gens) // _image_order(slot_rows, c) for slot_rows in rows]
@@ -243,6 +254,11 @@ def left_ideal_span(A: PetitAlgebra, g: SkewPoly):
     _, rem = right_divide(A.f, g)
     if not rem.is_zero:
         raise NotARightDivisor("g does not divide f on the right")
+    return _left_ideal_span(A, g)
+
+
+def _left_ideal_span(A: PetitAlgebra, g: SkewPoly):
+    """left_ideal_span without its checks, for a g known to be a monic right divisor of f."""
     t = SkewPoly.t_power(1, A.twist)
     span = [g]
     for _ in range(A.m - int(g.degree) - 1):

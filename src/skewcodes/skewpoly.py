@@ -106,7 +106,7 @@ class TwistContext:
         return self._opposite
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, TwistContext)
             and self.ring is other.ring
             and self.sigma == other.sigma
@@ -213,20 +213,26 @@ class SkewPoly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(
-            [self.coeff(i) + other.coeff(i) for i in range(n)], self.twist
-        )
+        add = self.twist.ring._add
+        a, b = [c.val for c in self.coeffs], [c.val for c in other.coeffs]
+        if len(a) < len(b):
+            a, b = b, a
+        return SkewPoly.from_indices([add[x][y] for x, y in zip(a, b)] + a[len(b):], self.twist)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SkewPoly([-c for c in self.coeffs], self.twist)
+        neg = self.twist.ring._neg
+        return SkewPoly.from_indices([neg[c.val] for c in self.coeffs], self.twist)
 
     def scale_left(self, a: Element) -> "SkewPoly":
         """a * g with the scalar on the left (no twisting needed)."""
-        return SkewPoly([a * c for c in self.coeffs], self.twist)
+        ring = self.twist.ring
+        if getattr(a, "ctx", None) is not ring:
+            raise ContextMismatch("scalar from a different ring context")
+        row = ring._mul[a.val]
+        return SkewPoly.from_indices([row[c.val] for c in self.coeffs], self.twist)
 
     def __mul__(self, other):
         return skew_mul(self, other)

@@ -10,6 +10,8 @@ import random
 
 from skewcodes.classify import (
     IsometryWitness,
+    _apply_images,
+    _image_table,
     isometry_image,
     valid_isometry_degrees,
     verify_witness_multiplicative,
@@ -163,6 +165,81 @@ def test_verification_rejects_a_bad_witness():
     f, h = consta(TW4, 3, GF4.one), consta(TW4, 3, OMEGA)
     bad = IsometryWitness(identity_aut(GF4), GF4.one, 1)
     assert not verify_witness_multiplicative(f, h, bad)
+
+
+def _check_image_identity(polys, degrees):
+    """sum_j tau(x_j) * images[j] against isometry_image(x, reduce_by=h) on every x."""
+    witnesses = 0
+    for h in polys:
+        ring, tw = h.twist.ring, h.twist
+        elems = list(PetitAlgebra(h).elements())
+        for w in _witnesses(h, degrees):
+            images = _image_table(h, w)
+            tt = ring.frobenius_table(w.tau.frob_exp)
+            for x in elems:
+                got = _apply_images(images, tt, [c.val for c in x.coeffs], ring)
+                want = isometry_image(x, w.tau, w.alpha, w.k, reduce_by=h)
+                assert SkewPoly.from_indices(got, tw) == want, (h, w, x)
+            witnesses += 1
+    return witnesses
+
+
+def test_image_table_gf4_frobenius_m3():
+    polys = [consta(TW4, 3, d) for d in GF4.units]
+    polys += random.Random(11).sample(monics(TW4, 3), 9)
+    assert _check_image_identity(polys, [1]) == 12 * 6
+
+
+def test_image_table_gf2_m5():
+    assert _check_image_identity(monics(TW2, 5), [2, 3, 4]) == 32 * 3
+
+
+def test_image_table_z4_m3():
+    assert _check_image_identity(monics(TWZ4, 3), [2]) == 64 * 2
+
+
+def _verdict_on_elements(f, h, w, A, B):
+    """The generator-pair loop on Elements and SkewPolys, each image by isometry_image."""
+    def G(x):
+        return isometry_image(x, w.tau, w.alpha, w.k, reduce_by=h)
+
+    return all(G(A.mul(x, y)) == B.mul(G(x), G(y))
+               for x, y in itertools.product(A.basis(), A.additive_generators()))
+
+
+def _compare_with_element_loop(pairs, degrees):
+    verdicts = {True: 0, False: 0}
+    for f, h in pairs:
+        A, B = PetitAlgebra(f), PetitAlgebra(h)
+        for w in _witnesses(f, degrees):
+            want = _verdict_on_elements(f, h, w, A, B)
+            assert verify_witness_multiplicative(f, h, w, algebras=(A, B)) == want, (f, h, w)
+            verdicts[want] += 1
+    return verdicts
+
+
+def test_witnesses_match_element_loop_gf7_m3():
+    """Constacyclic GF(7), sigma = id, m = 3: k = 2 maps t -> alpha t^2 are genuine isometries."""
+    gf7 = make_field(7, 1)
+    tw = TwistContext(gf7, identity_aut(gf7))
+    cubics = [consta(tw, 3, d) for d in gf7.units]
+    pairs = [(f, h) for f in cubics for h in cubics]
+    k2 = _compare_with_element_loop(pairs, [2])
+    assert k2[True] and k2[False]
+    k1 = _compare_with_element_loop(pairs, [1])
+    assert k1[True] and k1[False]
+
+
+def test_witnesses_match_element_loop_gf8_m5():
+    """Constacyclic GF(8), Frobenius, m = 5: k = 1 and the valid degree k = 4."""
+    gf8 = make_field(2, 3)
+    tw = TwistContext(gf8, Automorphism(gf8, 1))
+    assert valid_isometry_degrees(5, 3) == [4]
+    u = gf8.units
+    pairs = [(consta(tw, 5, u[i]), consta(tw, 5, u[j]))
+             for i, j in ((0, 0), (1, 3), (5, 2), (6, 6), (2, 4), (3, 0))]
+    verdicts = _compare_with_element_loop(pairs, [1, 4])
+    assert verdicts[True] and verdicts[False]
 
 
 # -- associativity and nuclei -----------------------------------------------
