@@ -8,7 +8,7 @@ from .classify import _class_orbit
 from .codes import code_class_codes, min_hamming_distance
 from .errors import EnumerationCapExceeded, InvalidConfig
 from .petit import PetitAlgebra
-from .skewpoly import SkewPoly, TwistContext
+from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext
 
 SCHEMA_VERSION = 1
 
@@ -88,7 +88,7 @@ def run_catalogue(
     twist: TwistContext,
     m: int,
     constacyclic: bool = False,
-    cap: int = 2 ** 20,
+    cap: int = DEFAULT_ENUM_CAP,
 ):
     """One record per full-equivalence class, in canonical order."""
     if m < 2:

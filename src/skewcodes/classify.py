@@ -22,6 +22,7 @@ from .coeffring import (
     partial_norm,
 )
 from .errors import (
+    ContextMismatch,
     DegreeMismatch,
     DeltaNotZero,
     InvalidConfig,
@@ -75,7 +76,8 @@ class ClassificationResult(
 
 
 def _require_classifiable(f: SkewPoly, h: SkewPoly):
-    if f.twist.has_delta or h.twist.has_delta:
+    f._check(h)
+    if f.twist.has_delta:
         raise DeltaNotZero("classification predicates require delta = 0")
     if f.degree != h.degree or not (f.is_monic and h.is_monic):
         raise DegreeMismatch("f and h must be monic of the same degree")
@@ -87,21 +89,40 @@ def trailing_coeffs(f: SkewPoly):
     return [-f.coeff(i) for i in range(m)]
 
 
+def _scaled_norms(tw, hv, alpha: int):
+    """[N_(m-i)(sigma^i(alpha)) * h_i for i < m] as indices, for h of degree m given by hv.
+
+    N_(m-i)(sigma^i(alpha)) = sigma^i(alpha) * ... * sigma^(m-1)(alpha), so every
+    norm comes from one running product from i = m - 1 down (S is commutative).
+    """
+    ring = tw.ring
+    mul = ring._mul
+    sig = ring.frobenius_table(tw.sigma.frob_exp)
+    m = len(hv) - 1
+    conj = [alpha]
+    for _ in range(m - 1):
+        conj.append(sig[conj[-1]])
+    out = [0] * m
+    norm = ring.one.val
+    for i in range(m - 1, -1, -1):
+        norm = mul[conj[i]][norm]
+        out[i] = mul[norm][hv[i]]
+    return out
+
+
 def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Element) -> bool:
-    """Test tau(a_i) = N_(m-i)(sigma^i(alpha)) * b_i for all i."""
+    """Test tau(a_i) = N_(m-i)(sigma^i(alpha)) * b_i for all i.
+
+    As a_i = -f_i and b_i = -h_i, this is tau(f_i) = _scaled_norms(h, alpha)[i].
+    """
     _require_classifiable(f, h)
+    ring = f.twist.ring
+    if tau.ctx is not ring or getattr(alpha, "ctx", None) is not ring:
+        raise ContextMismatch("tau and alpha must act on the ring of f and h")
     if not alpha.is_unit():
         raise NonUnit("alpha must be a unit")
-    sigma = f.twist.sigma
-    m = int(f.degree)
-    a = trailing_coeffs(f)
-    b = trailing_coeffs(h)
-    x = alpha  # sigma^i(alpha)
-    for i in range(m):
-        if tau(a[i]) != partial_norm(sigma, x, m - i) * b[i]:
-            return False
-        x = sigma(x)
-    return True
+    tt = ring.frobenius_table(tau.frob_exp)
+    return all(tt[a] == b for a, b in zip(f.vals, _scaled_norms(f.twist, h.vals, alpha.val)))
 
 
 def find_equivalence(f: SkewPoly, h: SkewPoly, chen_only: bool = False):
@@ -175,10 +196,8 @@ def check_isometry_k(
     a = _constacyclic_constant(f)
     b = _constacyclic_constant(h)
     m = int(f.degree)
-    n = f.twist.sigma.order
-    if k != 1:
-        if not (1 < k < m) or k % n != 1 % n or gcd(k, m) != 1:
-            raise InvalidK(f"k={k} violates the monomial-degree constraints")
+    if k != 1 and k not in valid_isometry_degrees(m, f.twist.sigma.order):
+        raise InvalidK(f"k={k} violates the monomial-degree constraints")
     sigma_k = f.twist.sigma.power(k)
     return partial_norm(sigma_k, alpha, m) * b ** k == tau(a)
 
@@ -189,7 +208,7 @@ def isometry_image(poly: SkewPoly, tau: Automorphism, alpha: Element, k: int,
     tw = poly.twist
     ring = tw.ring
     sigma_k = ring.frobenius_table(tw.sigma.frob_exp * k % ring.r)
-    coeffs = [ring.zero] * (k * len(poly.coeffs))  # the degrees k*i are distinct
+    coeffs = [ring.zero] * (k * len(poly.vals))  # the degrees k*i are distinct
     norm, x = ring.one, alpha  # N_i(alpha) and sigma^(k i)(alpha)
     for i, d in enumerate(poly.coeffs):
         coeffs[k * i] = tau(d) * norm
@@ -209,7 +228,7 @@ def _image_table(h: SkewPoly, witness: IsometryWitness):
     ring = tw.ring
     mul = ring._mul
     sigma_k = ring.frobenius_table(tw.sigma.frob_exp * witness.k % ring.r)
-    hv = [c.val for c in h.coeffs]
+    hv = h.vals
     m = len(hv) - 1
     images = []
     norm, x = ring.one.val, witness.alpha.val  # N_j(alpha) and sigma^(k j)(alpha)
@@ -358,43 +377,33 @@ def implied_relations(relation: Relation):
 def equivalence_class_of(h: SkewPoly, chen_only: bool = False):
     """All h_(tau, alpha), deduplicated and canonically ordered."""
     tw = h.twist
-    orbit = _class_orbit(tw, [c.val for c in h.coeffs], chen_only)
+    orbit = _class_orbit(tw, h.vals, chen_only)
     # all members have degree m, so index tuple order is sort_key order
     return [SkewPoly.from_indices(v, tw) for v in sorted(orbit)]
 
 
 def _class_orbit(tw, hv, chen_only: bool):
-    """The (tau, alpha) orbit of h (index list hv, degree m) as index tuples of length m + 1.
+    """The (tau, alpha) orbit of h (index sequence hv, degree m) as index tuples of length m + 1.
 
     h_(tau, alpha) = t^m - sum N_(m-i)(sigma^i(tau(alpha))) * tau(b_i) t^i,
-    with b_i = -h_i, so its coefficient at t^i is N_(m-i)(x_i) * tau(h_i),
-    x_i = sigma^i(tau(alpha)) (tau is additive).  N_(m-i)(x_i) is the product
-    x_i * x_(i+1) * ... * x_(m-1) of conjugates, so the norms come from one
-    running product from i = m - 1 down, read from the tables (S is
-    commutative, so the order of the factors does not matter).
+    with b_i = -h_i, so its coefficient at t^i is
+    N_(m-i)(sigma^i(tau(alpha))) * tau(h_i) = tau(N_(m-i)(sigma^i(alpha)) * h_i):
+    tau is a ring automorphism, and it commutes with sigma (both are powers
+    of the Frobenius, or the identity over Z_n), so it maps each conjugate
+    sigma^j(alpha) to sigma^j(tau(alpha)).  The orbit is therefore tau
+    applied to _scaled_norms(h, alpha), one norm list per alpha.
     """
     if tw.has_delta:
         raise DeltaNotZero("classification predicates require delta = 0")
     ring = tw.ring
-    mul = ring._mul
-    sig = ring.frobenius_table(tw.sigma.frob_exp)
-    one = ring.one.val
-    m = len(hv) - 1
     taus = [identity_aut(ring)] if chen_only else all_automorphisms(ring)
+    tables = [ring.frobenius_table(tau.frob_exp) for tau in taus]
+    one = (ring.one.val,)
     out = set()
-    for tau in taus:
-        tt = ring.frobenius_table(tau.frob_exp)
-        th = [tt[c] for c in hv[:m]]
-        for alpha in ring.units:
-            conj = [tt[alpha.val]]
-            for _ in range(m - 1):
-                conj.append(sig[conj[-1]])
-            coeffs = [0] * m + [one]
-            norm = one
-            for i in range(m - 1, -1, -1):
-                norm = mul[conj[i]][norm]
-                coeffs[i] = mul[norm][th[i]]
-            out.add(tuple(coeffs))
+    for alpha in ring.units:
+        scaled = _scaled_norms(tw, hv, alpha.val)
+        for tt in tables:
+            out.add(tuple([tt[c] for c in scaled]) + one)
     return out
 
 

@@ -27,7 +27,7 @@ from .codes import build_code, min_hamming_distance
 from .coeffring import Automorphism, make_field, make_residue_ring
 from .errors import EnumerationCapExceeded, SkewCodesError
 from .petit import PetitAlgebra, probe_structure
-from .skewpoly import SkewPoly, TwistContext
+from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", help="generator matrix and minimum distance")
     common(p, poly_flags=("f", "g"))
-    p.add_argument("--cap", type=int, default=2 ** 20, help="enumeration cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap")
     p.set_defaults(func=cmd_mindist)
 
     p = sub.add_parser("check-equiv", help="classify the relation between two classes")
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalogue", help="deduplicated catalogue of code classes")
     common(p, needs_m=True)
-    p.add_argument("--cap", type=int, default=2 ** 20, help="enumeration cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap")
     p.add_argument("--constacyclic", action="store_true",
                    help="restrict to f = t^m - a")
     p.set_defaults(func=cmd_catalogue)

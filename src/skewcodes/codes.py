@@ -9,6 +9,7 @@ from __future__ import annotations
 from .errors import EnumerationCapExceeded, WitnessInvalid
 from .petit import PetitAlgebra, _left_ideal_span, left_ideal_span
 from .skewpoly import (
+    DEFAULT_ENUM_CAP,
     SkewPoly,
     all_monic_right_divisors,
     left_divide,
@@ -16,8 +17,6 @@ from .skewpoly import (
     right_divide,
     skew_mul,
 )
-
-DEFAULT_CODEWORD_CAP = 2 ** 20
 
 
 class LinearCode:
@@ -29,17 +28,14 @@ class LinearCode:
         self.length = algebra.m
         self.gen_matrix = tuple(tuple(row) for row in rows)
         self.dimension = len(self.gen_matrix)
-        self._codewords = None
 
     @classmethod
     def from_rows(cls, algebra: PetitAlgebra, rows) -> "LinearCode":
         """A raw left-S-span of row vectors; not necessarily shift closed."""
         return cls(algebra, None, rows)
 
-    def codewords(self, cap: int = DEFAULT_CODEWORD_CAP):
+    def codewords(self, cap: int = DEFAULT_ENUM_CAP):
         """All codewords as coefficient tuples (deduplicated, enumeration capped)."""
-        if self._codewords is not None:
-            return self._codewords
         ring = self.algebra.ring
         if ring.size ** self.dimension > cap:
             raise EnumerationCapExceeded(
@@ -52,8 +48,7 @@ class LinearCode:
             words = {
                 tuple(x + y for x, y in zip(w, sr)) for w in words for sr in multiples
             }
-        self._codewords = frozenset(words)
-        return self._codewords
+        return frozenset(words)
 
 
 def build_code(A: PetitAlgebra, g: SkewPoly) -> LinearCode:
@@ -65,7 +60,7 @@ def _code_of_span(A: PetitAlgebra, g: SkewPoly, span) -> LinearCode:
     return LinearCode(A, g, [poly.coeff_vector(A.m) for poly in span])
 
 
-def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_CODEWORD_CAP):
+def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
     """One code per monic right divisor of f of degree 0..m-1.
 
     The divisors come from all_monic_right_divisors, so their spans skip
@@ -78,7 +73,7 @@ def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_CODEWORD_CAP):
     ]
 
 
-def shift_closure_check(C: LinearCode, cap: int = DEFAULT_CODEWORD_CAP) -> bool:
+def shift_closure_check(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """Whether the twisted shift defined by f maps every codeword back into C."""
     A = C.algebra
     tw = A.twist
@@ -132,7 +127,7 @@ def _systematic_rows(C: LinearCode):
     return rows, pivots
 
 
-def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_CODEWORD_CAP) -> int:
+def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Minimum weight over nonzero codewords, enumerating at most cap messages.
 
     The rows are first put in systematic form (_systematic_rows): row i has a

@@ -60,7 +60,7 @@ class PetitAlgebra:
         coefficient of t^m, also in Rf) leaves degree < m.  Remainders mod_r
         a monic f are unique: a nonzero q*f has degree deg q + m.
         """
-        fv = [c.val for c in self.f.coeffs]
+        fv = self.f.vals
         one = self.ring.one.val
         rem = [one]  # t^0
         out = [[(0, one)]]
@@ -84,15 +84,12 @@ class PetitAlgebra:
 
     def elements(self):
         """All residues, in canonical coefficient order."""
-        ring = self.ring
-        for digits in itertools.product(ring.elements, repeat=self.m):
-            yield SkewPoly(digits, self.twist)
+        for vals in itertools.product(range(self.ring.size), repeat=self.m):
+            yield SkewPoly.from_indices(vals, self.twist)
 
     def mul(self, g: SkewPoly, h: SkewPoly) -> SkewPoly:
         """g*h mod_r f for g, h of degree < m, with or without delta (see mul_indices)."""
-        return SkewPoly.from_indices(
-            self.mul_indices([c.val for c in g.coeffs], [c.val for c in h.coeffs]), self.twist
-        )
+        return SkewPoly.from_indices(self.mul_indices(g.vals, h.vals), self.twist)
 
     def mul_indices(self, gv, hv):
         """The product on little-endian index lists of length <= m; the index list of g*h, length m.
@@ -212,11 +209,6 @@ def _image_order(rows, c: int) -> int:
                 piv, row = row, [(x - q * y) % c for x, y in zip(piv, row)]
             pivots[j] = piv
     return math.prod(c // piv[j] for j, piv in pivots.items())
-
-
-def _nucleus_size(A: PetitAlgebra, slot: int) -> int:
-    """The order of the nucleus in the given slot (0 left, 1 middle, 2 right)."""
-    return _nucleus_orders(A)[slot]
 
 
 def _dim_from_count(A: PetitAlgebra, count: int) -> int:

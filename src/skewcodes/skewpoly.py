@@ -4,8 +4,9 @@ The commutation rule t*a = sigma(a)*t + delta(a) is applied in one place,
 TwistContext.t_times, which tabulates t^i * b for every b as terms over
 element indices.  The product, both Euclidean divisions (available whenever
 the divisor has an invertible leading coefficient) and the divisor scan read
-that table and run on little-endian lists of indices into the ring's tables;
-Element coefficients appear only where a SkewPoly goes in or comes out.
+that table and run on little-endian sequences of indices into the ring's
+tables, the form a SkewPoly stores; Elements appear only at its constructor
+and in its coeffs view.
 """
 
 from __future__ import annotations
@@ -121,15 +122,24 @@ class TwistContext:
 
 
 class SkewPoly:
-    """An immutable skew polynomial: little-endian coefficient tuple plus twist."""
+    """An immutable skew polynomial: trimmed little-endian tuple of element indices plus twist.
 
-    __slots__ = ("coeffs", "twist")
+    ``vals`` holds the coefficients as indices into the ring's tables, the
+    form every algorithm reads; an index is also its element's sort key.
+    ``coeffs`` is the Element view, for the public API and JSON.
+    """
+
+    __slots__ = ("vals", "twist")
 
     def __init__(self, coeffs, twist: TwistContext):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        vals = []
+        for c in coeffs:
+            if getattr(c, "ctx", None) is not twist.ring:
+                raise ContextMismatch("coefficient from a different ring context")
+            vals.append(c.val)
+        while vals and not vals[-1]:
+            vals.pop()
+        self.vals = tuple(vals)
         self.twist = twist
 
     @classmethod
@@ -139,13 +149,12 @@ class SkewPoly:
 
     @classmethod
     def from_indices(cls, vals, twist: TwistContext) -> "SkewPoly":
-        """The polynomial of a little-endian list of element indices."""
+        """The polynomial of a little-endian sequence of element indices."""
         n = len(vals)
         while n and not vals[n - 1]:
             n -= 1
-        elements = twist.ring.elements
         poly = cls.__new__(cls)
-        poly.coeffs = tuple([elements[v] for v in vals[:n]])
+        poly.vals = tuple(vals[:n])
         poly.twist = twist
         return poly
 
@@ -169,38 +178,42 @@ class SkewPoly:
     # -- structure -------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """The coefficients as a tuple of Elements."""
+        elements = self.twist.ring.elements
+        return tuple([elements[v] for v in self.vals])
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.vals) - 1 if self.vals else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vals
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.twist.ring.one
+        return bool(self.vals) and self.vals[-1] == self.twist.ring.one.val
 
     def coeff(self, i: int) -> Element:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.twist.ring.zero
+        return self.twist.ring.elements[self.vals[i] if 0 <= i < len(self.vals) else 0]
 
     def coeff_vector(self, length: int):
         """Coefficients padded with zeros to the given length."""
         return tuple(self.coeff(i) for i in range(length))
 
     def sort_key(self):
-        return (len(self.coeffs), tuple(c.sort_key() for c in self.coeffs))
+        return (len(self.vals), self.vals)
 
     def __eq__(self, other):
         return (
             isinstance(other, SkewPoly)
             and self.twist == other.twist
-            and self.coeffs == other.coeffs
+            and self.vals == other.vals
         )
 
     def __hash__(self):
-        return hash((self.twist, self.coeffs))
+        return hash((self.twist, self.vals))
 
     def __repr__(self):
         return f"SkewPoly({[c.to_json() for c in self.coeffs]})"
@@ -214,17 +227,18 @@ class SkewPoly:
     def __add__(self, other):
         self._check(other)
         add = self.twist.ring._add
-        a, b = [c.val for c in self.coeffs], [c.val for c in other.coeffs]
+        a, b = self.vals, other.vals
         if len(a) < len(b):
             a, b = b, a
-        return SkewPoly.from_indices([add[x][y] for x, y in zip(a, b)] + a[len(b):], self.twist)
+        vals = [add[x][y] for x, y in zip(a, b)]
+        return SkewPoly.from_indices(vals + list(a[len(b):]), self.twist)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         neg = self.twist.ring._neg
-        return SkewPoly.from_indices([neg[c.val] for c in self.coeffs], self.twist)
+        return SkewPoly.from_indices([neg[c] for c in self.vals], self.twist)
 
     def scale_left(self, a: Element) -> "SkewPoly":
         """a * g with the scalar on the left (no twisting needed)."""
@@ -232,7 +246,7 @@ class SkewPoly:
         if getattr(a, "ctx", None) is not ring:
             raise ContextMismatch("scalar from a different ring context")
         row = ring._mul[a.val]
-        return SkewPoly.from_indices([row[c.val] for c in self.coeffs], self.twist)
+        return SkewPoly.from_indices([row[c] for c in self.vals], self.twist)
 
     def __mul__(self, other):
         return skew_mul(self, other)
@@ -242,9 +256,7 @@ def skew_mul(g: SkewPoly, h: SkewPoly) -> SkewPoly:
     """The product g*h = sum_(i,j) g_i * (t^i * h_j) * t^j in S[t; sigma, delta]."""
     g._check(h)
     tw = g.twist
-    return SkewPoly.from_indices(
-        _mul_indices([c.val for c in g.coeffs], [c.val for c in h.coeffs], tw), tw
-    )
+    return SkewPoly.from_indices(_mul_indices(g.vals, h.vals, tw), tw)
 
 
 def _mul_indices(gv, hv, tw: TwistContext):
@@ -267,9 +279,9 @@ def _mul_indices(gv, hv, tw: TwistContext):
 
 def _divisor_degree(g: SkewPoly, f: SkewPoly) -> int:
     g._check(f)
-    if f.is_zero or not f.coeffs[-1].is_unit():
+    if f.is_zero or f.twist.ring._inv[f.vals[-1]] is None:
         raise NonInvertibleLeadingCoefficient("divisor needs an invertible leading coefficient")
-    return len(f.coeffs) - 1
+    return len(f.vals) - 1
 
 
 def _right_reduce(rem, fv, tw: TwistContext, q=None):
@@ -303,9 +315,9 @@ def right_divide(g: SkewPoly, f: SkewPoly):
     """q, rem with g = q*f + rem and deg(rem) < deg(f), by _right_reduce."""
     df = _divisor_degree(g, f)
     tw = g.twist
-    rem = [c.val for c in g.coeffs]
+    rem = list(g.vals)
     q = [0] * max(len(rem) - df, 0)
-    _right_reduce(rem, [c.val for c in f.coeffs], tw, q)
+    _right_reduce(rem, f.vals, tw, q)
     return SkewPoly.from_indices(q, tw), SkewPoly.from_indices(rem[:df], tw)
 
 
@@ -320,9 +332,9 @@ def left_divide(g: SkewPoly, f: SkewPoly):
     ring = tw.ring
     add, mul, neg = ring._add, ring._mul, ring._neg
     unshift = ring.frobenius_table(-df * tw.sigma.frob_exp % ring.r)  # sigma^(-deg f)
-    lead_inv = mul[ring._inv[f.coeffs[-1].val]]
-    f_terms = [(mul[neg[fj.val]], tw.t_times(j)) for j, fj in enumerate(f.coeffs) if fj.val]
-    rem = [c.val for c in g.coeffs]
+    lead_inv = mul[ring._inv[f.vals[-1]]]
+    f_terms = [(mul[neg[fj]], tw.t_times(j)) for j, fj in enumerate(f.vals) if fj]
+    rem = list(g.vals)
     q = [0] * max(len(rem) - df, 0)
     for top in range(len(rem) - 1, df - 1, -1):
         if not rem[top]:
@@ -354,12 +366,12 @@ def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_
         raise EnumerationCapExceeded(
             f"{ring.size}^{degree} candidate divisors exceed cap {cap}"
         )
-    fv = [c.val for c in f.coeffs]
+    fv = f.vals
     one = ring.one.val
     found = []
     for tail in itertools.product(range(ring.size), repeat=degree):
         gv = [*tail, one]
-        rem = fv[:]
+        rem = list(fv)
         _right_reduce(rem, gv, tw)
         if not any(rem[:degree]):
             found.append(SkewPoly.from_indices(gv, tw))
@@ -420,10 +432,11 @@ def monic_scale(g: SkewPoly) -> SkewPoly:
     """The monic left-scalar multiple of g (leading coefficient must be a unit)."""
     if g.is_zero:
         return g
-    lead = g.coeffs[-1]
-    if not lead.is_unit():
+    ring = g.twist.ring
+    inv = ring._inv[g.vals[-1]]
+    if inv is None:
         raise NonInvertibleLeadingCoefficient("leading coefficient is not a unit")
-    return g.scale_left(lead.inverse())
+    return g.scale_left(ring.elements[inv])
 
 
 def companion_matrix(f: SkewPoly):
@@ -432,7 +445,7 @@ def companion_matrix(f: SkewPoly):
         raise NonMonic("companion matrix needs a monic polynomial")
     tw = f.twist
     ring = tw.ring
-    m = len(f.coeffs) - 1
+    m = len(f.vals) - 1
     rows = []
     for i in range(m - 1):
         row = [ring.zero] * m
@@ -455,8 +468,5 @@ def psi(g: SkewPoly) -> SkewPoly:
         raise DeltaNotZero("psi is only implemented for delta = 0")
     ring = tw.ring
     e = -tw.sigma.frob_exp
-    coeffs = [
-        ring.elements[ring.frobenius_table(e * k % ring.r)[c.val]]
-        for k, c in enumerate(g.coeffs)
-    ]
-    return SkewPoly(coeffs, tw.opposite())
+    vals = [ring.frobenius_table(e * k % ring.r)[c] for k, c in enumerate(g.vals)]
+    return SkewPoly.from_indices(vals, tw.opposite())

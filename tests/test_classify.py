@@ -25,11 +25,19 @@ from skewcodes.classify import (
 )
 from skewcodes.coeffring import (
     Automorphism,
+    all_automorphisms,
     identity_aut,
     make_field,
     make_residue_ring,
+    partial_norm,
 )
-from skewcodes.errors import DegreeMismatch, DeltaNotZero, InvalidK, NotConstacyclic
+from skewcodes.errors import (
+    ContextMismatch,
+    DegreeMismatch,
+    DeltaNotZero,
+    InvalidK,
+    NotConstacyclic,
+)
 from skewcodes.skewpoly import SkewPoly, TwistContext
 
 GF4 = make_field(2, 2)
@@ -123,6 +131,51 @@ def test_class_orbit_matches_witness_search(label, tw, m):
         for f in polys:
             expected = [h for h in polys if find_equivalence(f, h, chen_only=chen) is not None]
             assert equivalence_class_of(f, chen_only=chen) == expected, (f, chen)
+
+
+def _equivalence_reference(f, h, tau, alpha):
+    """tau(a_i) = N_(m-i)(sigma^i(alpha)) * b_i for all i, on Elements with partial_norm."""
+    sigma = f.twist.sigma
+    m = int(f.degree)
+    a, b = trailing_coeffs(f), trailing_coeffs(h)
+    return all(
+        tau(a[i]) == partial_norm(sigma, sigma.power(i)(alpha), m - i) * b[i] for i in range(m)
+    )
+
+
+EQUIVALENCE_CONFIGS = [
+    ("GF(4) Frobenius m=2", TW, 2),
+    ("GF(9) Frobenius m=2", _twist(make_field(3, 2), 1), 2),
+    ("Z_4 m=2", _twist(make_residue_ring(4)), 2),
+]
+
+
+@pytest.mark.parametrize("label,tw,m", EQUIVALENCE_CONFIGS,
+                         ids=[c[0] for c in EQUIVALENCE_CONFIGS])
+def test_check_equivalence_matches_partial_norms(label, tw, m):
+    """The index test agrees with the Element-level identity on every (f, h, tau, alpha)."""
+    ring = tw.ring
+    polys = monic_polys(tw, m)
+    for f, h in itertools.product(polys, repeat=2):
+        for tau in all_automorphisms(ring):
+            for alpha in ring.units:
+                assert check_equivalence(f, h, tau, alpha) == \
+                    _equivalence_reference(f, h, tau, alpha), (f, h, tau, alpha)
+
+
+def test_check_equivalence_context_guards():
+    """h, tau or alpha of another ring, or f and h under different twists, raise."""
+    f = consta(TW, 2, OMEGA)
+    GF8 = make_field(2, 3)
+    with pytest.raises(ContextMismatch):
+        check_equivalence(f, consta(_twist(GF8, 1), 2, GF8.one), FROB, GF4.one)
+    with pytest.raises(ContextMismatch):
+        check_equivalence(f, f, Automorphism(GF8, 1), GF4.one)
+    with pytest.raises(ContextMismatch):
+        check_equivalence(f, f, FROB, GF8.one)
+    # the same pair under sigma = id: f's sigma must not decide it
+    with pytest.raises(ContextMismatch):
+        check_equivalence(f, consta(_twist(GF4), 2, OMEGA), FROB, GF4.one)
 
 
 def test_class_of_t2_minus_omega():

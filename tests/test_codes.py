@@ -17,7 +17,7 @@ from skewcodes.codes import (
     shift_closure_check,
 )
 from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
-from skewcodes.errors import WitnessInvalid
+from skewcodes.errors import EnumerationCapExceeded, WitnessInvalid
 from skewcodes.petit import PetitAlgebra
 from skewcodes.skewpoly import SkewPoly, TwistContext, all_monic_right_divisors, skew_mul
 
@@ -98,6 +98,16 @@ def test_zero_code_has_no_distance():
 
 def _twist(ring, e=0):
     return TwistContext(ring, Automorphism(ring, e))
+
+
+def test_codewords_cap_holds_on_every_call():
+    """A smaller cap on a later call still raises: the binary [7,4] code has 16 words."""
+    tw = _twist(make_field(2, 1))
+    A = PetitAlgebra(SkewPoly.from_ints([1, 0, 0, 0, 0, 0, 0, 1], tw))  # t^7 - 1
+    C = build_code(A, SkewPoly.from_ints([1, 1, 0, 1], tw))  # t^3 + t + 1
+    assert len(C.codewords(cap=16)) == 16
+    with pytest.raises(EnumerationCapExceeded):
+        C.codewords(cap=15)
 
 
 def test_raw_span_without_distinct_unit_pivots():

@@ -1,10 +1,11 @@
 """Skew polynomial arithmetic and Euclidean division."""
 
 import itertools
+import random
 
 import pytest
 
-from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
+from skewcodes.coeffring import Automorphism, Element, identity_aut, make_field, make_residue_ring
 from skewcodes.errors import (
     ContextMismatch,
     DeltaNotZero,
@@ -375,3 +376,42 @@ def test_context_mismatch():
     other = TwistContext(GF4, identity_aut(GF4))
     with pytest.raises(ContextMismatch):
         skew_mul(SkewPoly.one(TW), SkewPoly.one(other))
+
+
+def test_foreign_coefficients_rejected():
+    """Coefficients of another ring would be read in the wrong tables."""
+    GF3 = make_field(3, 1)
+    with pytest.raises(ContextMismatch):
+        SkewPoly([GF3.one, GF3.one], TW)
+    with pytest.raises(ContextMismatch):
+        SkewPoly.monomial(GF3.one, 2, TW)
+
+
+def test_stores_only_indices():
+    g = SkewPoly([OMEGA, GF4.zero, OMEGA2, GF4.zero], TW)
+    assert SkewPoly.__slots__ == ("vals", "twist")
+    assert g.vals == (OMEGA.val, 0, OMEGA2.val)
+    assert SkewPoly.from_indices([OMEGA.val, 0, OMEGA2.val, 0, 0], TW) == g
+
+
+def test_coeffs_view_round_trips():
+    for tail in itertools.product(GF4.elements, repeat=3):
+        p = SkewPoly(tail, TW)
+        assert all(isinstance(c, Element) for c in p.coeffs)
+        assert p.coeffs == tail[:len(p.vals)]
+        assert SkewPoly(p.coeffs, TW) == p
+
+
+def test_sort_key_matches_element_keys():
+    """Index keys order polynomials as the Element sort keys do: every
+    polynomial of degree <= 3 over GF(4), the monic cubics among them."""
+    polys = [SkewPoly(tail, TW) for tail in itertools.product(GF4.elements, repeat=4)]
+    random.Random(0).shuffle(polys)
+
+    def element_key(p):
+        return (len(p.coeffs), tuple(c.sort_key() for c in p.coeffs))
+
+    assert sorted(polys, key=SkewPoly.sort_key) == sorted(polys, key=element_key)
+    cubics = [p for p in polys if p.degree == 3 and p.is_monic]
+    assert len(cubics) == 64
+    assert sorted(cubics, key=SkewPoly.sort_key) == sorted(cubics, key=element_key)
