@@ -26,7 +26,7 @@ from .skewpoly import (
     right_divide,
     skew_mul,
 )
-from .petit import PetitAlgebra, StructureReport, left_ideal_span, petit_mul, probe_structure
+from .petit import PetitAlgebra, StructureReport, left_ideal_span, probe_structure
 from .codes import (
     LinearCode,
     apply_isometry_to_code,

@@ -31,7 +31,7 @@ from .errors import (
     NotConstacyclic,
 )
 from .petit import PetitAlgebra
-from .skewpoly import SkewPoly, _right_reduce, right_divide
+from .skewpoly import SkewPoly, right_divide
 
 
 class IsometryWitness(namedtuple("IsometryWitness", "tau alpha k", defaults=(1,))):
@@ -219,23 +219,27 @@ def isometry_image(poly: SkewPoly, tau: Automorphism, alpha: Element, k: int,
     return out
 
 
-def _image_table(h: SkewPoly, witness: IsometryWitness):
-    """images[j] = G(t^j) = N_j^(sigma^k)(alpha) * t^(k j) mod_r h for j < m, as index lists.
+def _image_table(B: PetitAlgebra, witness: IsometryWitness):
+    """images[j] = G(t^j) = N_j^(sigma^k)(alpha) * (t^(k j) mod_r h) for j < m, as index lists.
 
-    One in-place right reduction by h per entry; each list has length m.
+    B is S_h; the remainders come from its power table (PetitAlgebra._reductions),
+    extended to k(m-1) as needed.  Scaling the remainder by the norm is exact
+    because right remainders are left S-linear (see verify_witness_multiplicative).
+    Each list has length m.
     """
-    tw = h.twist
-    ring = tw.ring
+    ring = B.ring
     mul = ring._mul
-    sigma_k = ring.frobenius_table(tw.sigma.frob_exp * witness.k % ring.r)
-    hv = h.vals
-    m = len(hv) - 1
+    sigma_k = ring.frobenius_table(B.twist.sigma.frob_exp * witness.k % ring.r)
+    m, k = B.m, witness.k
+    red = B._reductions(k * (m - 1))
     images = []
     norm, x = ring.one.val, witness.alpha.val  # N_j(alpha) and sigma^(k j)(alpha)
     for j in range(m):
-        rem = [0] * (witness.k * j) + [norm]
-        _right_reduce(rem, hv, tw)
-        images.append((rem + [0] * m)[:m])
+        row = mul[norm]
+        img = [0] * m
+        for l, c in red[k * j]:
+            img[l] = row[c]
+        images.append(img)
         norm, x = mul[norm][x], sigma_k[x]
     return images
 
@@ -277,16 +281,22 @@ def verify_witness_multiplicative(
     so G(t^i) = images[i] and G(b t^j) = tau(b) * images[j].  Everything runs
     on index lists, with the products of S_f and S_h from mul_indices.
 
+    The pairs run with i from m - 1 down to 0, so those whose product
+    t^i * b t^j reaches degree m and is reduced by f come first; a bad
+    witness usually fails there.  The order cannot change the verdict: the
+    result is True exactly when D vanishes on every pair of the same fixed
+    set, and the loop stops only at a pair where it does not.
+
     ``algebras`` passes (S_f, S_h) already built, to share them between
     witnesses of the same pair.
     """
     A, B = algebras or (PetitAlgebra(f), PetitAlgebra(h))
     ring = f.twist.ring
     tt = ring.frobenius_table(witness.tau.frob_exp)
-    images = _image_table(h, witness)
+    images = _image_table(B, witness)
     gens = A._generator_indices()
     one = ring.one.val
-    for i in range(A.m):
+    for i in range(A.m - 1, -1, -1):
         x = [0] * i + [one]  # G(x) = images[i]
         for y in gens:
             lhs = _apply_images(images, tt, A.mul_indices(x, y), ring)
@@ -306,11 +316,15 @@ def find_isometry(f: SkewPoly, h: SkewPoly, chen_only: bool = False, k: int | No
     _require_classifiable(f, h)
     ring = f.twist.ring
     taus = [identity_aut(ring)] if chen_only else all_automorphisms(ring)
-    return _search_isometry(f, h, taus, k)
+    return _search_isometry(f, h, taus, k)[0]
 
 
-def _search_isometry(f: SkewPoly, h: SkewPoly, taus, k: int | None = None):
-    """find_isometry over the given taus: by degree, then tau in the given order, then alpha."""
+def _search_isometry(f: SkewPoly, h: SkewPoly, taus, k: int | None = None, algebras=None):
+    """find_isometry over the given taus: by degree, then tau in the given order, then alpha.
+
+    Returns the witness (or None) and (S_f, S_h), built at the first
+    verification and passed in as ``algebras`` by a later search of the same pair.
+    """
     ring = f.twist.ring
     m = int(f.degree)
     degrees = valid_isometry_degrees(m, f.twist.sigma.order)
@@ -324,7 +338,6 @@ def _search_isometry(f: SkewPoly, h: SkewPoly, taus, k: int | None = None):
         constacyclic = True
     except NotConstacyclic:
         constacyclic = False
-    algebras = None
     for deg in degrees:
         for tau in taus:
             for alpha in ring.units:
@@ -333,8 +346,8 @@ def _search_isometry(f: SkewPoly, h: SkewPoly, taus, k: int | None = None):
                     continue
                 algebras = algebras or (PetitAlgebra(f), PetitAlgebra(h))
                 if verify_witness_multiplicative(f, h, w, algebras=algebras):
-                    return w
-    return None
+                    return w, algebras
+    return None, algebras
 
 
 def classify_pair(f: SkewPoly, h: SkewPoly) -> ClassificationResult:
@@ -344,12 +357,13 @@ def classify_pair(f: SkewPoly, h: SkewPoly) -> ClassificationResult:
     if w is not None:
         relation = Relation.CHEN_EQUIVALENT if w.tau.is_identity else Relation.EQUIVALENT
         return ClassificationResult(relation, w)
-    w = find_isometry(f, h, chen_only=True)
+    taus = all_automorphisms(f.twist.ring)
+    w, algebras = _search_isometry(f, h, taus[:1])
     if w is not None:
         return ClassificationResult(Relation.CHEN_ISOMETRIC, w)
     # tau = id failed at every degree above; the full search scans tau = id
     # first at each degree, so skipping it finds the same first witness
-    w = _search_isometry(f, h, all_automorphisms(f.twist.ring)[1:])
+    w, _ = _search_isometry(f, h, taus[1:], algebras=algebras)
     if w is not None:
         return ClassificationResult(Relation.ISOMETRIC, w)
     return ClassificationResult(Relation.NOT_RELATED, None, fast_reject(f, h))

@@ -35,7 +35,13 @@ class StructureReport(namedtuple(
 
 
 class PetitAlgebra:
-    """S_f for a monic f of degree m >= 2: residues of degree < m under *."""
+    """S_f for a monic f of degree m >= 2: residues of degree < m under *.
+
+    ``_red[n]`` holds the nonzero index terms (k, c) of t^n mod_r f.  It
+    starts with n <= 2(m-1), every power a product of S_f reaches, and
+    ``_reductions(n)`` extends it on demand, one step per power (the
+    witness check reads t^(kj) mod_r h for kj <= (m-1)^2 from S_h's table).
+    """
 
     def __init__(self, f: SkewPoly):
         if not f.is_monic:
@@ -46,12 +52,13 @@ class PetitAlgebra:
         self.twist = f.twist
         self.ring = f.twist.ring
         self.m = int(f.degree)
-        self._red = self._reductions()
+        self._red = [[(0, self.ring.one.val)]]  # t^0
+        self._reductions(2 * self.m - 2)
         # _tb[i][b] holds the index terms of t^i * b for i < m, shared with the twist
         self._tb = [self.twist.t_times(i) for i in range(self.m)]
 
-    def _reductions(self):
-        """The nonzero index terms (k, c) of t^j mod_r f, for 0 <= j <= 2(m-1).
+    def _reductions(self, n: int):
+        """The table _red, extended to hold t^j mod_r f for every j <= n.
 
         One reduction step per power: if t^(j-1) = q*f + r with deg r < m,
         then t^j = (t*q)*f + t*r, and (t*q)*f lies in the left ideal Rf, so
@@ -60,16 +67,16 @@ class PetitAlgebra:
         coefficient of t^m, also in Rf) leaves degree < m.  Remainders mod_r
         a monic f are unique: a nonzero q*f has degree deg q + m.
         """
-        fv = self.f.vals
-        one = self.ring.one.val
-        rem = [one]  # t^0
-        out = [[(0, one)]]
-        for _ in range(2 * self.m - 2):
-            rem = _mul_indices([0, one], rem, self.twist)
-            _right_reduce(rem, fv, self.twist)
-            rem = rem[:self.m]
-            out.append([(k, c) for k, c in enumerate(rem) if c])
-        return out
+        red, m = self._red, self.m
+        t = [0, self.ring.one.val]
+        while len(red) <= n:
+            rem = [0] * m
+            for k, c in red[-1]:
+                rem[k] = c
+            rem = _mul_indices(t, rem, self.twist)
+            _right_reduce(rem, self.f.vals, self.twist)
+            red.append([(k, c) for k, c in enumerate(rem[:m]) if c])
+        return red
 
     def basis(self):
         return [SkewPoly.t_power(i, self.twist) for i in range(self.m)]
@@ -117,14 +124,6 @@ class PetitAlgebra:
 
     def monomial(self, a, i):
         return SkewPoly.monomial(a, i, self.twist)
-
-
-def petit_mul(A: PetitAlgebra, g: SkewPoly, h: SkewPoly) -> SkewPoly:
-    """The algebra product: remainder of g*h after right division by f."""
-    g._check(h)
-    if g.degree >= A.m or h.degree >= A.m:
-        raise DegreeTooHigh("factors must have degree < deg(f)")
-    return A.mul(g, h)
 
 
 def f_is_two_sided(A: PetitAlgebra) -> bool:

@@ -347,11 +347,6 @@ def left_divide(g: SkewPoly, f: SkewPoly):
     return SkewPoly.from_indices(q, tw), SkewPoly.from_indices(rem[:df], tw)
 
 
-def is_right_divisor(f: SkewPoly, g: SkewPoly) -> bool:
-    _, rem = right_divide(f, g)
-    return rem.is_zero
-
-
 def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_ENUM_CAP):
     """All monic right divisors of f of the given degree, brute force, sorted.
 

@@ -267,6 +267,24 @@ def test_classify_pair_verifies_no_witness_twice(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def test_classify_pair_builds_each_algebra_once(monkeypatch):
+    """NotRelated over GF(4), m = 4: the Chen and the full isometry search share S_f and S_h."""
+    import skewcodes.classify as classify
+
+    built = []
+    init = classify.PetitAlgebra.__init__
+
+    def counting(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(classify.PetitAlgebra, "__init__", counting)
+    f = SkewPoly([GF4.from_json(c) for c in ([1, 1], [1, 0], [1, 0], [1, 0])] + [GF4.one], TW)
+    h = SkewPoly([GF4.from_json(c) for c in ([1, 0], [1, 0], [1, 1], [1, 0])] + [GF4.one], TW)
+    assert classify_pair(f, h).relation == Relation.NOT_RELATED
+    assert sorted(built, key=SkewPoly.sort_key) == sorted([f, h], key=SkewPoly.sort_key)
+
+
 @pytest.mark.parametrize("f, h, relation", [
     (consta(TW, 2, OMEGA), consta(TW, 2, OMEGA2), Relation.EQUIVALENT),
     (consta(TW, 3, GF4.one), consta(TW, 3, OMEGA), Relation.CHEN_EQUIVALENT),

@@ -174,7 +174,7 @@ def _check_image_identity(polys, degrees):
         ring, tw = h.twist.ring, h.twist
         elems = list(PetitAlgebra(h).elements())
         for w in _witnesses(h, degrees):
-            images = _image_table(h, w)
+            images = _image_table(PetitAlgebra(h), w)
             tt = ring.frobenius_table(w.tau.frob_exp)
             for x in elems:
                 got = _apply_images(images, tt, [c.val for c in x.coeffs], ring)

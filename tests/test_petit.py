@@ -6,14 +6,13 @@ import random
 import pytest
 
 from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
-from skewcodes.errors import DegreeTooHigh, NonMonic, NotARightDivisor
+from skewcodes.errors import NonMonic, NotARightDivisor
 from skewcodes.petit import (
     PetitAlgebra,
     _image_order,
     f_is_two_sided,
     is_associative,
     left_ideal_span,
-    petit_mul,
     probe_structure,
 )
 from skewcodes.skewpoly import SkewPoly, TwistContext, enumerate_monic_right_divisors, right_divide, skew_mul
@@ -75,40 +74,35 @@ def test_mul_agrees_with_reduction_inner_delta_monomials(p, r, e):
             assert A.mul(x, y) == right_divide(skew_mul(x, y), f)[1]
 
 
-def _monic_cubics(tw):
-    ring = tw.ring
-    return [SkewPoly(list(tail) + [ring.one], tw)
-            for tail in itertools.product(ring.elements, repeat=3)]
-
-
 def _twist(ring, e=0):
     return TwistContext(ring, Automorphism(ring, e))
 
 
-REDUCTION_TWISTS = [
-    ("GF(4) Frobenius", TW),
-    ("GF(4) inner delta", TwistContext(GF4, FROB, delta_beta=OMEGA)),
-    ("Z_4", _twist(make_residue_ring(4))),
-    ("Z_6", _twist(make_residue_ring(6))),
+REDUCTION_CASES = [
+    ("GF(4) Frobenius", TW, 4),
+    ("GF(4) inner delta", TwistContext(GF4, FROB, delta_beta=OMEGA), 4),
+    ("GF(2)", _twist(make_field(2, 1)), 5),
+    ("Z_4", _twist(make_residue_ring(4)), 4),
+    ("Z_6", _twist(make_residue_ring(6)), 4),
 ]
 
 
-@pytest.mark.parametrize("label,tw", REDUCTION_TWISTS, ids=[c[0] for c in REDUCTION_TWISTS])
-def test_reductions_match_right_divide(label, tw):
-    """The one-step _red[j] is the remainder of right_divide(t^j, f), j <= 2m - 2,
-    for every monic cubic f."""
-    for f in _monic_cubics(tw):
+@pytest.mark.parametrize("label,tw,m", REDUCTION_CASES, ids=[c[0] for c in REDUCTION_CASES])
+def test_reductions_match_right_divide(label, tw, m):
+    """_red[n] is the remainder of right_divide(t^n, f) for n <= (m-1)^2, every monic f of degree m.
+
+    The table holds n <= 2m - 2 once S_f is built; _reductions extends it in place.
+    """
+    ring = tw.ring
+    for tail in itertools.product(ring.elements, repeat=m):
+        f = SkewPoly(list(tail) + [ring.one], tw)
         A = PetitAlgebra(f)
-        assert len(A._red) == 2 * A.m - 1
-        for j, terms in enumerate(A._red):
-            rem = right_divide(SkewPoly.t_power(j, tw), f)[1]
-            assert terms == [(k, c.val) for k, c in enumerate(rem.coeffs) if not c.is_zero()], (f, j)
-
-
-def test_petit_mul_degree_guard():
-    t2 = SkewPoly.t_power(2, TW)
-    with pytest.raises(DegreeTooHigh):
-        petit_mul(T2_OMEGA, t2, SkewPoly.one(TW))
+        assert len(A._red) == 2 * m - 1
+        red = A._reductions((m - 1) ** 2)
+        assert red is A._red and len(red) == (m - 1) ** 2 + 1
+        for n, terms in enumerate(red):
+            rem = right_divide(SkewPoly.t_power(n, tw), f)[1]
+            assert terms == [(k, c.val) for k, c in enumerate(rem.coeffs) if not c.is_zero()], (f, n)
 
 
 def test_requires_monic_degree_two():
