@@ -19,7 +19,6 @@ from .coeffring import (
 from .skewpoly import (
     SkewPoly,
     TwistContext,
-    companion_matrix,
     enumerate_monic_right_divisors,
     left_divide,
     psi,
@@ -32,7 +31,6 @@ from .codes import (
     apply_isometry_to_code,
     build_code,
     min_hamming_distance,
-    parity_check,
     shift_closure_check,
 )
 from .classify import (
@@ -47,8 +45,6 @@ from .classify import (
     equivalence_class_of,
     fast_reject,
     find_equivalence,
-    polycyclic_constacyclic_bridge,
-    special_class_tests,
 )
 
 from .catalogue import partition_classes, poly_to_json, run_catalogue

@@ -31,7 +31,7 @@ from .errors import (
     NotConstacyclic,
 )
 from .petit import PetitAlgebra
-from .skewpoly import SkewPoly, right_divide
+from .skewpoly import SkewPoly
 
 
 class IsometryWitness(namedtuple("IsometryWitness", "tau alpha k", defaults=(1,))):
@@ -202,9 +202,8 @@ def check_isometry_k(
     return partial_norm(sigma_k, alpha, m) * b ** k == tau(a)
 
 
-def isometry_image(poly: SkewPoly, tau: Automorphism, alpha: Element, k: int,
-                   reduce_by: SkewPoly | None = None) -> SkewPoly:
-    """G(sum d_i t^i) = sum tau(d_i) N_i^(sigma^k)(alpha) t^(k i), optionally reduced."""
+def isometry_image(poly: SkewPoly, tau: Automorphism, alpha: Element, k: int) -> SkewPoly:
+    """G(sum d_i t^i) = sum tau(d_i) N_i^(sigma^k)(alpha) t^(k i), not reduced."""
     tw = poly.twist
     ring = tw.ring
     sigma_k = ring.frobenius_table(tw.sigma.frob_exp * k % ring.r)
@@ -213,10 +212,7 @@ def isometry_image(poly: SkewPoly, tau: Automorphism, alpha: Element, k: int,
     for i, d in enumerate(poly.coeffs):
         coeffs[k * i] = tau(d) * norm
         norm, x = norm * x, ring.elements[sigma_k[x.val]]
-    out = SkewPoly(coeffs, tw)
-    if reduce_by is not None:
-        out = right_divide(out, reduce_by)[1]
-    return out
+    return SkewPoly(coeffs, tw)
 
 
 def _image_table(B: PetitAlgebra, witness: IsometryWitness):
@@ -369,25 +365,6 @@ def classify_pair(f: SkewPoly, h: SkewPoly) -> ClassificationResult:
     return ClassificationResult(Relation.NOT_RELATED, None, fast_reject(f, h))
 
 
-_IMPLICATIONS = {
-    Relation.CHEN_EQUIVALENT: {
-        Relation.CHEN_EQUIVALENT,
-        Relation.EQUIVALENT,
-        Relation.CHEN_ISOMETRIC,
-        Relation.ISOMETRIC,
-    },
-    Relation.EQUIVALENT: {Relation.EQUIVALENT, Relation.ISOMETRIC},
-    Relation.CHEN_ISOMETRIC: {Relation.CHEN_ISOMETRIC, Relation.ISOMETRIC},
-    Relation.ISOMETRIC: {Relation.ISOMETRIC},
-    Relation.NOT_RELATED: set(),
-}
-
-
-def implied_relations(relation: Relation):
-    """The relations entailed by a classification outcome."""
-    return set(_IMPLICATIONS[relation])
-
-
 def equivalence_class_of(h: SkewPoly, chen_only: bool = False):
     """All h_(tau, alpha), deduplicated and canonically ordered."""
     tw = h.twist
@@ -422,7 +399,12 @@ def _class_orbit(tw, hv, chen_only: bool):
 
 
 def count_constacyclic_classes(ctx: RingContext, sigma: Automorphism, m: int):
-    """(nonassociative, associative) Chen-isometry class counts by coset enumeration."""
+    """(nonassociative, associative) counts of Chen-equivalence classes of t^m - a, by cosets.
+
+    Chen-equivalence is tau = id and k = 1: t^m - a ~ t^m - b exactly when
+    a/b lies in the norm image N_m(S^x), so the classes are its cosets.  These
+    are not Chen-isometry classes, which k > 1 witnesses can merge further.
+    """
     if m < 1:
         raise InvalidConfig(f"class counts need degree m >= 1, got {m}")
     image = set(norm_image(sigma, m))
@@ -452,79 +434,3 @@ def count_constacyclic_classes_formula(p: int, r: int, s: int, m: int):
     assoc = w // bracket_n
     return w - assoc, assoc
 
-
-def polycyclic_constacyclic_bridge(
-    f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Element
-) -> bool:
-    """Equivalence of f, h agrees with per-coefficient constacyclic equivalence.
-
-    The class of f is equivalent to the class of h via (tau, alpha) exactly
-    when, for every i with a_i != 0, the (m-i)-length constacyclic classes of
-    t^(m-i) - a_i and t^(m-i) - b_i are equivalent via (tau, sigma^i(alpha)).
-    Both sides are evaluated and must agree.
-    """
-    _require_classifiable(f, h)
-    tw = f.twist
-    ring = tw.ring
-    sigma = tw.sigma
-    m = int(f.degree)
-    a = trailing_coeffs(f)
-    b = trailing_coeffs(h)
-    lhs = check_equivalence(f, h, tau, alpha)
-    rhs = all(a[i].is_zero() == b[i].is_zero() for i in range(m))
-    if rhs:
-        for i in range(m):
-            if a[i].is_zero():
-                continue
-            fi = SkewPoly([-a[i]] + [ring.zero] * (m - i - 1) + [ring.one], tw)
-            hi = SkewPoly([-b[i]] + [ring.zero] * (m - i - 1) + [ring.one], tw)
-            if not check_equivalence(fi, hi, tau, sigma.power(i)(alpha)):
-                rhs = False
-                break
-    if lhs != rhs:
-        raise AssertionError("bridge sides disagree; internal inconsistency")
-    return lhs
-
-
-class SpecialClassReport(namedtuple(
-    "SpecialClassReport",
-    "equivalent_to_cyclic cyclic_witness equivalent_to_negacyclic negacyclic_witness",
-)):
-    __slots__ = ()
-
-    def to_json(self):
-        return {
-            "equivalent_to_cyclic": self.equivalent_to_cyclic,
-            "cyclic_witness": self.cyclic_witness.to_json()
-            if self.cyclic_witness
-            else None,
-            "equivalent_to_negacyclic": self.equivalent_to_negacyclic,
-            "negacyclic_witness": self.negacyclic_witness.to_json()
-            if self.negacyclic_witness
-            else None,
-        }
-
-
-def special_class_tests(
-    ctx: RingContext, sigma: Automorphism, m: int, a: Element
-) -> SpecialClassReport:
-    """Whether t^m - a is equivalent to the cyclic (b=1) or negacyclic (b=-1) class."""
-    if not a.is_unit():
-        raise NonUnit("constacyclic constant must be a unit")
-    ident = identity_aut(ctx)
-
-    def witness_for(target: Element):
-        for alpha in ctx.units:
-            if partial_norm(sigma, alpha, m) == target:
-                return IsometryWitness(ident, alpha, 1)
-        return None
-
-    # t^m - a ~ t^m - b via tau = id needs a = N_m(alpha) * b
-    cyc = witness_for(a)
-    neg = witness_for(-a)
-    return SpecialClassReport(
-        equivalent_to_cyclic=cyc is not None,
-        cyclic_witness=cyc,
-        equivalent_to_negacyclic=neg is not None,
-        negacyclic_witness=neg,
-    )

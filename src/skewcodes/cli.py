@@ -20,6 +20,7 @@ from .classify import (
     Relation,
     classify_pair,
     count_constacyclic_classes,
+    count_constacyclic_classes_formula,
     find_equivalence,
     find_isometry,
 )
@@ -111,9 +112,9 @@ def cmd_check_equiv(args) -> int:
     if args.k is not None and args.k != 1:
         w = find_isometry(f, h, chen_only=args.chen, k=args.k)
         found = Relation.CHEN_ISOMETRIC if args.chen else Relation.ISOMETRIC
-    elif args.chen:
-        w = find_equivalence(f, h, chen_only=True)
-        found = Relation.CHEN_EQUIVALENT
+    elif args.k == 1 or args.chen:
+        w = find_equivalence(f, h, chen_only=args.chen)
+        found = Relation.CHEN_EQUIVALENT if w and w.tau.is_identity else Relation.EQUIVALENT
     else:
         _emit(classify_pair(f, h).to_json(), args)
         return EXIT_OK
@@ -129,8 +130,6 @@ def cmd_count_classes(args) -> int:
     doc = {"nonassoc": nonassoc, "assoc": assoc,
            "formula_nonassoc": None, "formula_assoc": None}
     if ctx.kind == "field":
-        from .classify import count_constacyclic_classes_formula
-
         s = args.sigma % ctx.r or ctx.r  # frob exp 0 is sigma = x^(p^r)
         try:
             fn, fa = count_constacyclic_classes_formula(ctx.p, ctx.r, s, args.m)
@@ -201,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="monomial degree to test")
     p.set_defaults(func=cmd_check_equiv)
 
-    p = sub.add_parser("count-classes", help="count constacyclic Chen isometry classes")
+    p = sub.add_parser("count-classes", help="count constacyclic Chen-equivalence classes")
     common(p, needs_m=True)
     p.set_defaults(func=cmd_count_classes)
 

@@ -6,17 +6,10 @@ g, t*g, ..., t^(m-deg g-1)*g inside the quotient algebra of f.
 
 from __future__ import annotations
 
+from .classify import check_equivalence, isometry_image
 from .errors import EnumerationCapExceeded, WitnessInvalid
 from .petit import PetitAlgebra, _left_ideal_span, left_ideal_span
-from .skewpoly import (
-    DEFAULT_ENUM_CAP,
-    SkewPoly,
-    all_monic_right_divisors,
-    left_divide,
-    monic_scale,
-    right_divide,
-    skew_mul,
-)
+from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, all_monic_right_divisors, monic_scale
 
 
 class LinearCode:
@@ -28,11 +21,6 @@ class LinearCode:
         self.length = algebra.m
         self.gen_matrix = tuple(tuple(row) for row in rows)
         self.dimension = len(self.gen_matrix)
-
-    @classmethod
-    def from_rows(cls, algebra: PetitAlgebra, rows) -> "LinearCode":
-        """A raw left-S-span of row vectors; not necessarily shift closed."""
-        return cls(algebra, None, rows)
 
     def codewords(self, cap: int = DEFAULT_ENUM_CAP):
         """All codewords as coefficient tuples (deduplicated, enumeration capped)."""
@@ -147,7 +135,7 @@ def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
 
     At most q^dim - 1 messages are ever enumerated, so cap is never exceeded
     where q^dim <= cap.  Going over it raises EnumerationCapExceeded.  Rows
-    without distinct unit pivots (a from_rows span can have them) and the
+    without distinct unit pivots (a span of raw rows can have them) and the
     zero code raise ValueError.
     """
     if not C.gen_matrix:
@@ -197,33 +185,8 @@ def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     return best
 
 
-def parity_check(C: LinearCode) -> SkewPoly | None:
-    """The cofactor h with f = g*h = h'*g, when both factorizations exist.
-
-    Codewords are then exactly the residues annihilating h on the right.
-    """
-    if C.g is None:
-        return None
-    f = C.algebra.f
-    g = C.g
-    h, rem_l = left_divide(f, g)
-    if not rem_l.is_zero:
-        return None
-    _, rem_r = right_divide(f, g)
-    if not rem_r.is_zero:
-        return None
-    return h
-
-
-def annihilates(C: LinearCode, c: SkewPoly, h: SkewPoly) -> bool:
-    """Whether c*h reduces to zero mod_r f."""
-    return right_divide(skew_mul(c, h), C.algebra.f)[1].is_zero
-
-
 def apply_isometry_to_code(C: LinearCode, witness, target_f: SkewPoly) -> LinearCode:
     """Transport C along an equivalence witness into the class of target_f."""
-    from .classify import check_equivalence, isometry_image
-
     if witness.k != 1:
         raise WitnessInvalid("code transport requires a degree-1 witness")
     if not check_equivalence(C.algebra.f, target_f, witness.tau, witness.alpha):

@@ -185,7 +185,6 @@ class RingContext:
         self.units = [e for e in self.elements if self._inv[e.val] is not None]
         self._frobenius = {0: identity}
         self._automorphisms = None
-        self.xi = None
 
     def from_json(self, obj) -> Element:
         if self.kind == "field":
@@ -246,16 +245,6 @@ class RingContext:
             raise NonUnit(f"{a!r} is not invertible")
         return self.elements[inv]
 
-    def mult_order(self, a: Element) -> int:
-        if not self.is_unit(a):
-            raise NonUnit(f"{a!r} is not a unit")
-        k = 1
-        x = a
-        while x != self.one:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
 
 class Automorphism:
     """A ring automorphism: x -> x^(p^e) on GF(p^r), or the identity on Z_n (r = 1)."""
@@ -301,11 +290,6 @@ class Automorphism:
     def inverse(self) -> "Automorphism":
         return self.power(-1)
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        if other.ctx is not self.ctx:
-            raise ContextMismatch("automorphisms of different rings")
-        return Automorphism(self.ctx, self.frob_exp + other.frob_exp)
-
 
 def identity_aut(ctx: RingContext) -> Automorphism:
     return all_automorphisms(ctx)[0]
@@ -331,7 +315,7 @@ def default_modulus(p: int, r: int):
 
 
 def make_field(p: int, r: int, modulus=None) -> RingContext:
-    """Construct GF(p^r) with a verified irreducible modulus and a primitive element."""
+    """Construct GF(p^r) with a verified irreducible modulus."""
     if not _is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if r < 1:
@@ -355,13 +339,7 @@ def make_field(p: int, r: int, modulus=None) -> RingContext:
 
     add = [[index[tuple((x + y) % p for x, y in zip(u, v))] for v in digits] for u in digits]
     mul = [[index[product(u, v)] for v in digits] for u in digits]
-    ctx = RingContext("field", add, mul, p=p, r=r, modulus=modulus)
-    order = p ** r - 1
-    for e in ctx.units:
-        if order == 1 or ctx.mult_order(e) == order:
-            ctx.xi = e
-            break
-    return ctx
+    return RingContext("field", add, mul, p=p, r=r, modulus=modulus)
 
 
 def make_residue_ring(n: int) -> RingContext:

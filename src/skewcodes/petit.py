@@ -122,9 +122,6 @@ class PetitAlgebra:
                         acc[k] = add[acc[k]][coef[rk]]
         return acc
 
-    def monomial(self, a, i):
-        return SkewPoly.monomial(a, i, self.twist)
-
 
 def f_is_two_sided(A: PetitAlgebra) -> bool:
     """Whether Rf is a two-sided ideal: f*t and f*a reduce to 0 mod_r f."""

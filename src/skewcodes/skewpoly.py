@@ -19,7 +19,6 @@ from .errors import (
     DeltaNotZero,
     EnumerationCapExceeded,
     NonInvertibleLeadingCoefficient,
-    NonMonic,
 )
 
 NEG_INF = float("-inf")
@@ -157,10 +156,6 @@ class SkewPoly:
         poly.vals = tuple(vals[:n])
         poly.twist = twist
         return poly
-
-    @classmethod
-    def zero(cls, twist: TwistContext) -> "SkewPoly":
-        return cls([], twist)
 
     @classmethod
     def one(cls, twist: TwistContext) -> "SkewPoly":
@@ -432,23 +427,6 @@ def monic_scale(g: SkewPoly) -> SkewPoly:
     if inv is None:
         raise NonInvertibleLeadingCoefficient("leading coefficient is not a unit")
     return g.scale_left(ring.elements[inv])
-
-
-def companion_matrix(f: SkewPoly):
-    """Companion matrix of monic f: superdiagonal 1s, last row a_0..a_(m-1)."""
-    if not f.is_monic:
-        raise NonMonic("companion matrix needs a monic polynomial")
-    tw = f.twist
-    ring = tw.ring
-    m = len(f.vals) - 1
-    rows = []
-    for i in range(m - 1):
-        row = [ring.zero] * m
-        row[i + 1] = ring.one
-        rows.append(tuple(row))
-    # f = t^m - sum a_i t^i, so a_i = -coeff_i(f)
-    rows.append(tuple(-f.coeff(i) for i in range(m)))
-    return tuple(rows)
 
 
 def psi(g: SkewPoly) -> SkewPoly:

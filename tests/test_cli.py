@@ -145,6 +145,18 @@ def test_check_equiv_invalid_k(capsys):
     assert code == 1
 
 
+def test_check_equiv_k1_searches_degree_one_only(capsys):
+    """--k 1 asks for an equivalence; t^3 - 2 and t^3 - 3 over GF(7) are related only by k = 2."""
+    code, out = run(capsys, "check-equiv", "--field", "7,1", "--f", "5,0,0", "--h", "4,0,0",
+                    "--k", "1")
+    assert code == 0
+    assert json.loads(out)["relation"] == "NotRelated"
+    code, out = run(capsys, "check-equiv", "--field", "2,2", "--sigma", "1",
+                    "--f", "0.1,0", "--h", "1.1,0", "--k", "1")  # t^2-w vs t^2-w^2
+    doc = json.loads(out)
+    assert (doc["relation"], doc["witness"]["k"]) == ("Equivalent", 1)
+
+
 def test_count_classes(capsys):
     code, out = run(capsys, "count-classes", "--field", "2,2", "--sigma", "1",
                     "--m", "2")

@@ -1,4 +1,4 @@
-"""Code construction: generator matrices, shift closure, distance, parity check."""
+"""Code construction: generator matrices, shift closure, distance, code transport."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +8,10 @@ from skewcodes.catalogue import partition_classes
 from skewcodes.classify import IsometryWitness, find_equivalence
 from skewcodes.codes import (
     LinearCode,
-    annihilates,
     apply_isometry_to_code,
     build_code,
     code_class_codes,
     min_hamming_distance,
-    parity_check,
     shift_closure_check,
 )
 from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
@@ -64,25 +62,8 @@ def test_every_built_code_is_shift_closed():
 def test_raw_span_not_shift_closed():
     """A span that is not an ideal fails the closure check."""
     rows = [(GF4.one, GF4.zero, GF4.zero)]
-    C = LinearCode.from_rows(A3, rows)
+    C = LinearCode(A3, None, rows)
     assert not shift_closure_check(C)
-
-
-def test_parity_check_cofactor():
-    g = SkewPoly.from_ints([1, 1], TW)
-    C = build_code(A3, g)
-    h = parity_check(C)
-    assert h == SkewPoly.from_ints([1, 1, 1], TW)
-
-
-def test_parity_check_annihilator_set():
-    """Codewords are exactly the residues with c * h = 0 mod_r f."""
-    g = SkewPoly.from_ints([1, 1], TW)
-    C = build_code(A3, g)
-    h = parity_check(C)
-    words = C.codewords()
-    for c in A3.elements():
-        assert (c.coeff_vector(3) in words) == annihilates(C, c, h)
 
 
 def test_min_distance_of_full_algebra():
@@ -113,14 +94,14 @@ def test_codewords_cap_holds_on_every_call():
 def test_raw_span_without_distinct_unit_pivots():
     """Rows sharing a pivot column, or ending in a non-unit, have no systematic form."""
     one, zero = GF4.one, GF4.zero
-    C = LinearCode.from_rows(A3, [(one, zero, one), (zero, one, one)])
+    C = LinearCode(A3, None, [(one, zero, one), (zero, one, one)])
     with pytest.raises(ValueError):
         min_hamming_distance(C)
     Z4 = make_residue_ring(4)
     A = PetitAlgebra(SkewPoly.from_ints([1, 0, 0, 1], _twist(Z4)))
     two = Z4.from_int(2)
     with pytest.raises(ValueError):
-        min_hamming_distance(LinearCode.from_rows(A, [(Z4.one, two, Z4.zero)]))
+        min_hamming_distance(LinearCode(A, None, [(Z4.one, two, Z4.zero)]))
 
 
 def brute_force_distance(C):
@@ -193,14 +174,14 @@ def test_min_distance_word_inside_the_information_set():
     K = make_field(2, 1)
     one, zero = K.one, K.zero
     A = PetitAlgebra(SkewPoly([one, zero, zero, zero, one], _twist(K)))
-    C = LinearCode.from_rows(A, [(one, one, one, zero), (one, one, zero, one)])
+    C = LinearCode(A, None, [(one, one, one, zero), (one, one, zero, one)])
     assert min_hamming_distance(C) == 2 == brute_force_distance(C)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_min_distance_matches_codewords_on_pivoted_rows(data):
-    """Random rows ending in units at distinct columns, in any order: a from_rows span
+    """Random rows ending in units at distinct columns, in any order: a span of raw rows
     that need not be shift closed, against every codeword."""
     tw = data.draw(st.sampled_from(HYPOTHESIS_TWISTS))
     ring = tw.ring
@@ -213,7 +194,7 @@ def test_min_distance_matches_codewords_on_pivoted_rows(data):
         unit = data.draw(st.sampled_from(ring.units))
         rows.append(tuple(head + [unit] + [ring.zero] * (m - col - 1)))
     A = PetitAlgebra(SkewPoly([ring.one] + [ring.zero] * (m - 1) + [ring.one], tw))
-    C = LinearCode.from_rows(A, rows)
+    C = LinearCode(A, None, rows)
     assert min_hamming_distance(C) == brute_force_distance(C)
 
 

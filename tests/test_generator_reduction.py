@@ -25,7 +25,7 @@ from skewcodes.coeffring import (
     make_residue_ring,
 )
 from skewcodes.petit import PetitAlgebra, _nucleus_orders, is_associative
-from skewcodes.skewpoly import SkewPoly, TwistContext
+from skewcodes.skewpoly import SkewPoly, TwistContext, right_divide
 
 GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
@@ -104,7 +104,7 @@ def _compare_witnesses(pairs, degrees=None):
             key = (h.coeffs, w.tau.frob_exp, w.alpha.val, w.k)
             if key not in images:
                 images[key] = [
-                    index[isometry_image(x, w.tau, w.alpha, w.k, reduce_by=h).coeffs]
+                    index[right_divide(isometry_image(x, w.tau, w.alpha, w.k), h)[1].coeffs]
                     for x in elems
                 ]
             g = images[key]
@@ -168,7 +168,7 @@ def test_verification_rejects_a_bad_witness():
 
 
 def _check_image_identity(polys, degrees):
-    """sum_j tau(x_j) * images[j] against isometry_image(x, reduce_by=h) on every x."""
+    """sum_j tau(x_j) * images[j] against isometry_image(x) mod_r h on every x."""
     witnesses = 0
     for h in polys:
         ring, tw = h.twist.ring, h.twist
@@ -178,7 +178,7 @@ def _check_image_identity(polys, degrees):
             tt = ring.frobenius_table(w.tau.frob_exp)
             for x in elems:
                 got = _apply_images(images, tt, [c.val for c in x.coeffs], ring)
-                want = isometry_image(x, w.tau, w.alpha, w.k, reduce_by=h)
+                want = right_divide(isometry_image(x, w.tau, w.alpha, w.k), h)[1]
                 assert SkewPoly.from_indices(got, tw) == want, (h, w, x)
             witnesses += 1
     return witnesses
@@ -201,7 +201,7 @@ def test_image_table_z4_m3():
 def _verdict_on_elements(f, h, w, A, B):
     """The generator-pair loop on Elements and SkewPolys, each image by isometry_image."""
     def G(x):
-        return isometry_image(x, w.tau, w.alpha, w.k, reduce_by=h)
+        return right_divide(isometry_image(x, w.tau, w.alpha, w.k), h)[1]
 
     return all(G(A.mul(x, y)) == B.mul(G(x), G(y))
                for x, y in itertools.product(A.basis(), A.additive_generators()))
