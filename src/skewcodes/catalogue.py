@@ -13,13 +13,29 @@ from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext
 SCHEMA_VERSION = 1
 
 
+def _poly_encoder(twist: TwistContext):
+    """The JSON form of a polynomial under twist, as a function of its index tuple.
+
+    Each element's JSON form is computed once.  A field element's is a digit
+    list, so every coefficient gets its own copy: no two records share a list.
+    """
+    ring = twist.ring
+    forms = [e.to_json() for e in ring.elements]
+    fresh = list if ring.kind == "field" else int
+    sigma_exp, beta = twist.sigma.frob_exp, twist.delta_beta
+
+    def encode(vals):
+        return {
+            "coeffs": [fresh(forms[v]) for v in vals],
+            "sigma_exp": sigma_exp,
+            "delta": None if beta is None else {"inner": fresh(forms[beta.val])},
+        }
+
+    return encode
+
+
 def poly_to_json(poly: SkewPoly) -> dict:
-    tw = poly.twist
-    return {
-        "coeffs": [c.to_json() for c in poly.coeffs],
-        "sigma_exp": tw.sigma.frob_exp,
-        "delta": None if tw.delta_beta is None else {"inner": tw.delta_beta.to_json()},
-    }
+    return _poly_encoder(poly.twist)(poly.vals)
 
 
 def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
@@ -72,10 +88,10 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
     ]
 
 
-def _codes_for(f: SkewPoly, cap: int):
+def _codes_for(f: SkewPoly, cap: int, encode):
     return [
         {
-            "g": poly_to_json(C.g),
+            "g": encode(C.g.vals),
             "length": C.length,
             "dim": C.dimension,
             "min_dist": min_hamming_distance(C, cap=cap),
@@ -93,19 +109,17 @@ def run_catalogue(
     """One record per full-equivalence class, in canonical order."""
     if m < 2:
         raise InvalidConfig("catalogue needs degree m > 1")
-    classes = partition_classes(twist, m, constacyclic, cap)
+    encode = _poly_encoder(twist)
     records = []
-    for cls in classes:
+    for cls in partition_classes(twist, m, constacyclic, cap):
         rep = cls["members"][0]
         records.append(
             {
                 "schema_version": SCHEMA_VERSION,
-                "representative": poly_to_json(rep),
-                "full_class": [poly_to_json(g) for g in cls["members"]],
-                "chen_classes": [
-                    [poly_to_json(g) for g in sub] for sub in cls["chen"]
-                ],
-                "codes": _codes_for(rep, cap),
+                "representative": encode(rep.vals),
+                "full_class": [encode(g.vals) for g in cls["members"]],
+                "chen_classes": [[encode(g.vals) for g in sub] for sub in cls["chen"]],
+                "codes": _codes_for(rep, cap, encode),
             }
         )
     return records

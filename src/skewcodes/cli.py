@@ -98,7 +98,7 @@ def cmd_mindist(args) -> int:
         "length": C.length,
         "dim": C.dimension,
         "min_dist": min_hamming_distance(C, cap=args.cap),
-        "gen_matrix": [[c.to_json() for c in row] for row in C.gen_matrix],
+        "gen_matrix": [[ctx.elements[v].to_json() for v in row] for row in C.rows],
     }
     _emit(doc, args)
     return EXIT_OK
@@ -109,16 +109,17 @@ def cmd_check_equiv(args) -> int:
     tw = _twist(args, ctx)
     f = _parse_poly(ctx, tw, args.f)
     h = _parse_poly(ctx, tw, args.h)
-    if args.k is not None and args.k != 1:
-        w = find_isometry(f, h, chen_only=args.chen, k=args.k)
-        found = Relation.CHEN_ISOMETRIC if args.chen else Relation.ISOMETRIC
-    elif args.k == 1 or args.chen:
-        w = find_equivalence(f, h, chen_only=args.chen)
-        found = Relation.CHEN_EQUIVALENT if w and w.tau.is_identity else Relation.EQUIVALENT
-    else:
+    if args.k is None and not args.chen:
         _emit(classify_pair(f, h).to_json(), args)
         return EXIT_OK
-    result = ClassificationResult(found if w else Relation.NOT_RELATED, w)
+    if args.k is not None and args.k != 1:
+        w = find_isometry(f, h, chen_only=args.chen, k=args.k)
+        chen, full = Relation.CHEN_ISOMETRIC, Relation.ISOMETRIC
+    else:
+        w = find_equivalence(f, h, chen_only=args.chen)
+        chen, full = Relation.CHEN_EQUIVALENT, Relation.EQUIVALENT
+    found = Relation.NOT_RELATED if w is None else chen if w.tau.is_identity else full
+    result = ClassificationResult(found, w)
     _emit(result.to_json(), args)
     return EXIT_OK
 

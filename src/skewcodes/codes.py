@@ -8,76 +8,90 @@ from __future__ import annotations
 
 from .classify import check_equivalence, isometry_image
 from .errors import EnumerationCapExceeded, WitnessInvalid
-from .petit import PetitAlgebra, _left_ideal_span, left_ideal_span
+from .petit import PetitAlgebra, _check_generator, _left_ideal_span
 from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, all_monic_right_divisors, monic_scale
 
 
 class LinearCode:
-    """A skew polycyclic code with its generator matrix."""
+    """A skew polycyclic code with its generator matrix.
+
+    ``rows`` holds the generator rows as tuples of element indices, the form
+    every algorithm reads; ``gen_matrix`` is the Element view.
+    """
 
     def __init__(self, algebra: PetitAlgebra, g: SkewPoly | None, rows):
         self.algebra = algebra
         self.g = g
         self.length = algebra.m
-        self.gen_matrix = tuple(tuple(row) for row in rows)
-        self.dimension = len(self.gen_matrix)
+        self.rows = tuple(tuple([c.val for c in row]) for row in rows)
+
+    @classmethod
+    def from_indices(cls, algebra: PetitAlgebra, g: SkewPoly | None, rows) -> "LinearCode":
+        """The code with the given index-tuple rows."""
+        code = cls(algebra, g, ())
+        code.rows = tuple(rows)
+        return code
+
+    @property
+    def dimension(self) -> int:
+        return len(self.rows)
+
+    @property
+    def gen_matrix(self):
+        """The rows as tuples of Elements."""
+        elements = self.algebra.ring.elements
+        return tuple(tuple([elements[v] for v in row]) for row in self.rows)
 
     def codewords(self, cap: int = DEFAULT_ENUM_CAP):
         """All codewords as coefficient tuples (deduplicated, enumeration capped)."""
+        elements = self.algebra.ring.elements
+        return frozenset(tuple([elements[v] for v in w]) for w in self._words(cap))
+
+    def _words(self, cap: int):
+        """codewords as index tuples, spanning one row at a time: {w + s*row} for every scalar s."""
         ring = self.algebra.ring
         if ring.size ** self.dimension > cap:
             raise EnumerationCapExceeded(
                 f"{ring.size}^{self.dimension} codewords exceed cap {cap}"
             )
-        # span one row at a time: words becomes {w + s*row} for every scalar s
-        words = {(ring.zero,) * self.length}
-        for row in self.gen_matrix:
-            multiples = [tuple(s * c for c in row) for s in ring.elements]
+        add = ring._add
+        words = {(0,) * self.length}
+        for row in self.rows:
+            multiples = [[ms[c] for c in row] for ms in ring._mul]
             words = {
-                tuple(x + y for x, y in zip(w, sr)) for w in words for sr in multiples
+                tuple([add[x][y] for x, y in zip(w, sr)]) for w in words for sr in multiples
             }
-        return frozenset(words)
+        return words
 
 
 def build_code(A: PetitAlgebra, g: SkewPoly) -> LinearCode:
     """The code of the principal left ideal of g; rows per the shifted images of g."""
-    return _code_of_span(A, g, left_ideal_span(A, g))
-
-
-def _code_of_span(A: PetitAlgebra, g: SkewPoly, span) -> LinearCode:
-    return LinearCode(A, g, [poly.coeff_vector(A.m) for poly in span])
+    _check_generator(A, g)
+    return LinearCode.from_indices(A, g, _left_ideal_span(A, g))
 
 
 def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
     """One code per monic right divisor of f of degree 0..m-1.
 
     The divisors come from all_monic_right_divisors, so their spans skip
-    left_ideal_span's divisor check.
+    build_code's divisor check.
     """
     return [
-        _code_of_span(A, g, _left_ideal_span(A, g))
+        LinearCode.from_indices(A, g, _left_ideal_span(A, g))
         for g in all_monic_right_divisors(A.f, cap=cap)
         if g.degree < A.m
     ]
 
 
 def shift_closure_check(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Whether the twisted shift defined by f maps every codeword back into C."""
-    A = C.algebra
-    tw = A.twist
-    sigma = tw.sigma
-    m = A.m
-    a = [-A.f.coeff(i) for i in range(m)]
-    words = C.codewords(cap)
-    for c in words:
-        top = sigma(c[m - 1])
-        shifted = [
-            (sigma(c[i - 1]) if i > 0 else A.ring.zero) + top * a[i] + tw.delta(c[i])
-            for i in range(m)
-        ]
-        if tuple(shifted) not in words:
-            return False
-    return True
+    """Whether the twisted shift defined by f maps every codeword back into C.
+
+    The shift of c is t*c mod_r f (PetitAlgebra._t_step): sigma(c_(i-1)) +
+    sigma(c_(m-1))*a_i + delta(c_i) at column i, with f = t^m - sum a_i t^i.
+    """
+    step = C.algebra._t_step
+    words = C._words(cap)
+    return all(tuple(step(w)) in words for w in words)
 
 
 def _systematic_rows(C: LinearCode):
@@ -94,15 +108,17 @@ def _systematic_rows(C: LinearCode):
     field and over Z_n alike.
     """
     ring = C.algebra.ring
-    add, mul, neg = ring._add, ring._mul, ring._neg
+    add, mul, neg, inv = ring._add, ring._mul, ring._neg, ring._inv
     rows = []
-    for row in C.gen_matrix:
-        nonzero = [j for j, c in enumerate(row) if not c.is_zero()]
-        if not nonzero or not row[nonzero[-1]].is_unit():
+    for row in C.rows:
+        piv = len(row) - 1
+        while piv >= 0 and not row[piv]:
+            piv -= 1
+        if piv < 0 or inv[row[piv]] is None:
             raise ValueError("rows need unit pivots for a systematic form")
-        inv = row[nonzero[-1]].inverse().val
-        rows.append((nonzero[-1], [mul[inv][c.val] for c in row]))
-    rows.sort(key=lambda pr: pr[0])
+        scale = mul[inv[row[piv]]]
+        rows.append((piv, [scale[c] for c in row]))
+    rows.sort()
     pivots = [j for j, _ in rows]
     if len(set(pivots)) != len(pivots):
         raise ValueError("rows need distinct pivot columns for a systematic form")
@@ -111,7 +127,8 @@ def _systematic_rows(C: LinearCode):
         for row in rows[i + 1:]:
             s = neg[row[col]]
             if s:
-                row[:] = [add[x][mul[s][y]] for x, y in zip(row, rows[i])]
+                ms = mul[s]
+                row[:] = [add[x][ms[y]] for x, y in zip(row, rows[i])]
     return rows, pivots
 
 
@@ -138,7 +155,7 @@ def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     without distinct unit pivots (a span of raw rows can have them) and the
     zero code raise ValueError.
     """
-    if not C.gen_matrix:
+    if not C.rows:
         raise ValueError("the zero code has no minimum distance")
     rows, pivots = _systematic_rows(C)
     ring = C.algebra.ring
@@ -147,13 +164,14 @@ def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     free = [j for j in range(C.length) if j not in pivot_set]
     k = len(rows)
     nonzero = range(1, ring.size)
+    units = [u.val for u in ring.units]
     reps, seen = [], set()
     for x in nonzero:
         if x not in seen:
             reps.append(x)
-            seen.update(mul[u.val][x] for u in ring.units)
+            seen.update([mul[x][u] for u in units])
     # scaled[i][s]: s * row_i restricted to the non-pivot columns
-    scaled = [[[mul[s][row[j]] for j in free] for s in range(ring.size)] for row in rows]
+    scaled = [[[ms[row[j]] for j in free] for ms in mul] for row in rows]
     zero = [0] * len(free)
     best = C.length + 1
     enumerated = 0
@@ -172,7 +190,7 @@ def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
                         raise EnumerationCapExceeded(
                             f"minimum distance needs more than {cap} messages"
                         )
-                    weight = w + sum(1 for a in part if a)
+                    weight = w + len(part) - part.count(0)
                     if weight < best:
                         best = weight
                 if best <= w:

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .coeffring import additive_generators
 from .errors import DegreeTooHigh, NonMonic, NotARightDivisor
-from .skewpoly import SkewPoly, _mul_indices, _right_reduce, right_divide, skew_mul
+from .skewpoly import SkewPoly, right_divide, skew_mul
 
 
 class StructureReport(namedtuple(
@@ -52,30 +52,46 @@ class PetitAlgebra:
         self.twist = f.twist
         self.ring = f.twist.ring
         self.m = int(f.degree)
-        self._red = [[(0, self.ring.one.val)]]  # t^0
-        self._reductions(2 * self.m - 2)
         # _tb[i][b] holds the index terms of t^i * b for i < m, shared with the twist
         self._tb = [self.twist.t_times(i) for i in range(self.m)]
+        self._red = [[(0, self.ring.one.val)]]  # t^0
+        self._reductions(2 * self.m - 2)
+
+    def _t_step(self, r):
+        """t*r mod_r f, both as index lists of length m.
+
+        If g = q*f + r with deg r < m, then t*g = (t*q)*f + t*r, and (t*q)*f
+        lies in the left ideal Rf, so t*g and t*r have the same remainder.
+        t*r = sum_k (t*r_k) t^k, read from t_times(1) (sigma, and delta when
+        there is one), has degree at most m.  Subtracting c*f, c its
+        coefficient of t^m, stays in the class of t*r (c*f lies in Rf) and
+        leaves degree < m, as f is monic.  Remainders mod_r a monic f are
+        unique: a nonzero q*f has degree deg q + m.
+        """
+        ring, m = self.ring, self.m
+        add, t1 = ring._add, self._tb[1]
+        out = [0] * (m + 1)
+        for k, rk in enumerate(r):
+            for l, c in t1[rk]:
+                out[k + l] = add[out[k + l]][c]
+        c = out.pop()
+        if c:
+            row, fv = ring._mul[ring._neg[c]], self.f.vals
+            for j in range(m):
+                out[j] = add[out[j]][row[fv[j]]]
+        return out
 
     def _reductions(self, n: int):
         """The table _red, extended to hold t^j mod_r f for every j <= n.
 
-        One reduction step per power: if t^(j-1) = q*f + r with deg r < m,
-        then t^j = (t*q)*f + t*r, and (t*q)*f lies in the left ideal Rf, so
-        t^j and t*r have the same remainder.  t*r has degree at most m, so
-        one step of right division by the monic f (subtracting c*f, c the
-        coefficient of t^m, also in Rf) leaves degree < m.  Remainders mod_r
-        a monic f are unique: a nonzero q*f has degree deg q + m.
+        One _t_step per power: t^j mod_r f = t*(t^(j-1) mod_r f) mod_r f.
         """
         red, m = self._red, self.m
-        t = [0, self.ring.one.val]
         while len(red) <= n:
             rem = [0] * m
             for k, c in red[-1]:
                 rem[k] = c
-            rem = _mul_indices(t, rem, self.twist)
-            _right_reduce(rem, self.f.vals, self.twist)
-            red.append([(k, c) for k, c in enumerate(rem[:m]) if c])
+            red.append([(k, c) for k, c in enumerate(self._t_step(rem)) if c])
         return red
 
     def basis(self):
@@ -233,22 +249,30 @@ def probe_structure(A: PetitAlgebra) -> StructureReport:
     )
 
 
-def left_ideal_span(A: PetitAlgebra, g: SkewPoly):
-    """Basis [g, t*g, ..., t^(m-deg g-1)*g] of the principal left ideal of g."""
+def _check_generator(A: PetitAlgebra, g: SkewPoly):
+    """Raise unless g is a monic right divisor of f of degree < m."""
     if g.is_zero or g.degree >= A.m:
         raise DegreeTooHigh("generator must be nonzero of degree < deg(f)")
     if not g.is_monic:
         raise NonMonic("generator must be monic")
-    _, rem = right_divide(A.f, g)
-    if not rem.is_zero:
+    if not right_divide(A.f, g)[1].is_zero:
         raise NotARightDivisor("g does not divide f on the right")
-    return _left_ideal_span(A, g)
+
+
+def left_ideal_span(A: PetitAlgebra, g: SkewPoly):
+    """Basis [g, t*g, ..., t^(m-deg g-1)*g] of the principal left ideal of g."""
+    _check_generator(A, g)
+    return [SkewPoly.from_indices(row, A.twist) for row in _left_ideal_span(A, g)]
 
 
 def _left_ideal_span(A: PetitAlgebra, g: SkewPoly):
-    """left_ideal_span without its checks, for a g known to be a monic right divisor of f."""
-    t = SkewPoly.t_power(1, A.twist)
-    span = [g]
-    for _ in range(A.m - int(g.degree) - 1):
-        span.append(A.mul(t, span[-1]))
+    """left_ideal_span as index tuples of length m, for a g known to be a monic right divisor of f.
+
+    Each row is _t_step of the one before.
+    """
+    row = list(g.vals) + [0] * (A.m - len(g.vals))
+    span = [tuple(row)]
+    for _ in range(A.m - len(g.vals)):
+        row = A._t_step(row)
+        span.append(tuple(row))
     return span

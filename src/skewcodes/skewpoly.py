@@ -193,10 +193,6 @@ class SkewPoly:
     def coeff(self, i: int) -> Element:
         return self.twist.ring.elements[self.vals[i] if 0 <= i < len(self.vals) else 0]
 
-    def coeff_vector(self, length: int):
-        """Coefficients padded with zeros to the given length."""
-        return tuple(self.coeff(i) for i in range(length))
-
     def sort_key(self):
         return (len(self.vals), self.vals)
 
@@ -251,13 +247,9 @@ def skew_mul(g: SkewPoly, h: SkewPoly) -> SkewPoly:
     """The product g*h = sum_(i,j) g_i * (t^i * h_j) * t^j in S[t; sigma, delta]."""
     g._check(h)
     tw = g.twist
-    return SkewPoly.from_indices(_mul_indices(g.vals, h.vals, tw), tw)
-
-
-def _mul_indices(gv, hv, tw: TwistContext):
-    """skew_mul on little-endian index lists; the index list of g*h."""
+    gv, hv = g.vals, h.vals
     if not gv or not hv:
-        return []
+        return SkewPoly.from_indices((), tw)
     ring = tw.ring
     add, mul = ring._add, ring._mul
     acc = [0] * (len(gv) + len(hv) - 1)
@@ -269,7 +261,7 @@ def _mul_indices(gv, hv, tw: TwistContext):
         for j, hj in enumerate(hv):
             for l, c in tb[hj]:
                 acc[l + j] = add[acc[l + j]][row[c]]
-    return acc
+    return SkewPoly.from_indices(acc, tw)
 
 
 def _divisor_degree(g: SkewPoly, f: SkewPoly) -> int:
@@ -279,40 +271,33 @@ def _divisor_degree(g: SkewPoly, f: SkewPoly) -> int:
     return len(f.vals) - 1
 
 
-def _right_reduce(rem, fv, tw: TwistContext, q=None):
-    """Right-reduce the index list rem by the index list fv in place.
+def right_divide(g: SkewPoly, f: SkewPoly):
+    """q, rem with g = q*f + rem and deg(rem) < deg(f), on index lists.
 
-    fv must have a unit leading coefficient.  Each step cancels the leading
+    f must have a unit leading coefficient.  Each step cancels the leading
     term of rem with (c t^d)*f, which is sum_j c * (t^d * f_j) * t^j and has
-    leading coefficient c * sigma^d(lc(f)); c is stored in q[d] when q is
-    given.  Afterwards rem[:deg f] is the remainder and the rest is zero.
+    leading coefficient c * sigma^d(lc(f)); c is the quotient's coefficient
+    of t^d.
     """
+    df = _divisor_degree(g, f)
+    tw = g.twist
     ring = tw.ring
     add, mul, neg = ring._add, ring._mul, ring._neg
-    df = len(fv) - 1
+    fv = f.vals
     lead_inv = ring._inv[fv[-1]]
+    rem = list(g.vals)
+    q = [0] * max(len(rem) - df, 0)
     for top in range(len(rem) - 1, df - 1, -1):
         if not rem[top]:
             continue
         d = top - df
         tb = tw.t_times(d)
         # sigma^d(lc(f)^-1) is the top coefficient of t^d * lc(f)^-1
-        c = mul[rem[top]][tb[lead_inv][-1][1]]
-        if q is not None:
-            q[d] = c
+        c = q[d] = mul[rem[top]][tb[lead_inv][-1][1]]
         row = mul[neg[c]]
         for j, fj in enumerate(fv):
             for l, e in tb[fj]:
                 rem[l + j] = add[rem[l + j]][row[e]]
-
-
-def right_divide(g: SkewPoly, f: SkewPoly):
-    """q, rem with g = q*f + rem and deg(rem) < deg(f), by _right_reduce."""
-    df = _divisor_degree(g, f)
-    tw = g.twist
-    rem = list(g.vals)
-    q = [0] * max(len(rem) - df, 0)
-    _right_reduce(rem, f.vals, tw, q)
     return SkewPoly.from_indices(q, tw), SkewPoly.from_indices(rem[:df], tw)
 
 
@@ -347,8 +332,15 @@ def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_
 
     Candidates run over index tails in itertools.product order, which is
     sort_key order (all have degree `degree`, and an index is its element's
-    sort key), so the divisors come out sorted.  Each is tested by
-    _right_reduce on index lists; only the divisors found become SkewPolys.
+    sort key), so the divisors come out sorted; only the divisors found
+    become SkewPolys.  Each candidate g is tested by the steps of
+    right_divide(f, g) on index lists, simplified for a monic g: the step at
+    t^top cancels with (c t^d)*g, d = top - degree, whose top coefficient is
+    c * sigma^d(1) = c, so c = rem[top] needs no inverse.  Its term
+    c * (t^d * 1) * t^degree = c t^top (t^d * 1 = t^d, as sigma(1) = 1 and
+    delta(1) = 0) cancels rem[top] and touches nothing else, so only the
+    terms of the tail g_j, j < degree, are subtracted, all below t^top.  The
+    t_times levels d are fetched once per call.
     """
     tw = f.twist
     ring = tw.ring
@@ -356,15 +348,22 @@ def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_
         raise EnumerationCapExceeded(
             f"{ring.size}^{degree} candidate divisors exceed cap {cap}"
         )
+    add, mul, neg = ring._add, ring._mul, ring._neg
     fv = f.vals
+    steps = [(d + degree, tw.t_times(d)) for d in range(len(fv) - degree - 1, -1, -1)]
     one = ring.one.val
     found = []
     for tail in itertools.product(range(ring.size), repeat=degree):
-        gv = [*tail, one]
         rem = list(fv)
-        _right_reduce(rem, gv, tw)
+        for top, tb in steps:
+            if not rem[top]:
+                continue
+            row = mul[neg[rem[top]]]
+            for j, gj in enumerate(tail):
+                for l, e in tb[gj]:
+                    rem[l + j] = add[rem[l + j]][row[e]]
         if not any(rem[:degree]):
-            found.append(SkewPoly.from_indices(gv, tw))
+            found.append(SkewPoly.from_indices((*tail, one), tw))
     return found
 
 

@@ -1,6 +1,7 @@
 """Equivalence, isometry, fast filters, and class counting."""
 
 import itertools
+import math
 
 import pytest
 
@@ -384,23 +385,40 @@ def test_formula_requires_s_dividing_r():
         count_constacyclic_classes_formula(2, 4, 3, 2)
 
 
+def _bridge_parts(f, h, tau, alpha):
+    """The constacyclic decomposition of check_equivalence(f, h, tau, alpha)."""
+    m = int(f.degree)
+    a, b = trailing_coeffs(f), trailing_coeffs(h)
+    return all(x.is_zero() == y.is_zero() for x, y in zip(a, b)) and all(
+        check_equivalence(consta(f.twist, m - i, a[i]), consta(f.twist, m - i, b[i]),
+                          tau, f.twist.sigma.power(i)(alpha))
+        for i in range(m) if not a[i].is_zero()
+    )
+
+
 def test_bridge_agreement():
     """Polycyclic equivalence decomposes into constacyclic conditions.
 
     f ~ h via (tau, alpha) exactly when a_i and b_i have the same support and,
     for every a_i != 0, t^(m-i) - a_i ~ t^(m-i) - b_i via (tau, sigma^i(alpha)).
+    Sampled pairs are mostly not equivalent, so the orbit samples add
+    h = f_(tau, alpha), with h_i = N_(m-i)(sigma^i(alpha))^-1 * tau(f_i), over
+    GF(4) with the Frobenius at m = 4 and alpha = w, w^2, which sigma does not
+    fix: there N_(m-i)(sigma^i(alpha)) != N_(m-i)(alpha) at i = 1 and 3.
     """
     m = 3
     polys = monic_polys(TW, m)
     for f in polys[::5]:
-        a = trailing_coeffs(f)
         for h in polys[::7]:
-            b = trailing_coeffs(h)
             for tau in (identity_aut(GF4), FROB):
                 for alpha in GF4.units:
-                    parts = all(x.is_zero() == y.is_zero() for x, y in zip(a, b)) and all(
-                        check_equivalence(consta(TW, m - i, a[i]), consta(TW, m - i, b[i]),
-                                          tau, FROB.power(i)(alpha))
-                        for i in range(m) if not a[i].is_zero()
-                    )
-                    assert check_equivalence(f, h, tau, alpha) == parts
+                    assert check_equivalence(f, h, tau, alpha) == _bridge_parts(f, h, tau, alpha)
+    m = 4
+    for f in monic_polys(TW, m)[::5]:
+        for tau in (identity_aut(GF4), FROB):
+            for alpha in (OMEGA, OMEGA2):
+                conj = [FROB.power(j)(alpha) for j in range(m)]
+                norms = [math.prod(conj[i:], start=GF4.one) for i in range(m)]
+                h = SkewPoly([norms[i].inverse() * tau(f.coeff(i)) for i in range(m)] + [GF4.one], TW)
+                assert check_equivalence(f, h, tau, alpha)
+                assert _bridge_parts(f, h, tau, alpha), (f, h, tau, alpha)

@@ -123,13 +123,28 @@ def test_check_equiv_not_related(capsys):
 
 
 def test_check_equiv_k_non_constacyclic(capsys):
-    """--k searches the given degree for any pair, not only constacyclic ones."""
+    """--k searches the given degree for any pair, not only constacyclic ones:
+    t^3 + t^2 + t over GF(2) is related to itself by a genuine k = 2 witness,
+    whose tau is the identity, so the relation is the Chen one."""
     code, out = run(capsys, "check-equiv", "--field", "2,1", "--sigma", "0",
-                    "--f", "0,0,0,0,1", "--h", "0,0,0,1,1", "--k", "3")
+                    "--f", "0,1,1", "--h", "0,1,1", "--k", "2")
     assert code == 0
     doc = json.loads(out)
-    assert doc["relation"] == "Isometric"
-    assert doc["witness"]["k"] == 3
+    assert doc["relation"] == "ChenIsometric"
+    assert doc["witness"]["k"] == 2
+
+
+def test_check_equiv_k_labels_identity_tau_chen(capsys):
+    """--k 2 labels a witness with tau = id ChenIsometric, as check-equiv without --k does."""
+    argv = ["check-equiv", "--field", "7,1", "--f", "5,0,0", "--h", "4,0,0"]
+    docs = []
+    for extra in (["--k", "2"], []):
+        code, out = run(capsys, *argv, *extra)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert docs[0]["relation"] == docs[1]["relation"] == "ChenIsometric"
+    assert docs[0]["witness"] == docs[1]["witness"]
+    assert docs[0]["witness"]["tau_frob_exp"] == 0
 
 
 def test_check_equiv_k_not_related(capsys):
@@ -322,3 +337,14 @@ def test_catalogue_reach_gf9_m4_full(capsys):
         "ba900c5b950169eafe8acbfdffa4730f0374ec73f065290125fb2bd1331e8440"
     )
     assert elapsed <= 10, f"runtime {elapsed:.1f}s over budget 10s"
+
+
+def test_catalogue_z4_m4_bytes(capsys):
+    """Z_4, m = 4, all 256 monic candidates: the benchmark's largest catalogue and
+    its only Z_n one, 160 lines with the same bytes as the Element-level JSON."""
+    code, out = run(capsys, "catalogue", "--ring", "4", "--sigma", "0", "--m", "4")
+    assert code == 0
+    assert len(out.splitlines()) == 160
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "812ff3170e972f6eb32198ae7a3ee8554abcb609d85d44b56b9de584e0270018"
+    )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcodes.catalogue import partition_classes
+from skewcodes.catalogue import partition_classes, run_catalogue
 from skewcodes.classify import IsometryWitness, find_equivalence
 from skewcodes.codes import (
     LinearCode,
@@ -221,3 +221,30 @@ def test_transport_rejects_bad_witness():
     bogus = IsometryWitness(identity_aut(GF4), GF4.one, 1)
     with pytest.raises(WitnessInvalid):
         apply_isometry_to_code(C, bogus, h)
+
+
+@pytest.mark.parametrize("tw", [_twist(GF4, 1), _twist(make_residue_ring(4))], ids=["GF(4)", "Z_4"])
+def test_catalogue_records_are_unshared_element_json(tw):
+    """Every polynomial of a catalogue record is its coefficients' Element.to_json
+    forms (digit lists over a field, ints over Z_n), and no list or dict object
+    appears twice in the records, so changing one record changes no other."""
+    records = run_catalogue(tw, 2)
+
+    def form(g):
+        return {"coeffs": [c.to_json() for c in g.coeffs], "sigma_exp": tw.sigma.frob_exp,
+                "delta": None}
+
+    classes = partition_classes(tw, 2, False, 2 ** 20)
+    assert [rec["full_class"] for rec in records] == [
+        [form(g) for g in cls["members"]] for cls in classes
+    ]
+    seen = []
+
+    def walk(obj):
+        if isinstance(obj, (list, dict)):
+            seen.append(id(obj))
+            for x in obj.values() if isinstance(obj, dict) else obj:
+                walk(x)
+
+    walk(records)
+    assert len(seen) == len(set(seen))

@@ -10,12 +10,20 @@ from skewcodes.errors import NonMonic, NotARightDivisor
 from skewcodes.petit import (
     PetitAlgebra,
     _image_order,
+    _left_ideal_span,
     f_is_two_sided,
     is_associative,
     left_ideal_span,
     probe_structure,
 )
-from skewcodes.skewpoly import SkewPoly, TwistContext, enumerate_monic_right_divisors, right_divide, skew_mul
+from skewcodes.skewpoly import (
+    SkewPoly,
+    TwistContext,
+    all_monic_right_divisors,
+    enumerate_monic_right_divisors,
+    right_divide,
+    skew_mul,
+)
 
 GF4 = make_field(2, 2)
 FROB = Automorphism(GF4, 1)
@@ -92,8 +100,12 @@ def test_reductions_match_right_divide(label, tw, m):
     """_red[n] is the remainder of right_divide(t^n, f) for n <= (m-1)^2, every monic f of degree m.
 
     The table holds n <= 2m - 2 once S_f is built; _reductions extends it in place.
+    The rows of _left_ideal_span, for every monic right divisor g of f of degree
+    < m, start at g and follow t*row mod_r f, and _t_step of the last row, of
+    degree m before it is reduced, is right_divide(t*row, f)'s remainder too.
     """
     ring = tw.ring
+    t = SkewPoly.t_power(1, tw)
     for tail in itertools.product(ring.elements, repeat=m):
         f = SkewPoly(list(tail) + [ring.one], tw)
         A = PetitAlgebra(f)
@@ -103,6 +115,16 @@ def test_reductions_match_right_divide(label, tw, m):
         for n, terms in enumerate(red):
             rem = right_divide(SkewPoly.t_power(n, tw), f)[1]
             assert terms == [(k, c.val) for k, c in enumerate(rem.coeffs) if not c.is_zero()], (f, n)
+        for g in all_monic_right_divisors(f):
+            if g.degree == m:
+                continue
+            rows = _left_ideal_span(A, g)
+            assert len(rows) == m - g.degree
+            assert SkewPoly.from_indices(rows[0], tw) == g
+            for row, after in zip(rows, rows[1:] + [tuple(A._t_step(rows[-1]))]):
+                assert len(after) == m
+                expected = right_divide(skew_mul(t, SkewPoly.from_indices(row, tw)), f)[1]
+                assert SkewPoly.from_indices(after, tw) == expected, (f, g, row)
 
 
 def test_requires_monic_degree_two():

@@ -68,8 +68,8 @@ def test_sigma_id_matches_commutative():
     for g in polys:
         for h in polys:
             expected = [GF4.zero] * 5
-            for i, gi in enumerate(g.coeff_vector(3)):
-                for j, hj in enumerate(h.coeff_vector(3)):
+            for i, gi in enumerate(g.coeffs):
+                for j, hj in enumerate(h.coeffs):
                     expected[i + j] = expected[i + j] + gi * hj
             assert skew_mul(g, h) == SkewPoly(expected, tw)
 
@@ -314,6 +314,29 @@ def test_all_divisors_brute_force_paths():
         divs = all_monic_right_divisors(f)
         assert divs == _per_degree_scan(f), f
         assert divs[-1] == monic_scale(f)
+
+
+SCAN_CONFIGS = [
+    ("GF(4) Frobenius m=3", _tw(GF4, 1), 3, None),
+    ("GF(4) inner delta m=3", TwistContext(GF4, FROB, delta_beta=OMEGA), 3, None),
+    ("GF(4) Frobenius m=3, leading w", _tw(GF4, 1), 3, OMEGA),
+    ("GF(9) Frobenius m=2", _tw(make_field(3, 2), 1), 2, None),
+    ("Z_4 m=3", _tw(make_residue_ring(4)), 3, None),
+]
+
+
+@pytest.mark.parametrize("label,tw,m,lead", SCAN_CONFIGS, ids=[c[0] for c in SCAN_CONFIGS])
+def test_monic_scan_matches_right_divide(label, tw, m, lead):
+    """The divisor scan's step for a monic candidate keeps right_divide's test:
+    for every f of degree m (monic, or with leading coefficient lead) and every
+    degree d <= m, it finds exactly the monic g of degree d that right_divide
+    leaves no remainder for, in the same order."""
+    ring = tw.ring
+    for tail in itertools.product(ring.elements, repeat=m):
+        f = SkewPoly(list(tail) + [lead or ring.one], tw)
+        for d in range(m + 1):
+            expected = [g for g in _monics(tw, d, False) if right_divide(f, g)[1].is_zero]
+            assert enumerate_monic_right_divisors(f, d) == expected, (f, d)
 
 
 def test_t2_minus_omega_has_no_linear_divisor():
