@@ -5,10 +5,11 @@ from __future__ import annotations
 import itertools
 
 from .classify import _class_orbit
-from .codes import code_class_codes, min_hamming_distance
+from .codes import LinearCode, min_hamming_distance
+from .coeffring import all_automorphisms
 from .errors import EnumerationCapExceeded, InvalidConfig
-from .petit import PetitAlgebra
-from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext
+from .petit import PetitAlgebra, _left_ideal_span
+from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext, all_monic_right_divisors
 
 SCHEMA_VERSION = 1
 
@@ -54,28 +55,45 @@ def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
 def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     """Full-equivalence classes (each with its Chen subclasses), canonically ordered.
 
-    Candidates, members and Chen subclasses are keyed by index tuples, which
-    sort in sort_key order; they become SkewPolys on the way out.
+    One Chen orbit per class, computed for its first candidate f, gives both
+    the members and the Chen subclasses.  The units alpha act on the
+    candidates by a group action, f -> f_alpha with coefficient
+    N_(m-i)(sigma^i(alpha)) * f_i at t^i: norms are multiplicative in the
+    commutative S, so (f_alpha)_beta = f_(alpha*beta).  An automorphism tau
+    commutes with sigma (both are powers of the Frobenius, or the identity
+    over Z_n), so tau(f_alpha) = tau(f)_(tau(alpha)), and as alpha runs over
+    the units so does tau(alpha).  Hence:
+
+    * the Chen class of tau(f) is tau applied to the Chen class of f;
+    * the full class of f, the tau(f_alpha) over tau and alpha, is the union
+      of those tau-images;
+    * every member x lies in some image tau(C), C the Chen class of f, which
+      is a Chen class, so the Chen class of x is tau(C): the Chen subclasses
+      are the distinct images, and two images either coincide or are
+      disjoint (Chen classes are orbits).  Each is identified by its least
+      member.
+
+    The full classes are orbits too, so a class found from its first pending
+    candidate holds no member of an earlier class.  Candidates, members and
+    Chen subclasses are keyed by index tuples, which sort in sort_key order;
+    they become SkewPolys on the way out.
     """
     candidates = _candidates(twist, m, constacyclic, cap)
-    pending = dict.fromkeys(candidates)  # insertion ordered
+    ring = twist.ring
+    tables = [ring.frobenius_table(tau.frob_exp) for tau in all_automorphisms(ring)]
+    pending = set(candidates)
     classes = []
     for f in candidates:
         if f not in pending:
             continue
-        members = sorted(g for g in _class_orbit(twist, f, chen_only=False) if g in pending)
-        for g in members:
-            del pending[g]
-        member_set = set(members)
-        chen = []
-        seen = set()
-        for g in members:
-            if g in seen:
-                continue
-            sub = sorted(x for x in _class_orbit(twist, g, chen_only=True) if x in member_set)
-            seen.update(sub)
-            chen.append(sub)
-        chen.sort(key=lambda sub: sub[0])
+        orbit = _class_orbit(twist, f, chen_only=True)
+        subs = {}
+        for tt in tables:
+            sub = sorted(tuple([tt[c] for c in g]) for g in orbit)
+            subs.setdefault(sub[0], sub)
+        chen = [subs[least] for least in sorted(subs)]
+        members = sorted(g for sub in chen for g in sub)
+        pending.difference_update(members)
         classes.append((members, chen))
     classes.sort(key=lambda cls: cls[0][0])
     poly = SkewPoly.from_indices
@@ -88,16 +106,33 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
     ]
 
 
-def _codes_for(f: SkewPoly, cap: int, encode):
-    return [
-        {
-            "g": encode(C.g.vals),
-            "length": C.length,
-            "dim": C.dimension,
-            "min_dist": min_hamming_distance(C, cap=cap),
-        }
-        for C in code_class_codes(PetitAlgebra(f), cap=cap)
-    ]
+def _codes_for(f: SkewPoly, cap: int, encode, params):
+    """One record per monic right divisor g of f of degree < m, in divisor order.
+
+    params maps g's index tuple to the code's (dimension, minimum distance);
+    it is read first and filled on a miss, and f's PetitAlgebra is built only
+    for its first miss.  This is exact: the code of g is the span of the rows
+    t^i*g for i < m - deg g, and each row has degree deg g + i <= m - 1, so
+    no row is reduced by f.  In _left_ideal_span each row is the _t_step of
+    the one before, of degree at most m - 2, so t*r has no t^m term and the
+    step never reads f.  The rows, their number m - deg g and the minimum
+    distance therefore depend only on (twist, m, g), which one run_catalogue
+    call fixes.
+    """
+    m = int(f.degree)
+    algebra = None
+    records = []
+    for g in all_monic_right_divisors(f, cap=cap):
+        if g.degree >= m:
+            continue
+        known = params.get(g.vals)
+        if known is None:
+            algebra = algebra or PetitAlgebra(f)
+            code = LinearCode.from_indices(algebra, g, _left_ideal_span(algebra, g))
+            known = params[g.vals] = (code.dimension, min_hamming_distance(code, cap=cap))
+        dim, min_dist = known
+        records.append({"g": encode(g.vals), "length": m, "dim": dim, "min_dist": min_dist})
+    return records
 
 
 def run_catalogue(
@@ -110,6 +145,7 @@ def run_catalogue(
     if m < 2:
         raise InvalidConfig("catalogue needs degree m > 1")
     encode = _poly_encoder(twist)
+    params = {}  # generator index tuple -> (dimension, minimum distance); see _codes_for
     records = []
     for cls in partition_classes(twist, m, constacyclic, cap):
         rep = cls["members"][0]
@@ -119,7 +155,7 @@ def run_catalogue(
                 "representative": encode(rep.vals),
                 "full_class": [encode(g.vals) for g in cls["members"]],
                 "chen_classes": [[encode(g.vals) for g in sub] for sub in cls["chen"]],
-                "codes": _codes_for(rep, cap, encode),
+                "codes": _codes_for(rep, cap, encode, params),
             }
         )
     return records

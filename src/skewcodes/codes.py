@@ -1,7 +1,10 @@
 """Skew polycyclic codes built from right divisors of f.
 
 A code of length m is the left S-span of the coefficient vectors of
-g, t*g, ..., t^(m-deg g-1)*g inside the quotient algebra of f.
+g, t*g, ..., t^(m-deg g-1)*g inside the quotient algebra of f.  Each of
+these rows has degree at most m - 1, so none is reduced by f: the code of a
+monic right divisor g, its dimension m - deg g and its minimum distance
+depend only on the twist, m and g, not on which f of degree m g divides.
 """
 
 from __future__ import annotations
@@ -74,7 +77,9 @@ def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
     """One code per monic right divisor of f of degree 0..m-1.
 
     The divisors come from all_monic_right_divisors, so their spans skip
-    build_code's divisor check.
+    build_code's divisor check.  The rows t^i*g have degree < m and are never
+    reduced by f, so two f of degree m sharing a divisor g share its code
+    (the catalogue computes each generator's parameters once for that reason).
     """
     return [
         LinearCode.from_indices(A, g, _left_ideal_span(A, g))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .catalogue import run_catalogue
+from .catalogue import partition_classes, run_catalogue
 from .classify import (
     IsometryWitness,
     check_equivalence,
@@ -36,6 +36,7 @@ from .coeffring import (
 )
 from .petit import PetitAlgebra, is_associative
 from .skewpoly import (
+    DEFAULT_ENUM_CAP,
     SkewPoly,
     TwistContext,
     all_monic_right_divisors,
@@ -205,14 +206,36 @@ def _equivalent_pairs_gf4_m2():
     return pairs
 
 
+def _equivalent_nonconstacyclic_pairs(tw: TwistContext, m: int):
+    """Every ordered pair of distinct members of a full class of non-constacyclic f.
+
+    A class holds only constacyclic members or none, so its first member decides.
+    """
+    pairs = []
+    for cls in partition_classes(tw, m, False, DEFAULT_ENUM_CAP):
+        members = cls["members"]
+        if any(members[0].vals[1:m]):
+            pairs.extend((f, h) for f in members for h in members if f != h)
+    return pairs
+
+
 def check_parameter_preservation() -> dict:
-    """Witness-transported codes keep (length, dimension, minimum distance)."""
+    """Witness-transported codes keep (length, dimension, minimum distance).
+
+    Pairs: the constacyclic GF(4) classes at m = 2 and one pair at m = 3, then
+    every equivalent pair of non-constacyclic f over GF(4) with the Frobenius
+    at m = 3, GF(8) with sigma at m = 2 and GF(9) with the Frobenius at m = 2.
+    """
     K, tw = _gf4_frobenius()
     omega = K.from_json([0, 1])
     pairs = _equivalent_pairs_gf4_m2()
     f3 = _constacyclic(tw, 3, K.one)
     h3 = _constacyclic(tw, 3, omega)
     pairs.append((f3, h3))
+    for p, r, m in ((2, 2, 3), (2, 3, 2), (3, 2, 2)):
+        field = make_field(p, r)
+        twist = TwistContext(field, Automorphism(field, 1))
+        pairs.extend(_equivalent_nonconstacyclic_pairs(twist, m))
     failures = []
     checked = 0
     for f, h in pairs:

@@ -328,7 +328,8 @@ def test_catalogue_reach_gf9_m6(capsys):
 def test_catalogue_reach_gf9_m4_full(capsys):
     """GF(9), Frobenius, m = 4, all 6,561 monic candidates: the same bytes as
     the Element-level divisor scan and class orbits gave, within 10 s (about
-    1.5 s with those, about 0.7 s on index lists, on a 2-core host)."""
+    1.5 s with those; about 0.35 s on index lists, and about 0.28 s with one
+    code per generator and one orbit pass per class, on a 2-core host)."""
     t0 = time.perf_counter()
     code, out = run(capsys, "catalogue", "--field", "3,2", "--sigma", "1", "--m", "4")
     elapsed = time.perf_counter() - t0
@@ -348,3 +349,42 @@ def test_catalogue_z4_m4_bytes(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "812ff3170e972f6eb32198ae7a3ee8554abcb609d85d44b56b9de584e0270018"
     )
+
+
+def test_catalogue_gf8_sigma2_m3_bytes(capsys):
+    """GF(8), sigma = x -> x^4, m = 3, all 512 monic candidates: |Aut| = 3, so the
+    tau-images of a Chen class can coincide; 32 lines with the two-pass orbits' bytes."""
+    code, out = run(capsys, "catalogue", "--field", "2,3", "--sigma", "2", "--m", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 32
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a467edd0a18bd6b47b042720d1a603b96738582ff871b7826758ead3e0f68b2b"
+    )
+
+
+def test_catalogue_computes_each_generator_once(capsys, monkeypatch):
+    """Z_4, m = 4: 656 codes over 160 classes but 81 distinct generators, so the
+    minimum distance runs 81 times, and no class builds more than one algebra."""
+    import skewcodes.catalogue as catalogue
+    from skewcodes.petit import PetitAlgebra
+
+    calls = {"min_distance": 0, "algebra": 0}
+    min_distance, init = catalogue.min_hamming_distance, PetitAlgebra.__init__
+
+    def counted_min_distance(*args, **kwargs):
+        calls["min_distance"] += 1
+        return min_distance(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls["algebra"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(catalogue, "min_hamming_distance", counted_min_distance)
+    monkeypatch.setattr(PetitAlgebra, "__init__", counted_init)
+    code, out = run(capsys, "catalogue", "--ring", "4", "--sigma", "0", "--m", "4")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 160
+    assert sum(len(rec["codes"]) for rec in records) == 656
+    assert calls["min_distance"] == 81
+    assert 0 < calls["algebra"] <= len(records)

@@ -1,11 +1,13 @@
 """Code construction: generator matrices, shift closure, distance, code transport."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcodes.catalogue import partition_classes, run_catalogue
-from skewcodes.classify import IsometryWitness, find_equivalence
+from skewcodes.catalogue import partition_classes, poly_to_json, run_catalogue
+from skewcodes.classify import IsometryWitness, _class_orbit, find_equivalence
 from skewcodes.codes import (
     LinearCode,
     apply_isometry_to_code,
@@ -16,7 +18,7 @@ from skewcodes.codes import (
 )
 from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
 from skewcodes.errors import EnumerationCapExceeded, WitnessInvalid
-from skewcodes.petit import PetitAlgebra
+from skewcodes.petit import PetitAlgebra, _left_ideal_span
 from skewcodes.skewpoly import SkewPoly, TwistContext, all_monic_right_divisors, skew_mul
 
 GF4 = make_field(2, 2)
@@ -130,6 +132,79 @@ def test_min_distance_matches_codewords_on_catalogues(label, tw, m, constacyclic
                 assert min_hamming_distance(C) == brute_force_distance(C), (f, C.g)
                 checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("label,tw,m,constacyclic", CATALOGUES, ids=[c[0] for c in CATALOGUES])
+def test_catalogue_codes_match_each_representative(label, tw, m, constacyclic):
+    """Each record's codes, whose parameters the catalogue computes once per
+    generator, equal the codes of its own representative's algebra; and a
+    generator that divides two representatives spans the same rows in both."""
+    rows_of = {}
+    shared = 0
+    classes = partition_classes(tw, m, constacyclic, 2 ** 20)
+    for rec, cls in zip(run_catalogue(tw, m, constacyclic), classes, strict=True):
+        A = PetitAlgebra(cls["members"][0])
+        codes = code_class_codes(A)
+        assert rec["codes"] == [
+            {"g": poly_to_json(C.g), "length": C.length, "dim": C.dimension,
+             "min_dist": min_hamming_distance(C)}
+            for C in codes
+        ]
+        for C in codes:
+            rows = _left_ideal_span(A, C.g)
+            if C.g.vals in rows_of:
+                shared += 1
+                assert rows_of[C.g.vals] == rows, (cls["members"][0], C.g)
+            rows_of[C.g.vals] = rows
+    assert shared >= len(classes) - 1  # g = 1 divides every representative
+
+
+def _two_pass_partition(tw, m, constacyclic):
+    """The classes as a full orbit per class plus a Chen orbit per member not yet covered."""
+    ring = tw.ring
+    one = ring.one.val
+    if constacyclic:
+        candidates = [(ring._neg[u.val],) + (0,) * (m - 1) + (one,) for u in ring.units]
+    else:
+        candidates = [tail + (one,) for tail in itertools.product(range(ring.size), repeat=m)]
+    pending = set(candidates)
+    classes = []
+    for f in candidates:
+        if f not in pending:
+            continue
+        members = sorted(g for g in _class_orbit(tw, f, chen_only=False) if g in pending)
+        pending.difference_update(members)
+        chen, seen = [], set()
+        for g in members:
+            if g not in seen:
+                sub = sorted(x for x in _class_orbit(tw, g, chen_only=True) if x in members)
+                seen.update(sub)
+                chen.append(sub)
+        classes.append((members, sorted(chen)))
+    return sorted(classes)
+
+
+PARTITIONS = [
+    ("GF(4) Frobenius m=3", _twist(GF4, 1), 3, False),
+    ("GF(8) sigma m=3", _twist(make_field(2, 3), 1), 3, False),
+    ("GF(8) sigma^2 m=3", _twist(make_field(2, 3), 2), 3, False),
+    ("GF(9) Frobenius m=3", _twist(make_field(3, 2), 1), 3, False),
+    ("GF(9) Frobenius m=3 constacyclic", _twist(make_field(3, 2), 1), 3, True),
+    ("Z_4 m=3", _twist(make_residue_ring(4)), 3, False),
+    ("Z_6 m=3", _twist(make_residue_ring(6)), 3, False),
+    ("GF(16) Frobenius m=2", _twist(make_field(2, 4), 1), 2, False),
+]
+
+
+@pytest.mark.parametrize("label,tw,m,constacyclic", PARTITIONS, ids=[c[0] for c in PARTITIONS])
+def test_partition_one_pass_matches_two_pass(label, tw, m, constacyclic):
+    """The tau-images of one Chen orbit per class give the same members and Chen
+    subclasses as the full orbit of each class and the Chen orbit of each member."""
+    one_pass = [
+        ([g.vals for g in cls["members"]], [[g.vals for g in sub] for sub in cls["chen"]])
+        for cls in partition_classes(tw, m, constacyclic, 2 ** 20)
+    ]
+    assert one_pass == _two_pass_partition(tw, m, constacyclic)
 
 
 HYPOTHESIS_TWISTS = [
