@@ -9,7 +9,7 @@ from .codes import LinearCode, min_hamming_distance
 from .coeffring import all_automorphisms
 from .errors import EnumerationCapExceeded, InvalidConfig
 from .petit import PetitAlgebra, _left_ideal_span
-from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext, all_monic_right_divisors
+from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext, monic_right_divisor_lists
 
 SCHEMA_VERSION = 1
 
@@ -106,8 +106,8 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
     ]
 
 
-def _codes_for(f: SkewPoly, cap: int, encode, params):
-    """One record per monic right divisor g of f of degree < m, in divisor order.
+def _codes_for(f: SkewPoly, divisors, cap: int, encode, params):
+    """One record per g of divisors, f's monic right divisors in order, of degree < m.
 
     params maps g's index tuple to the code's (dimension, minimum distance);
     it is read first and filled on a miss, and f's PetitAlgebra is built only
@@ -122,7 +122,7 @@ def _codes_for(f: SkewPoly, cap: int, encode, params):
     m = int(f.degree)
     algebra = None
     records = []
-    for g in all_monic_right_divisors(f, cap=cap):
+    for g in divisors:
         if g.degree >= m:
             continue
         known = params.get(g.vals)
@@ -141,21 +141,27 @@ def run_catalogue(
     constacyclic: bool = False,
     cap: int = DEFAULT_ENUM_CAP,
 ):
-    """One record per full-equivalence class, in canonical order."""
+    """One record per full-equivalence class, in canonical order.
+
+    The monic right divisors of every class representative come from one
+    monic_right_divisor_lists call, so representatives that share a high
+    part share each divisor scan.
+    """
     if m < 2:
         raise InvalidConfig("catalogue needs degree m > 1")
     encode = _poly_encoder(twist)
     params = {}  # generator index tuple -> (dimension, minimum distance); see _codes_for
+    classes = partition_classes(twist, m, constacyclic, cap)
+    reps = [cls["members"][0] for cls in classes]
     records = []
-    for cls in partition_classes(twist, m, constacyclic, cap):
-        rep = cls["members"][0]
+    for cls, rep, divisors in zip(classes, reps, monic_right_divisor_lists(reps, cap)):
         records.append(
             {
                 "schema_version": SCHEMA_VERSION,
                 "representative": encode(rep.vals),
                 "full_class": [encode(g.vals) for g in cls["members"]],
                 "chen_classes": [[encode(g.vals) for g in sub] for sub in cls["chen"]],
-                "codes": _codes_for(rep, cap, encode, params),
+                "codes": _codes_for(rep, divisors, cap, encode, params),
             }
         )
     return records

@@ -76,10 +76,12 @@ def build_code(A: PetitAlgebra, g: SkewPoly) -> LinearCode:
 def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
     """One code per monic right divisor of f of degree 0..m-1.
 
-    The divisors come from all_monic_right_divisors, so their spans skip
-    build_code's divisor check.  The rows t^i*g have degree < m and are never
-    reduced by f, so two f of degree m sharing a divisor g share its code
-    (the catalogue computes each generator's parameters once for that reason).
+    The divisors come from all_monic_right_divisors (the one-polynomial
+    monic_right_divisor_lists), so their spans skip build_code's divisor
+    check.  The rows t^i*g have degree < m and are never reduced by f, so two
+    f of degree m sharing a divisor g share its code (the catalogue computes
+    each generator's parameters once for that reason, and takes the divisors
+    of all its representatives from one monic_right_divisor_lists batch).
     """
     return [
         LinearCode.from_indices(A, g, _left_ideal_span(A, g))

@@ -327,34 +327,34 @@ def left_divide(g: SkewPoly, f: SkewPoly):
     return SkewPoly.from_indices(q, tw), SkewPoly.from_indices(rem[:df], tw)
 
 
-def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_ENUM_CAP):
-    """All monic right divisors of f of the given degree, brute force, sorted.
+def monic_right_divisor_table(poly: SkewPoly, degree: int, cap: int = DEFAULT_ENUM_CAP):
+    """The monic right divisors of the given degree of every polynomial with poly's high part.
 
-    Candidates run over index tails in itertools.product order, which is
-    sort_key order (all have degree `degree`, and an index is its element's
-    sort key), so the divisors come out sorted; only the divisors found
-    become SkewPolys.  Each candidate g is tested by the steps of
-    right_divide(f, g) on index lists, simplified for a monic g: the step at
-    t^top cancels with (c t^d)*g, d = top - degree, whose top coefficient is
-    c * sigma^d(1) = c, so c = rem[top] needs no inverse.  Its term
-    c * (t^d * 1) * t^degree = c t^top (t^d * 1 = t^d, as sigma(1) = 1 and
-    delta(1) = 0) cancels rem[top] and touches nothing else, so only the
-    terms of the tail g_j, j < degree, are subtracted, all below t^top.  The
-    t_times levels d are fetched once per call.
+    A dict from low part (the index tuple of f_0..f_(d-1), d = degree) to
+    the sorted index tails of its divisors.  Exact: split f = L + H, L the
+    terms below t^d.  Right remainders by a monic g of degree d are left
+    S-linear and deg L < d, so f mod_r g = L + (H mod_r g), and g |_r f
+    exactly when L = -(H mod_r g).  So one pass over the |S|^d candidates,
+    keyed by -(H mod_r g), serves every f with high part H.
+
+    Candidates run in itertools.product order, which is sort_key order.
+    H mod_r g takes the steps of right_divide for a monic g: the step at
+    t^top subtracts (c t^e)*g, c = rem[top], e = top - d, whose term
+    c * (t^e * 1) * t^d = c t^top (sigma(1) = 1, delta(1) = 0) cancels
+    rem[top] with no inverse, so only the tail terms g_j, j < d, are applied.
     """
-    tw = f.twist
+    tw = poly.twist
     ring = tw.ring
     if ring.size ** degree > cap:
         raise EnumerationCapExceeded(
             f"{ring.size}^{degree} candidate divisors exceed cap {cap}"
         )
     add, mul, neg = ring._add, ring._mul, ring._neg
-    fv = f.vals
-    steps = [(d + degree, tw.t_times(d)) for d in range(len(fv) - degree - 1, -1, -1)]
-    one = ring.one.val
-    found = []
+    high = (0,) * degree + poly.vals[degree:]
+    steps = [(e + degree, tw.t_times(e)) for e in range(len(high) - degree - 1, -1, -1)]
+    by_rem = {}
     for tail in itertools.product(range(ring.size), repeat=degree):
-        rem = list(fv)
+        rem = list(high)
         for top, tb in steps:
             if not rem[top]:
                 continue
@@ -362,18 +362,77 @@ def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_
             for j, gj in enumerate(tail):
                 for l, e in tb[gj]:
                     rem[l + j] = add[rem[l + j]][row[e]]
-        if not any(rem[:degree]):
-            found.append(SkewPoly.from_indices((*tail, one), tw))
-    return found
+        key = tuple(rem[:degree])
+        tails = by_rem.get(key)
+        if tails is None:
+            by_rem[key] = [tail]
+        else:
+            tails.append(tail)
+    return {tuple(map(neg.__getitem__, key)): tails for key, tails in by_rem.items()}
+
+
+def _divisors(g: SkewPoly, degree: int, cap: int, tables: dict):
+    """g's monic right divisors of the given degree, sorted, from the table of its high part.
+
+    tables maps (sigma's exponent, degree, high part) to a table and is
+    filled on a miss.  A short g is padded with zeros: a nonzero g of lower
+    degree has no such divisor, and every candidate divides 0.
+    """
+    tw = g.twist
+    key = (tw.sigma.frob_exp, degree, g.vals[degree:])
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = monic_right_divisor_table(g, degree, cap)
+    low = g.vals[:degree]
+    one = (tw.ring.one.val,)
+    return [SkewPoly.from_indices(tail + one, tw)
+            for tail in table.get(low + (0,) * (degree - len(low)), ())]
+
+
+def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_ENUM_CAP):
+    """All monic right divisors of f of the given degree, sorted: f's entry in its table."""
+    return _divisors(f, degree, cap, {})
+
+
+def monic_right_divisor_lists(fs, cap: int = DEFAULT_ENUM_CAP):
+    """all_monic_right_divisors of each of fs, polynomials under one twist and of one degree.
+
+    Degree 0 is read off, as 1 divides everything.  Every other degree
+    reads the monic_right_divisor_table of the polynomial's high part,
+    built once in the call, so polynomials that share a high part share the
+    scan, and with none shared the candidates are those of one scan per
+    polynomial.  The degrees above m // 2 of a monic f under delta = 0 come
+    from psi(f), under sigma^-1; sigma's exponent in a table's key tells
+    the two twists apart (psi needs delta = 0, so they differ in sigma
+    only), and when sigma^-1 = sigma they share tables too.
+    """
+    tables = {}
+    lists = []
+    for f in fs:
+        m = int(f.degree)
+        halved = f.is_monic and not f.twist.has_delta
+        top = m // 2 if halved else m - 1
+        out = [SkewPoly.one(f.twist)] if top >= 0 else []
+        for d in range(1, top + 1):
+            out.extend(_divisors(f, d, cap, tables))
+        if halved:
+            f_psi = psi(f)
+            for d in range(top + 1, m):
+                found = [left_divide(f, psi(p))[0] for p in _divisors(f_psi, m - d, cap, tables)]
+                out.extend(sorted(found, key=SkewPoly.sort_key))
+        out.extend([f] if f.is_monic else _divisors(f, m, cap, tables))
+        lists.append(out)
+    return lists
 
 
 def all_monic_right_divisors(f: SkewPoly, cap: int = DEFAULT_ENUM_CAP):
     """Monic right divisors of every degree 0..deg(f), sorted by (degree, coeffs).
 
-    A monic f has one monic right divisor of degree deg(f), f itself: if
-    f = c*g with g monic of degree deg(f), then c has degree 0 and equals the
-    leading coefficient of f, so c = 1 and g = f.  Only lower degrees are
-    enumerated for it.
+    The one-polynomial monic_right_divisor_lists, whose degree ranges are
+    argued here.  A monic f has one monic right divisor of degree deg(f), f
+    itself: if f = c*g with g monic of degree deg(f), then c has degree 0 and
+    equals the leading coefficient of f, so c = 1 and g = f.  Only lower
+    degrees are enumerated for it.
 
     For a monic f of degree m and delta = 0 (S is commutative) only degrees
     d <= m // 2 are scanned.  A higher degree d comes from the other half:
@@ -394,27 +453,10 @@ def all_monic_right_divisors(f: SkewPoly, cap: int = DEFAULT_ENUM_CAP):
     quotients of f by psi^-1(p), for p over the monic right divisors of psi(f)
     of degree m - d < m - m // 2, a degree the lower half already scans.
     psi^-1 is psi under sigma^-1: sum b_k t^k -> sum sigma^k(b_k) t^k.
+    Under delta != 0 degrees 1..m - 1 are scanned, and for a non-monic f
+    degrees 1..m.
     """
-    m = int(f.degree)
-    halved = f.is_monic and not f.twist.has_delta
-    top = m // 2 if halved else m - 1
-    out = []
-    for d in range(top + 1):
-        out.extend(enumerate_monic_right_divisors(f, d, cap=cap))
-    if halved:
-        f_psi = psi(f)
-        for d in range(top + 1, m):
-            found = [
-                left_divide(f, psi(p))[0]
-                for p in enumerate_monic_right_divisors(f_psi, m - d, cap=cap)
-            ]
-            found.sort(key=SkewPoly.sort_key)
-            out.extend(found)
-    if f.is_monic:
-        out.append(f)
-    else:
-        out.extend(enumerate_monic_right_divisors(f, m, cap=cap))
-    return out
+    return monic_right_divisor_lists([f], cap)[0]
 
 
 def monic_scale(g: SkewPoly) -> SkewPoly:

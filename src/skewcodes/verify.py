@@ -22,6 +22,7 @@ from .classify import (
 )
 from .codes import (
     apply_isometry_to_code,
+    build_code,
     code_class_codes,
     min_hamming_distance,
     shift_closure_check,
@@ -39,8 +40,8 @@ from .skewpoly import (
     DEFAULT_ENUM_CAP,
     SkewPoly,
     TwistContext,
-    all_monic_right_divisors,
     left_divide,
+    monic_right_divisor_lists,
     psi,
     right_divide,
     skew_mul,
@@ -191,76 +192,85 @@ def check_catalogue_structure() -> dict:
     return _report("catalogue-structure", failures, len(records))
 
 
-def _equivalent_pairs_gf4_m2():
+def _constacyclic_classes_gf4_m2():
+    """The members of each full class of constacyclic f over GF(4), Frobenius, m = 2."""
     K, tw = _gf4_frobenius()
-    pairs = []
-    for rec in run_catalogue(tw, 2, constacyclic=True):
-        members = [
-            SkewPoly([K.from_json(c) for c in poly["coeffs"]], tw)
-            for poly in rec["full_class"]
-        ]
-        for f in members:
-            for h in members:
-                if f != h:
-                    pairs.append((f, h))
-    return pairs
+    return [
+        [SkewPoly([K.from_json(c) for c in poly["coeffs"]], tw) for poly in rec["full_class"]]
+        for rec in run_catalogue(tw, 2, constacyclic=True)
+    ]
 
 
-def _equivalent_nonconstacyclic_pairs(tw: TwistContext, m: int):
-    """Every ordered pair of distinct members of a full class of non-constacyclic f.
+def _nonconstacyclic_classes(tw: TwistContext, m: int):
+    """The members of each full class of non-constacyclic f.
 
     A class holds only constacyclic members or none, so its first member decides.
     """
-    pairs = []
-    for cls in partition_classes(tw, m, False, DEFAULT_ENUM_CAP):
-        members = cls["members"]
-        if any(members[0].vals[1:m]):
-            pairs.extend((f, h) for f in members for h in members if f != h)
-    return pairs
+    return [
+        cls["members"] for cls in partition_classes(tw, m, False, DEFAULT_ENUM_CAP)
+        if any(cls["members"][0].vals[1:m])
+    ]
+
+
+def _ordered_pairs(members):
+    """members, with every ordered pair of distinct members."""
+    return members, [(f, h) for f in members for h in members if f != h]
 
 
 def check_parameter_preservation() -> dict:
     """Witness-transported codes keep (length, dimension, minimum distance).
 
-    Pairs: the constacyclic GF(4) classes at m = 2 and one pair at m = 3, then
-    every equivalent pair of non-constacyclic f over GF(4) with the Frobenius
-    at m = 3, GF(8) with sigma at m = 2 and GF(9) with the Frobenius at m = 2.
+    Pairs: every ordered pair of distinct members of the constacyclic GF(4)
+    classes at m = 2 and one pair at m = 3, then of the non-constacyclic
+    classes over GF(4) with the Frobenius at m = 3, GF(8) with sigma at m = 2
+    and GF(9) with the Frobenius at m = 2.  Each member's algebra, codes and
+    their minimum distances are computed once, from one
+    monic_right_divisor_lists call per class.  A transported code D with
+    generator g in S_h takes its minimum distance from h's code of g, the
+    same span of the rows t^i*g.
     """
     K, tw = _gf4_frobenius()
     omega = K.from_json([0, 1])
-    pairs = _equivalent_pairs_gf4_m2()
     f3 = _constacyclic(tw, 3, K.one)
     h3 = _constacyclic(tw, 3, omega)
-    pairs.append((f3, h3))
+    groups = [_ordered_pairs(members) for members in _constacyclic_classes_gf4_m2()]
+    groups.append(([f3, h3], [(f3, h3)]))
     for p, r, m in ((2, 2, 3), (2, 3, 2), (3, 2, 2)):
         field = make_field(p, r)
         twist = TwistContext(field, Automorphism(field, 1))
-        pairs.extend(_equivalent_nonconstacyclic_pairs(twist, m))
+        groups.extend(map(_ordered_pairs, _nonconstacyclic_classes(twist, m)))
     failures = []
     checked = 0
-    for f, h in pairs:
-        w = find_equivalence(f, h)
-        if w is None:
-            failures.append({"pair": (repr(f), repr(h)), "error": "no witness"})
+    for members, pairs in groups:
+        if not pairs:
             continue
-        A = PetitAlgebra(f)
-        divisors_h = {g for g in all_monic_right_divisors(h) if g.degree < A.m}
-        images = set()
-        for C in code_class_codes(A):
-            D = apply_isometry_to_code(C, w, h)
-            images.add(D.g)
-            checked += 1
-            before = (C.length, C.dimension, min_hamming_distance(C))
-            after = (D.length, D.dimension, min_hamming_distance(D))
-            if before != after:
+        codes = {}  # member -> {generator: (code, (length, dimension, minimum distance))}
+        for f, divisors in zip(members, monic_right_divisor_lists(members)):
+            A = PetitAlgebra(f)
+            built = [build_code(A, g) for g in divisors if g.degree < A.m]
+            codes[f] = {C.g: (C, (C.length, C.dimension, min_hamming_distance(C))) for C in built}
+        for f, h in pairs:
+            w = find_equivalence(f, h)
+            if w is None:
+                failures.append({"pair": (repr(f), repr(h)), "error": "no witness"})
+                continue
+            images = set()
+            for C, before in codes[f].values():
+                D = apply_isometry_to_code(C, w, h)
+                images.add(D.g)
+                checked += 1
+                known = codes[h].get(D.g)  # None only if D.g does not divide h
+                after = (D.length, D.dimension,
+                         min_hamming_distance(D) if known is None else known[1][2])
+                if before != after:
+                    failures.append(
+                        {"pair": (repr(f), repr(h)), "g": repr(C.g),
+                         "before": before, "after": after}
+                    )
+            if images != codes[h].keys():
                 failures.append(
-                    {"pair": (repr(f), repr(h)), "g": repr(C.g),
-                     "before": before, "after": after}
+                    {"pair": (repr(f), repr(h)), "error": "divisor map is not a bijection"}
                 )
-        if images != divisors_h:
-            failures.append(
-                {"pair": (repr(f), repr(h)), "error": "divisor map is not a bijection"}
-            )
     return _report("parameter-preservation", failures, checked)
 
 

@@ -351,6 +351,50 @@ def test_catalogue_z4_m4_bytes(capsys):
     )
 
 
+def test_catalogue_z4_m5_bytes(capsys):
+    """Z_4, m = 5, all 1,024 monic candidates: the config where representatives
+    share the most high parts, 576 lines with the bytes of one divisor scan per
+    representative."""
+    code, out = run(capsys, "catalogue", "--ring", "4", "--sigma", "0", "--m", "5")
+    assert code == 0
+    assert len(out.splitlines()) == 576
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "320b03eaccd9f490d18b2612b455521e0a04b03483f9b9ce15b28ee70cf9b4e2"
+    )
+
+
+def test_catalogue_scans_each_high_part_once(capsys, monkeypatch):
+    """Z_4, m = 4: the 160 representatives' divisors come from 56 tables of 416
+    candidates in all, against 4,000 candidates in one scan per representative
+    and degree.  The 56 tables are those of degrees 1 and 2; the degree-1
+    tables of psi(f) that degree 3 reads are among them, as sigma = id makes
+    psi(f) = f under an equal twist (kept apart, they would add 40 tables of
+    160 candidates)."""
+    import skewcodes.skewpoly as skewpoly
+
+    scans = []
+    table = skewpoly.monic_right_divisor_table
+
+    def counted_table(poly, degree, cap):
+        scans.append(poly.twist.ring.size ** degree)
+        return table(poly, degree, cap)
+
+    monkeypatch.setattr(skewpoly, "monic_right_divisor_table", counted_table)
+    code, _ = run(capsys, "catalogue", "--ring", "4", "--sigma", "0", "--m", "4")
+    assert code == 0
+    assert (len(scans), sum(scans)) == (56, 416)
+
+
+def test_catalogue_divisor_cap_exceeded(capsys):
+    """GF(4), m = 4, constacyclic, --cap 3: the 3 candidates fit, the 4 degree-1
+    divisor candidates do not, so the batch divisor scan exits 2."""
+    code = main(["catalogue", "--field", "2,2", "--sigma", "1", "--m", "4",
+                 "--constacyclic", "--cap", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: 4^1 candidate divisors exceed cap 3\n"
+
+
 def test_catalogue_gf8_sigma2_m3_bytes(capsys):
     """GF(8), sigma = x -> x^4, m = 3, all 512 monic candidates: |Aut| = 3, so the
     tau-images of a Chen class can coincide; 32 lines with the two-pass orbits' bytes."""

@@ -18,6 +18,8 @@ from skewcodes.skewpoly import (
     all_monic_right_divisors,
     enumerate_monic_right_divisors,
     left_divide,
+    monic_right_divisor_lists,
+    monic_right_divisor_table,
     monic_scale,
     psi,
     right_divide,
@@ -314,6 +316,55 @@ def test_all_divisors_brute_force_paths():
         divs = all_monic_right_divisors(f)
         assert divs == _per_degree_scan(f), f
         assert divs[-1] == monic_scale(f)
+
+
+BATCH_CONFIGS = [
+    *[(f"GF(4) Frobenius m={m}", _tw(GF4, 1), m) for m in range(1, 5)],
+    *[(f"Z_4 m={m}", _tw(make_residue_ring(4)), m) for m in range(1, 5)],
+    ("GF(8) sigma^2 m=3", _tw(make_field(2, 3), 2), 3),
+    ("GF(9) Frobenius m=3", _tw(make_field(3, 2), 1), 3),
+    ("GF(4) inner delta m=3", TwistContext(GF4, FROB, delta_beta=OMEGA), 3),
+]
+
+
+@pytest.mark.parametrize("label,tw,m", BATCH_CONFIGS, ids=[c[0] for c in BATCH_CONFIGS])
+def test_divisor_lists_match_per_degree_scan(label, tw, m):
+    """One batch over every monic f of degree m, where high parts are shared,
+    equals the scan of every degree for each f on its own.  delta != 0 takes
+    the unhalved path; under sigma^2 on GF(8), psi(f) lives under sigma, so a
+    table shared across the two twists would give wrong divisors."""
+    fs = _monics(tw, m, False)
+    assert monic_right_divisor_lists(fs) == [_per_degree_scan(f) for f in fs]
+
+
+def test_divisor_lists_mix_monic_and_non_monic():
+    """Monic f and f with leading coefficient w in one batch keep their own degree ranges."""
+    fs = [SkewPoly(list(tail) + [lead], TW)
+          for tail in itertools.product(GF4.elements, repeat=3) for lead in (GF4.one, OMEGA)]
+    lists = monic_right_divisor_lists(fs)
+    assert lists == [_per_degree_scan(f) for f in fs]
+    assert all(divs[-1] == monic_scale(f) for f, divs in zip(fs, lists))
+
+
+def test_divisor_table_keys_low_parts():
+    """The table of one high part holds every candidate once, keyed by the low
+    part of the one f with that high part it divides, as right_divide finds."""
+    f = P(1, 0, 1, 1)
+    table = monic_right_divisor_table(f, 2)
+    assert sum(len(tails) for tails in table.values()) == 16
+    one = (GF4.one.val,)
+    for low, tails in table.items():
+        h = SkewPoly.from_indices(low + f.vals[2:], TW)
+        expected = [g for g in _monics(TW, 2, False) if right_divide(h, g)[1].is_zero]
+        assert [SkewPoly.from_indices(t + one, TW) for t in tails] == expected
+
+
+def test_divisor_lists_cap():
+    """The batch raises EnumerationCapExceeded at the first degree over the cap."""
+    fs = _monics(TW, 4, False)
+    with pytest.raises(EnumerationCapExceeded):
+        monic_right_divisor_lists(fs, cap=15)
+    assert len(monic_right_divisor_lists(fs, cap=16)) == len(fs)
 
 
 SCAN_CONFIGS = [
