@@ -128,7 +128,7 @@ def _codes_for(f: SkewPoly, divisors, cap: int, encode, params):
         known = params.get(g.vals)
         if known is None:
             algebra = algebra or PetitAlgebra(f)
-            code = LinearCode.from_indices(algebra, g, _left_ideal_span(algebra, g))
+            code = LinearCode(algebra, g, _left_ideal_span(algebra, g))
             known = params[g.vals] = (code.dimension, min_hamming_distance(code, cap=cap))
         dim, min_dist = known
         records.append({"g": encode(g.vals), "length": m, "dim": dim, "min_dist": min_dist})

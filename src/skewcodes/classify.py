@@ -17,7 +17,6 @@ from .coeffring import (
     Element,
     RingContext,
     all_automorphisms,
-    identity_aut,
     norm_image,
     partial_norm,
 )
@@ -114,6 +113,23 @@ def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Elemen
     """Test tau(a_i) = N_(m-i)(sigma^i(alpha)) * b_i for all i.
 
     As a_i = -f_i and b_i = -h_i, this is tau(f_i) = _scaled_norms(h, alpha)[i].
+
+    For m >= 2 this is verify_witness_multiplicative on the witness
+    (tau, alpha, 1), so k = 1 needs no multiplicativity check.  Extend G to
+    H(sum x_j t^j) = sum tau(x_j) N_j(alpha) t^j on S[t; sigma]; they agree
+    on S_f, as G(t^j) = N_j(alpha) t^j is never reduced for j < m.  H is
+    multiplicative by the norm cocycle N_(i+j)(alpha) = N_i(alpha)
+    sigma^i(N_j(alpha)) and tau sigma = sigma tau, so the products with
+    i + j < m, which neither f nor h reduces, always agree.  Those that reach
+    t^m agree exactly when the closed form holds.  If it holds, H(f) =
+    N_m(alpha) h, as N_m(alpha) = N_i(alpha) N_(m-i)(sigma^i(alpha)); so
+    p = q f + r with deg r < m gives H(p) = (H(q) N_m(alpha)) h + H(r), hence
+    H(p) mod_r h = H(p mod_r f) and G(x *_f y) = G(x) *_h G(y).  Conversely,
+    the pair t^(m-1), t gives -sum tau(f_i) N_i(alpha) t^i = N_m(alpha)
+    (t^m mod_r h) = -sum N_m(alpha) h_i t^i (right remainders are left
+    S-linear), and dividing by the unit N_i(alpha) gives the closed form.
+    For m = 1 no product reaches t, so every such G is multiplicative while
+    this test still compares the constants.
     """
     _require_classifiable(f, h)
     ring = f.twist.ring
@@ -126,15 +142,8 @@ def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Elemen
 
 
 def find_equivalence(f: SkewPoly, h: SkewPoly, chen_only: bool = False):
-    """First witness (tau, alpha, 1) in canonical scan order, or None."""
-    _require_classifiable(f, h)
-    ring = f.twist.ring
-    taus = [identity_aut(ring)] if chen_only else all_automorphisms(ring)
-    for tau in taus:
-        for alpha in ring.units:
-            if check_equivalence(f, h, tau, alpha):
-                return IsometryWitness(tau, alpha, 1)
-    return None
+    """First witness (tau, alpha, 1) in canonical scan order, or None: the k = 1 search."""
+    return _first_witness(f, h, [1], _taus(f.twist.ring, chen_only), [])
 
 
 def fast_reject(f: SkewPoly, h: SkewPoly):
@@ -301,67 +310,77 @@ def verify_witness_multiplicative(
     return True
 
 
-def find_isometry(f: SkewPoly, h: SkewPoly, chen_only: bool = False, k: int | None = None):
-    """Search for a degree-k monomial isomorphism witness, or None.
+# the ladder, strongest relation first; a witness's rung is (k == 1, tau is the identity)
+_LADDER = {
+    (True, True): Relation.CHEN_EQUIVALENT,
+    (True, False): Relation.EQUIVALENT,
+    (False, True): Relation.CHEN_ISOMETRIC,
+    (False, False): Relation.ISOMETRIC,
+}
 
-    With k None every valid degree k > 1 is tried; otherwise only k, which
-    must be 1 or a valid degree (InvalidK if not).  Constacyclic pairs use
-    the closed necessary condition first; every candidate is confirmed by
-    exhaustive multiplicativity of the induced map.
+
+def _taus(ring: RingContext, chen_only: bool):
+    taus = all_automorphisms(ring)
+    return taus[:1] if chen_only else taus
+
+
+def _first_witness(f: SkewPoly, h: SkewPoly, degrees, taus, algebras: list):
+    """The first witness over degrees, then taus, then units, each in the given order, or None.
+
+    k = 1 is decided by check_equivalence (its docstring proves that this is
+    the multiplicativity test for m >= 2).  A k > 1 candidate of a
+    constacyclic pair must first pass the necessary check_isometry_k, and is
+    then decided by verify_witness_multiplicative.  ``algebras`` is empty or
+    holds (S_f, S_h): they are built at the first verification and kept there
+    for later searches of the same pair.
+    """
+    units = f.twist.ring.units
+    # f = t^m - a with a != 0, and the same for h
+    constacyclic = all(p.vals[0] and not any(p.vals[1:-1]) for p in (f, h))
+    for k in degrees:
+        for tau in taus:
+            for alpha in units:
+                if k == 1:
+                    if check_equivalence(f, h, tau, alpha):
+                        return IsometryWitness(tau, alpha)
+                elif not constacyclic or check_isometry_k(f, h, tau, alpha, k):
+                    if not algebras:
+                        algebras += PetitAlgebra(f), PetitAlgebra(h)
+                    w = IsometryWitness(tau, alpha, k)
+                    if verify_witness_multiplicative(f, h, w, algebras=tuple(algebras)):
+                        return w
+    return None
+
+
+def classify_pair(
+    f: SkewPoly, h: SkewPoly, chen_only: bool = False, k: int | None = None
+) -> ClassificationResult:
+    """Strongest relation between the classes of f and h, with a witness.
+
+    The ladder runs ChenEquivalent (k = 1, tau = id), Equivalent (k = 1),
+    ChenIsometric (k > 1, tau = id), Isometric (k > 1); a witness's rung is
+    its (k == 1, tau is the identity).  The first rung with a witness, searched
+    by degree, then tau, then alpha, gives the relation and the witness.
+    chen_only keeps tau = id; k keeps that one degree, which must be 1 or a
+    valid_isometry_degrees entry (InvalidK if not).  The rungs are disjoint:
+    each (tau, alpha) is checked and each (tau, alpha, k) verified at most
+    once, and S_f and S_h are built at most once.  NotRelated carries
+    fast_reject's reason.
     """
     _require_classifiable(f, h)
-    ring = f.twist.ring
-    taus = [identity_aut(ring)] if chen_only else all_automorphisms(ring)
-    return _search_isometry(f, h, taus, k)[0]
-
-
-def _search_isometry(f: SkewPoly, h: SkewPoly, taus, k: int | None = None, algebras=None):
-    """find_isometry over the given taus: by degree, then tau in the given order, then alpha.
-
-    Returns the witness (or None) and (S_f, S_h), built at the first
-    verification and passed in as ``algebras`` by a later search of the same pair.
-    """
-    ring = f.twist.ring
-    m = int(f.degree)
-    degrees = valid_isometry_degrees(m, f.twist.sigma.order)
+    degrees = [1] + valid_isometry_degrees(int(f.degree), f.twist.sigma.order)
     if k is not None:
-        if k != 1 and k not in degrees:
+        if k not in degrees:
             raise InvalidK(f"k={k} violates the monomial-degree constraints")
         degrees = [k]
-    try:
-        _constacyclic_constant(f)
-        _constacyclic_constant(h)
-        constacyclic = True
-    except NotConstacyclic:
-        constacyclic = False
-    for deg in degrees:
-        for tau in taus:
-            for alpha in ring.units:
-                w = IsometryWitness(tau, alpha, deg)
-                if constacyclic and not check_isometry_k(f, h, tau, alpha, deg):
-                    continue
-                algebras = algebras or (PetitAlgebra(f), PetitAlgebra(h))
-                if verify_witness_multiplicative(f, h, w, algebras=algebras):
-                    return w, algebras
-    return None, algebras
-
-
-def classify_pair(f: SkewPoly, h: SkewPoly) -> ClassificationResult:
-    """Strongest relation between the classes of f and h, with a witness."""
-    # the scan is tau-major with tau = id first: a Chen witness comes first if one exists
-    w = find_equivalence(f, h)
-    if w is not None:
-        relation = Relation.CHEN_EQUIVALENT if w.tau.is_identity else Relation.EQUIVALENT
-        return ClassificationResult(relation, w)
-    taus = all_automorphisms(f.twist.ring)
-    w, algebras = _search_isometry(f, h, taus[:1])
-    if w is not None:
-        return ClassificationResult(Relation.CHEN_ISOMETRIC, w)
-    # tau = id failed at every degree above; the full search scans tau = id
-    # first at each degree, so skipping it finds the same first witness
-    w, _ = _search_isometry(f, h, taus[1:], algebras=algebras)
-    if w is not None:
-        return ClassificationResult(Relation.ISOMETRIC, w)
+    taus = _taus(f.twist.ring, chen_only)
+    algebras = []
+    for (equivalence, chen), relation in _LADDER.items():
+        rung_degrees = [d for d in degrees if (d == 1) == equivalence]
+        rung_taus = [tau for tau in taus if tau.is_identity == chen]
+        w = _first_witness(f, h, rung_degrees, rung_taus, algebras)
+        if w is not None:
+            return ClassificationResult(relation, w)
     return ClassificationResult(Relation.NOT_RELATED, None, fast_reject(f, h))
 
 
@@ -387,8 +406,7 @@ def _class_orbit(tw, hv, chen_only: bool):
     if tw.has_delta:
         raise DeltaNotZero("classification predicates require delta = 0")
     ring = tw.ring
-    taus = [identity_aut(ring)] if chen_only else all_automorphisms(ring)
-    tables = [ring.frobenius_table(tau.frob_exp) for tau in taus]
+    tables = [ring.frobenius_table(tau.frob_exp) for tau in _taus(ring, chen_only)]
     one = (ring.one.val,)
     out = set()
     for alpha in ring.units:

@@ -16,13 +16,9 @@ import sys
 from . import __version__
 from .catalogue import run_catalogue
 from .classify import (
-    ClassificationResult,
-    Relation,
     classify_pair,
     count_constacyclic_classes,
     count_constacyclic_classes_formula,
-    find_equivalence,
-    find_isometry,
 )
 from .codes import build_code, min_hamming_distance
 from .coeffring import Automorphism, make_field, make_residue_ring
@@ -109,18 +105,7 @@ def cmd_check_equiv(args) -> int:
     tw = _twist(args, ctx)
     f = _parse_poly(ctx, tw, args.f)
     h = _parse_poly(ctx, tw, args.h)
-    if args.k is None and not args.chen:
-        _emit(classify_pair(f, h).to_json(), args)
-        return EXIT_OK
-    if args.k is not None and args.k != 1:
-        w = find_isometry(f, h, chen_only=args.chen, k=args.k)
-        chen, full = Relation.CHEN_ISOMETRIC, Relation.ISOMETRIC
-    else:
-        w = find_equivalence(f, h, chen_only=args.chen)
-        chen, full = Relation.CHEN_EQUIVALENT, Relation.EQUIVALENT
-    found = Relation.NOT_RELATED if w is None else chen if w.tau.is_identity else full
-    result = ClassificationResult(found, w)
-    _emit(result.to_json(), args)
+    _emit(classify_pair(f, h, chen_only=args.chen, k=args.k).to_json(), args)
     return EXIT_OK
 
 
@@ -200,8 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-equiv", help="classify the relation between two classes")
     common(p, poly_flags=("f", "h"))
-    p.add_argument("--chen", action="store_true", help="restrict tau to the identity")
-    p.add_argument("--k", type=int, default=None, help="monomial degree to test")
+    p.add_argument("--chen", action="store_true",
+                   help="restrict tau to the identity: only the Chen relations")
+    p.add_argument("--k", type=int, default=None,
+                   help="search only monomial degree K: 1 for the equivalences, "
+                        "a valid K > 1 for the isometries")
     p.set_defaults(func=cmd_check_equiv)
 
     p = sub.add_parser("count-classes", help="count constacyclic Chen-equivalence classes")

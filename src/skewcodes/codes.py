@@ -26,14 +26,7 @@ class LinearCode:
         self.algebra = algebra
         self.g = g
         self.length = algebra.m
-        self.rows = tuple(tuple([c.val for c in row]) for row in rows)
-
-    @classmethod
-    def from_indices(cls, algebra: PetitAlgebra, g: SkewPoly | None, rows) -> "LinearCode":
-        """The code with the given index-tuple rows."""
-        code = cls(algebra, g, ())
-        code.rows = tuple(rows)
-        return code
+        self.rows = tuple(rows)
 
     @property
     def dimension(self) -> int:
@@ -70,7 +63,7 @@ class LinearCode:
 def build_code(A: PetitAlgebra, g: SkewPoly) -> LinearCode:
     """The code of the principal left ideal of g; rows per the shifted images of g."""
     _check_generator(A, g)
-    return LinearCode.from_indices(A, g, _left_ideal_span(A, g))
+    return LinearCode(A, g, _left_ideal_span(A, g))
 
 
 def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
@@ -84,7 +77,7 @@ def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
     of all its representatives from one monic_right_divisor_lists batch).
     """
     return [
-        LinearCode.from_indices(A, g, _left_ideal_span(A, g))
+        LinearCode(A, g, _left_ideal_span(A, g))
         for g in all_monic_right_divisors(A.f, cap=cap)
         if g.degree < A.m
     ]

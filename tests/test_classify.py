@@ -16,7 +16,6 @@ from skewcodes.classify import (
     equivalence_class_of,
     fast_reject,
     find_equivalence,
-    find_isometry,
     trailing_coeffs,
     valid_isometry_degrees,
     verify_witness_multiplicative,
@@ -36,6 +35,7 @@ from skewcodes.errors import (
     InvalidK,
     NotConstacyclic,
 )
+from skewcodes.petit import PetitAlgebra
 from skewcodes.skewpoly import SkewPoly, TwistContext
 
 GF4 = make_field(2, 2)
@@ -300,17 +300,116 @@ def test_classify_pair_checks_no_equivalence_twice(monkeypatch, f, h, relation):
     assert len(set(seen)) == len(seen)
 
 
-def test_find_isometry_single_degree():
+def test_classify_pair_single_degree():
     tw = TwistContext(GF4, identity_aut(GF4))
     f, h = consta(tw, 5, GF4.one), consta(tw, 5, OMEGA)
-    w = find_isometry(f, h, k=3)
+    w = classify_pair(f, h, k=3).witness
     assert (w.k, w.alpha) == (3, GF4.one)  # N_5(alpha) * w^3 = 1
-    w = find_isometry(f, h, k=1)
+    w = classify_pair(f, h, k=1).witness
     assert (w.k, w.alpha) == (1, OMEGA)  # N_5(alpha) * w = 1
     with pytest.raises(InvalidK):
-        find_isometry(f, h, k=5)  # k must be below m
+        classify_pair(f, h, k=5)  # k must be below m
     with pytest.raises(InvalidK):
-        find_isometry(consta(TW, 5, GF4.one), consta(TW, 5, OMEGA), k=2)  # even, n = 2
+        classify_pair(consta(TW, 5, GF4.one), consta(TW, 5, OMEGA), k=2)  # even, n = 2
+
+
+MULTIPLICATIVITY_CONFIGS = [
+    ("GF(4) Frobenius m=2", TW, 2),
+    ("GF(4) Frobenius m=3", TW, 3),
+    ("Z_4 m=3", _twist(make_residue_ring(4)), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "label,tw,m", MULTIPLICATIVITY_CONFIGS, ids=[c[0] for c in MULTIPLICATIVITY_CONFIGS]
+)
+def test_equivalence_is_multiplicativity(label, tw, m):
+    """For m >= 2, check_equivalence(f, h, tau, alpha) is the multiplicativity of the
+    k = 1 witness (tau, alpha), on every (f, h, tau, alpha); the proof is in
+    check_equivalence's docstring."""
+    polys = monic_polys(tw, m)
+    algebras = [PetitAlgebra(f) for f in polys]
+    taus = all_automorphisms(tw.ring)
+    for f, A in zip(polys, algebras):
+        for h, B in zip(polys, algebras):
+            for tau in taus:
+                for alpha in tw.ring.units:
+                    w = IsometryWitness(tau, alpha)
+                    assert check_equivalence(f, h, tau, alpha) == \
+                        verify_witness_multiplicative(f, h, w, algebras=(A, B)), (f, h, w)
+
+
+# the ladder of classify_pair's docstring, strongest first, written out apart from it
+_RUNGS = [
+    (Relation.CHEN_EQUIVALENT, True, True),
+    (Relation.EQUIVALENT, True, False),
+    (Relation.CHEN_ISOMETRIC, False, True),
+    (Relation.ISOMETRIC, False, False),
+]
+
+
+def _all_witnesses(f, h, algebras):
+    """Every witness (k, tau, alpha) of the pair in degree -> tau -> alpha order, checked by
+    check_equivalence at k = 1 and verify_witness_multiplicative above it."""
+    tw = f.twist
+    found = []
+    for k in [1] + valid_isometry_degrees(int(f.degree), tw.sigma.order):
+        for tau in all_automorphisms(tw.ring):
+            for alpha in tw.ring.units:
+                w = IsometryWitness(tau, alpha, k)
+                if (check_equivalence(f, h, tau, alpha) if k == 1
+                        else verify_witness_multiplicative(f, h, w, algebras=algebras)):
+                    found.append(w)
+    return found
+
+
+def _strongest(found, chen_only, k):
+    """The strongest relation among the witnesses in the mode's range, with that rung's
+    first witness."""
+    found = [w for w in found if (not chen_only or w.tau.is_identity) and k in (None, w.k)]
+    for relation, equivalence, chen in _RUNGS:
+        rung = [w for w in found if (w.k == 1, w.tau.is_identity) == (equivalence, chen)]
+        if rung:
+            return relation, rung[0]
+    return Relation.NOT_RELATED, None
+
+
+GF7_ID = _twist(make_field(7, 1))
+# (label, polys, K, stride): every f against every stride-th h; K None where m has no
+# valid degree k > 1.  Over GF(16) the non-Chen rung has three taus: on 8 of the 768
+# pairs left, scanning alpha before tau would change its first witness
+LADDER_CONFIGS = [
+    ("GF(4) id m=3", monic_polys(_twist(GF4), 3), 2, 3),
+    ("GF(7) constacyclic m=3", [consta(GF7_ID, 3, a) for a in GF7_ID.ring.units], 2, 1),
+    ("GF(4) id constacyclic m=5", [consta(_twist(GF4), 5, a) for a in GF4.units], 3, 1),
+    ("GF(16) Frobenius m=2", monic_polys(_twist(make_field(2, 4), 1), 2), None, 88),
+]
+
+
+@pytest.mark.parametrize("label,polys,K,stride", LADDER_CONFIGS,
+                         ids=[c[0] for c in LADDER_CONFIGS])
+def test_classify_pair_ladder_oracle(label, polys, K, stride):
+    """classify_pair in all six modes, chen_only in {False, True} x k in {None, 1, K},
+    against a brute force over the mode's (k, tau, alpha).  The strides keep the run
+    short; over GF(4) m = 3 the 1,408 pairs left reach every relation each mode can give.
+
+    This checks the ladder's order and labels, not soundness: both sides take
+    verify_witness_multiplicative's verdict for k > 1, so a multiplicative map that is
+    no isometry passes both (the monomial test is still missing there).
+    """
+    algebras = {f: PetitAlgebra(f) for f in polys}
+    for f in polys:
+        for h in polys[::stride]:
+            found = _all_witnesses(f, h, (algebras[f], algebras[h]))
+            reason = fast_reject(f, h)
+            for chen_only in (False, True):
+                for k in dict.fromkeys((None, 1, K)):
+                    relation, witness = _strongest(found, chen_only, k)
+                    got = classify_pair(f, h, chen_only=chen_only, k=k)
+                    assert (got.relation, got.witness) == (relation, witness), \
+                        (f, h, chen_only, k)
+                    if relation == Relation.NOT_RELATED:
+                        assert got.filter_reason == reason
 
 
 def test_valid_isometry_degrees():

@@ -172,6 +172,27 @@ def test_check_equiv_k1_searches_degree_one_only(capsys):
     assert (doc["relation"], doc["witness"]["k"]) == ("Equivalent", 1)
 
 
+def test_check_equiv_chen_searches_every_degree(capsys):
+    """--chen restricts tau to the identity, not k: t^3 - 2 and t^3 - 3 over GF(7) are
+    related by k = 2 only, and tau = id there."""
+    code, out = run(capsys, "check-equiv", "--field", "7,1", "--f", "5,0,0", "--h", "4,0,0",
+                    "--chen")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["relation"], doc["witness"]["k"]) == ("ChenIsometric", 2)
+
+
+@pytest.mark.parametrize("extra", [[], ["--chen"], ["--k", "1"], ["--chen", "--k", "1"]])
+def test_check_equiv_filter_reason_in_every_mode(capsys, extra):
+    """NotRelated carries fast_reject's reason whatever the restriction."""
+    code, out = run(capsys, "check-equiv", "--field", "2,2", "--sigma", "1",
+                    "--f", "1,1", "--h", "1,0", *extra)  # t^2+t+1 vs t^2+1
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["relation"] == "NotRelated"
+    assert doc["filter_reason"] == "support mismatch at degree 1"
+
+
 def test_count_classes(capsys):
     code, out = run(capsys, "count-classes", "--field", "2,2", "--sigma", "1",
                     "--m", "2")
