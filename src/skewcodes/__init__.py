@@ -48,6 +48,5 @@ from .classify import (
 )
 
 from .catalogue import partition_classes, poly_to_json, run_catalogue
-from .verify import run_verify
 
 __version__ = "0.1.0"

@@ -284,7 +284,12 @@ def verify_witness_multiplicative(
     G itself is read from the m images of t^j (_image_table): by additivity
     and tau-semilinearity, G(x) = sum_j tau(x_j) * G(t^j) for x = sum x_j t^j,
     so G(t^i) = images[i] and G(b t^j) = tau(b) * images[j].  Everything runs
-    on index lists, with the products of S_f and S_h from mul_indices.
+    on index lists.  The S_f side needs no product: delta = 0, which
+    _require_classifiable checks first, so t^i * b t^j = sigma^i(b) t^(i+j)
+    in S[t; sigma], and by the left S-linearity of right remainders
+    t^i *_f b t^j = sigma^i(b) * (t^(i+j) mod_r f), read from S_f's power
+    table, which holds every t^n mod_r f with n <= 2(m-1).  The S_h side
+    comes from mul_indices.
 
     The pairs run with i from m - 1 down to 0, so those whose product
     t^i * b t^j reaches degree m and is reduced by f come first; a bad
@@ -295,16 +300,23 @@ def verify_witness_multiplicative(
     ``algebras`` passes (S_f, S_h) already built, to share them between
     witnesses of the same pair.
     """
+    _require_classifiable(f, h)
     A, B = algebras or (PetitAlgebra(f), PetitAlgebra(h))
     ring = f.twist.ring
     tt = ring.frobenius_table(witness.tau.frob_exp)
     images = _image_table(B, witness)
     gens = A._generator_indices()
-    one = ring.one.val
-    for i in range(A.m - 1, -1, -1):
-        x = [0] * i + [one]  # G(x) = images[i]
+    m, red = A.m, A._red
+    for i in range(m - 1, -1, -1):
+        sigma_i = ring.frobenius_table(f.twist.sigma.frob_exp * i % ring.r)
         for y in gens:
-            lhs = _apply_images(images, tt, A.mul_indices(x, y), ring)
+            # x = t^i, y = b t^j: x *_f y = sigma^i(b) (t^(i+j) mod_r f) for delta = 0
+            j, b = len(y) - 1, y[-1]
+            row = ring._mul[sigma_i[b]]
+            xy = [0] * m
+            for l, c in red[i + j]:
+                xy[l] = row[c]
+            lhs = _apply_images(images, tt, xy, ring)
             if lhs != B.mul_indices(images[i], _apply_images(images, tt, y, ring)):
                 return False
     return True

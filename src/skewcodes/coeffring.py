@@ -37,15 +37,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mul_mod_p(u, v, p):
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                out[i + j] = (out[i + j] + ui * vj) % p
-    return out
-
-
 def _poly_divmod_p(num, den, p):
     """Commutative division of coefficient lists over F_p; den must be monic-able."""
     num = list(num)
@@ -205,10 +196,20 @@ class RingContext:
         return self.elements[k % self.characteristic * self.one.val]
 
     def frobenius_table(self, e: int):
-        """Index table of x -> x^(p^e), built once per exponent (e = 0 is the identity)."""
+        """Index table of x -> x^(p^e) for 0 <= e < r, built once per exponent.
+
+        x^p = x * x^(p-1) is read off row x of the multiplication table, and
+        x^(p^e) is x -> x^p applied to x^(p^(e-1)); e = 0 is the identity.
+        """
         table = self._frobenius.get(e)
         if table is None:
-            table = [self.pow(x, self.p ** e).val for x in self.elements]
+            if e == 1:
+                table = list(range(self.size))
+                for _ in range(self.p - 1):
+                    table = [row[y] for row, y in zip(self._mul, table)]
+            else:
+                frob = self.frobenius_table(1)
+                table = [frob[y] for y in self.frobenius_table(e - 1)]
             self._frobenius[e] = table
         return table
 
@@ -315,7 +316,19 @@ def default_modulus(p: int, r: int):
 
 
 def make_field(p: int, r: int, modulus=None) -> RingContext:
-    """Construct GF(p^r) with a verified irreducible modulus."""
+    """Construct GF(p^r) with a verified irreducible modulus.
+
+    An index is a digit vector read as a base-p number, the coefficient of
+    x^0 most significant: u = sum_k u_k p^(r-1-k).  Sums are digitwise mod p,
+    so the addition table is built one digit at a time from that of Z_p.
+    Products use F_p-linearity: v -> u*v is F_p-linear, so row u is
+    u*v = sum_k v_k (x^k u), the F_p-span of x^0 u, ..., x^(r-1) u listed
+    in index order.  Multiplying by x moves each u_k to x^(k+1), one place
+    less significant, which is u // p on indices; the digit u_(r-1) = u % p
+    that falls off comes back as u_(r-1) x^r, where x^r = -(m_0 + m_1 x +
+    ... + m_(r-1) x^(r-1)) by the modulus.  So x*u is one shift plus one
+    reduction, and the powers x^k u are read from that one table.
+    """
     if not _is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if r < 1:
@@ -330,15 +343,32 @@ def make_field(p: int, r: int, modulus=None) -> RingContext:
             raise ReducibleModulus("modulus must be monic of degree r")
         if not _is_irreducible(list(modulus), p, r):
             raise ReducibleModulus(f"{list(modulus)} is reducible over F_{p}")
-    digits = list(itertools.product(range(p), repeat=r))
-    index = {d: i for i, d in enumerate(digits)}
+    zp = [[(a + b) % p for b in range(p)] for a in range(p)]
+    add = zp
+    for size in (p ** k for k in range(1, r)):
+        # prepend a more significant digit a (in u) and b (in v) to every entry
+        add = [[zp[a][b] * size + s for b in range(p) for s in row]
+               for a in range(p) for row in add]
 
-    def product(u, v):
-        _, rem = _poly_divmod_p(_poly_mul_mod_p(u, v, p), list(modulus), p)
-        return tuple(rem + [0] * (r - len(rem)))
+    def multiples(w):
+        """c * w for c = 0..p-1."""
+        out = [0]
+        for _ in range(p - 1):
+            out.append(add[out[-1]][w])
+        return out
 
-    add = [[index[tuple((x + y) % p for x, y in zip(u, v))] for v in digits] for u in digits]
-    mul = [[index[product(u, v)] for v in digits] for u in digits]
+    # c * x^r for each digit c
+    x_r = multiples(sum(-c % p * p ** (r - 1 - k) for k, c in enumerate(modulus[:r])))
+    x_times = [add[u // p][x_r[u % p]] for u in range(p ** r)]
+    mul = []
+    for u in range(p ** r):
+        powers = [u]  # x^k u for k < r
+        for _ in range(r - 1):
+            powers.append(x_times[powers[-1]])
+        span = [0]
+        for w in reversed(powers):  # x^0 u, the most significant digit of v, comes last
+            span = [row[s] for row in (add[c] for c in multiples(w)) for s in span]
+        mul.append(span)
     return RingContext("field", add, mul, p=p, r=r, modulus=modulus)
 
 

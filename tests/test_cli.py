@@ -307,10 +307,10 @@ def test_out_flag_missing_directory(tmp_path, capsys, argv):
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
-    import skewcodes.cli as cli
+    import skewcodes.verify as verify
 
     monkeypatch.setattr(
-        cli, "run_verify",
+        verify, "run_verify",
         lambda: [{"name": "x", "passed": False, "checked": 0,
                   "failures": [], "failure_count": 1}],
     )
@@ -319,10 +319,10 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
 
 
 def test_verify_exit_code_on_success(monkeypatch, capsys):
-    import skewcodes.cli as cli
+    import skewcodes.verify as verify
 
     monkeypatch.setattr(
-        cli, "run_verify",
+        verify, "run_verify",
         lambda: [{"name": "x", "passed": True, "checked": 1,
                   "failures": [], "failure_count": 0}],
     )

@@ -1,5 +1,7 @@
 """Coefficient ring tests: GF(p^r) in the polynomial basis and Z_n."""
 
+import time
+
 import pytest
 
 from skewcodes.coeffring import (
@@ -36,6 +38,17 @@ def test_gf4_default_modulus():
 def test_omega_square():
     assert OMEGA * OMEGA == GF4.from_json([1, 1])
     assert OMEGA * OMEGA * OMEGA == GF4.one
+
+
+def test_gf256_builds_within_a_tenth_of_a_second():
+    """The tables come from index arithmetic (10-15 ms on a 2-core host),
+    not from 65,536 polynomial products and divisions (about 1 s)."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        make_field(2, 8)
+        best = min(best, time.perf_counter() - t0)
+    assert best <= 0.1
 
 
 def test_nonprime_p_rejected():

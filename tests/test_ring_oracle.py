@@ -16,10 +16,24 @@ def _dense(digits):
     return gt.gf_strip([ZZ(d) for d in reversed(digits)])
 
 
-@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)])
-def test_field_tables_match_galoistools(p, r):
-    """Every sum, product and negative of GF(p^r), computed in F_p[x] / (modulus)."""
-    K = make_field(p, r)
+# default moduli (ids p-r), the three monic irreducible quadratics over F_3,
+# and x^4+x^3+x^2+x+1 over F_2, irreducible but not primitive (x has order 5);
+# an explicit modulus's id ends in its little-endian coefficients
+FIELDS = [
+    *(pytest.param(p, r, None, id=f"{p}-{r}")
+      for p, r in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8)]),
+    *(pytest.param(p, r, modulus, id=f"{p}-{r}-{''.join(map(str, modulus))}")
+      for p, r, modulus in [(3, 2, (1, 0, 1)), (3, 2, (2, 1, 1)), (3, 2, (2, 2, 1)),
+                            (2, 4, (1, 1, 1, 1, 1))]),
+]
+
+
+@pytest.mark.parametrize("p,r,modulus", FIELDS)
+def test_field_tables_match_galoistools(p, r, modulus):
+    """Every sum, product, negative and Frobenius power of GF(p^r), in F_p[x] / (modulus)."""
+    K = make_field(p, r, modulus=modulus)
+    if modulus is not None:
+        assert K.modulus == modulus
     modulus = _dense(K.modulus)
     dense = [_dense(e.to_json()) for e in K.elements]
     by_dense = {tuple(d): e for d, e in zip(dense, K.elements)}
@@ -29,6 +43,18 @@ def test_field_tables_match_galoistools(p, r):
             assert a + b == by_dense[tuple(gt.gf_add(da, db, p, ZZ))]
             product = gt.gf_rem(gt.gf_mul(da, db, p, ZZ), modulus, p, ZZ)
             assert a * b == by_dense[tuple(product)]
+    for e in range(r):
+        table = K.frobenius_table(e)
+        for a, da in zip(K.elements, dense):
+            image = gt.gf_pow_mod(da, p ** e, modulus, p, ZZ)
+            assert K.elements[table[a.val]] == by_dense[tuple(image)]
+
+
+def test_non_primitive_modulus_has_x_of_order_5():
+    """x^4+x^3+x^2+x+1 divides x^5 - 1, so in its field x is a unit of order 5, not 15."""
+    K = make_field(2, 4, modulus=(1, 1, 1, 1, 1))
+    x = K.from_json([0, 1])
+    assert [k for k in range(1, 16) if x ** k == K.one] == [5, 10, 15]
 
 
 @pytest.mark.parametrize("n", [4, 6, 9, 256])

@@ -1,6 +1,10 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses, and
+importing the package leaves out the code that only `skewcodes verify` runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import skewcodes
@@ -49,3 +53,12 @@ def test_no_unused_imports():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_import_leaves_verify_unloaded():
+    """Importing the package and its CLI does not load (or compile) ``verify``."""
+    code = "import sys, skewcodes, skewcodes.cli; print('skewcodes.verify' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
