@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 from .classify import _class_orbit
 from .codes import LinearCode, min_hamming_distance
@@ -14,29 +15,29 @@ from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext, monic_right_divi
 SCHEMA_VERSION = 1
 
 
-def _poly_encoder(twist: TwistContext):
-    """The JSON form of a polynomial under twist, as a function of its index tuple.
+def _poly_text(twist: TwistContext):
+    """A polynomial's JSON text under twist, as a function of its index tuple; each built once.
 
-    Each element's JSON form is computed once.  A field element's is a digit
-    list, so every coefficient gets its own copy: no two records share a list.
+    The text is the sort_keys json.dumps of {"coeffs": the coefficients' Element.to_json
+    forms, "delta": None or {"inner": beta's form}, "sigma_exp": sigma's exponent},
+    composed from json.dumps of each element's form as run_catalogue argues.
     """
-    ring = twist.ring
-    forms = [e.to_json() for e in ring.elements]
-    fresh = list if ring.kind == "field" else int
-    sigma_exp, beta = twist.sigma.frob_exp, twist.delta_beta
+    forms = [json.dumps(e.to_json()) for e in twist.ring.elements]
+    beta = twist.delta_beta
+    delta = "null" if beta is None else '{"inner": %s}' % forms[beta.val]
+    tail = '], "delta": %s, "sigma_exp": %d}' % (delta, twist.sigma.frob_exp)
+    texts = {}
 
-    def encode(vals):
-        return {
-            "coeffs": [fresh(forms[v]) for v in vals],
-            "sigma_exp": sigma_exp,
-            "delta": None if beta is None else {"inner": fresh(forms[beta.val])},
-        }
+    def text(vals):
+        if vals not in texts:
+            texts[vals] = '{"coeffs": [' + ", ".join([forms[v] for v in vals]) + tail
+        return texts[vals]
 
-    return encode
+    return text
 
 
 def poly_to_json(poly: SkewPoly) -> dict:
-    return _poly_encoder(poly.twist)(poly.vals)
+    return json.loads(_poly_text(poly.twist)(poly.vals))
 
 
 def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
@@ -52,8 +53,8 @@ def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     return [tail + (one,) for tail in itertools.product(range(ring.size), repeat=m)]
 
 
-def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int):
-    """Full-equivalence classes (each with its Chen subclasses), canonically ordered.
+def _partition(twist: TwistContext, m: int, constacyclic: bool, cap: int):
+    """Full-equivalence classes as (members, Chen subclasses) of index tuples, canonically ordered.
 
     One Chen orbit per class, computed for its first candidate f, gives both
     the members and the Chen subclasses.  The units alpha act on the
@@ -75,8 +76,7 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
 
     The full classes are orbits too, so a class found from its first pending
     candidate holds no member of an earlier class.  Candidates, members and
-    Chen subclasses are keyed by index tuples, which sort in sort_key order;
-    they become SkewPolys on the way out.
+    Chen subclasses are index tuples, which sort in sort_key order.
     """
     candidates = _candidates(twist, m, constacyclic, cap)
     ring = twist.ring
@@ -96,52 +96,57 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
         pending.difference_update(members)
         classes.append((members, chen))
     classes.sort(key=lambda cls: cls[0][0])
+    return classes
+
+
+def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int):
+    """_partition's classes as {"members": [...], "chen": [[...], ...]} of SkewPolys."""
     poly = SkewPoly.from_indices
-    return [
-        {
-            "members": [poly(g, twist) for g in members],
-            "chen": [[poly(g, twist) for g in sub] for sub in chen],
-        }
-        for members, chen in classes
-    ]
+    return [{"members": [poly(g, twist) for g in members],
+             "chen": [[poly(g, twist) for g in sub] for sub in chen]}
+            for members, chen in _partition(twist, m, constacyclic, cap)]
 
 
-def _codes_for(f: SkewPoly, divisors, cap: int, encode, params):
-    """One record per g of divisors, f's monic right divisors in order, of degree < m.
+def _codes_for(f: SkewPoly, divisors, cap: int, text, codes):
+    """The JSON text of the code of each g of degree < m in divisors, f's monic right divisors.
 
-    params maps g's index tuple to the code's (dimension, minimum distance);
-    it is read first and filled on a miss, and f's PetitAlgebra is built only
-    for its first miss.  This is exact: the code of g is the span of the rows
-    t^i*g for i < m - deg g, and each row has degree deg g + i <= m - 1, so
-    no row is reduced by f.  In _left_ideal_span each row is the _t_step of
-    the one before, of degree at most m - 2, so t*r has no t^m term and the
-    step never reads f.  The rows, their number m - deg g and the minimum
+    codes maps g's index tuple to its code's text; it is read first and
+    filled on a miss, and f's PetitAlgebra is built only for its first miss.
+    This is exact: the code of g is the span of the rows t^i*g for
+    i < m - deg g, and each row has degree deg g + i <= m - 1, so no row is
+    reduced by f.  In _left_ideal_span each row is the _t_step of the one
+    before, of degree at most m - 2, so t*r has no t^m term and the step
+    never reads f.  The rows, their number m - deg g and the minimum
     distance therefore depend only on (twist, m, g), which one run_catalogue
     call fixes.
     """
     m = int(f.degree)
-    algebra = None
-    records = []
+    algebra, out = None, []
     for g in divisors:
         if g.degree >= m:
             continue
-        known = params.get(g.vals)
+        known = codes.get(g.vals)
         if known is None:
             algebra = algebra or PetitAlgebra(f)
             code = LinearCode(algebra, g, _left_ideal_span(algebra, g))
-            known = params[g.vals] = (code.dimension, min_hamming_distance(code, cap=cap))
-        dim, min_dist = known
-        records.append({"g": encode(g.vals), "length": m, "dim": dim, "min_dist": min_dist})
-    return records
+            known = codes[g.vals] = '{"dim": %d, "g": %s, "length": %d, "min_dist": %d}' % (
+                code.dimension, text(g.vals), m, min_hamming_distance(code, cap=cap))
+        out.append(known)
+    return out
 
 
-def run_catalogue(
-    twist: TwistContext,
-    m: int,
-    constacyclic: bool = False,
-    cap: int = DEFAULT_ENUM_CAP,
-):
-    """One record per full-equivalence class, in canonical order.
+def run_catalogue(twist: TwistContext, m: int, constacyclic: bool = False,
+                  cap: int = DEFAULT_ENUM_CAP):
+    """One JSON line per full-equivalence class, in canonical order.
+
+    A line has the bytes of json.dumps(record, sort_keys=True) for the record
+    {"chen_classes", "codes", "full_class", "representative",
+    "schema_version"}, but no record is built.  With sort_keys and the default
+    separators json.dumps writes a dict as "{" + the ", "-joined '"key": value'
+    in sorted key order + "}" and a list as "[" + its ", "-joined items + "]",
+    each value and item written the same way.  Text composed in that shape
+    from json.dumps of the leaves (the element forms of _poly_text) and ints
+    written by %d, as json.dumps writes them, therefore has the same bytes.
 
     The monic right divisors of every class representative come from one
     monic_right_divisor_lists call, so representatives that share a high
@@ -149,19 +154,16 @@ def run_catalogue(
     """
     if m < 2:
         raise InvalidConfig("catalogue needs degree m > 1")
-    encode = _poly_encoder(twist)
-    params = {}  # generator index tuple -> (dimension, minimum distance); see _codes_for
-    classes = partition_classes(twist, m, constacyclic, cap)
-    reps = [cls["members"][0] for cls in classes]
-    records = []
-    for cls, rep, divisors in zip(classes, reps, monic_right_divisor_lists(reps, cap)):
-        records.append(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "representative": encode(rep.vals),
-                "full_class": [encode(g.vals) for g in cls["members"]],
-                "chen_classes": [[encode(g.vals) for g in sub] for sub in cls["chen"]],
-                "codes": _codes_for(rep, divisors, cap, encode, params),
-            }
-        )
-    return records
+    text = _poly_text(twist)
+    codes = {}  # generator index tuple -> its code's text; see _codes_for
+    classes = _partition(twist, m, constacyclic, cap)
+    reps = [SkewPoly.from_indices(members[0], twist) for members, _ in classes]
+    lists = monic_right_divisor_lists(reps, cap)
+    return [
+        '{"chen_classes": [%s], "codes": [%s], "full_class": [%s], "representative": %s, '
+        '"schema_version": %d}' % (
+            ", ".join(["[" + ", ".join(map(text, sub)) + "]" for sub in chen]),
+            ", ".join(_codes_for(rep, divisors, cap, text, codes)),
+            ", ".join(map(text, members)), text(members[0]), SCHEMA_VERSION)
+        for (members, chen), rep, divisors in zip(classes, reps, lists)
+    ]

@@ -129,17 +129,12 @@ def cmd_count_classes(args) -> int:
 def cmd_catalogue(args) -> int:
     ctx = _parse_ring(args)
     tw = _twist(args, ctx)
-    records = run_catalogue(tw, args.m, constacyclic=args.constacyclic, cap=args.cap)
-    # records are trees: no list or dict appears twice in them (checked by
-    # test_catalogue_records_are_unshared_element_json), so they hold no cycle
-    # and the encoder's cycle check would find nothing; the bytes are the same
-    lines = [json.dumps(rec, sort_keys=True, check_circular=False) for rec in records]
+    text = "\n".join(run_catalogue(tw, args.m, args.constacyclic, args.cap)) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -203,13 +203,13 @@ def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     return best
 
 
-def apply_isometry_to_code(C: LinearCode, witness, target_f: SkewPoly) -> LinearCode:
-    """Transport C along an equivalence witness into the class of target_f."""
+def apply_isometry_to_code(C: LinearCode, witness, target: PetitAlgebra) -> LinearCode:
+    """Transport C along an equivalence witness into the class of target's f."""
     if witness.k != 1:
         raise WitnessInvalid("code transport requires a degree-1 witness")
-    if not check_equivalence(C.algebra.f, target_f, witness.tau, witness.alpha):
+    if not check_equivalence(C.algebra.f, target.f, witness.tau, witness.alpha):
         raise WitnessInvalid("witness does not certify equivalence of the classes")
     if C.g is None:
         raise WitnessInvalid("code has no generator polynomial")
     image = isometry_image(C.g, witness.tau, witness.alpha, 1)
-    return build_code(PetitAlgebra(target_f), monic_scale(image))
+    return build_code(target, monic_scale(image))

@@ -9,6 +9,7 @@ the acceptance tests both run these.
 from __future__ import annotations
 
 import itertools
+import json
 
 from .catalogue import partition_classes, run_catalogue
 from .classify import (
@@ -172,7 +173,7 @@ def check_witness_soundness() -> dict:
 def check_catalogue_structure() -> dict:
     """GF(4), m = 2 constacyclic: 3 Chen classes collapsing to 2 full classes."""
     K, tw = _gf4_frobenius()
-    records = run_catalogue(tw, 2, constacyclic=True)
+    records = [json.loads(line) for line in run_catalogue(tw, 2, constacyclic=True)]
     failures = []
     chen_total = sum(len(rec["chen_classes"]) for rec in records)
     if len(records) != 2:
@@ -197,7 +198,7 @@ def _constacyclic_classes_gf4_m2():
     K, tw = _gf4_frobenius()
     return [
         [SkewPoly([K.from_json(c) for c in poly["coeffs"]], tw) for poly in rec["full_class"]]
-        for rec in run_catalogue(tw, 2, constacyclic=True)
+        for rec in map(json.loads, run_catalogue(tw, 2, constacyclic=True))
     ]
 
 
@@ -245,8 +246,9 @@ def check_parameter_preservation() -> dict:
         if not pairs:
             continue
         codes = {}  # member -> {generator: (code, (length, dimension, minimum distance))}
+        algebras = {}
         for f, divisors in zip(members, monic_right_divisor_lists(members)):
-            A = PetitAlgebra(f)
+            A = algebras[f] = PetitAlgebra(f)
             built = [build_code(A, g) for g in divisors if g.degree < A.m]
             codes[f] = {C.g: (C, (C.length, C.dimension, min_hamming_distance(C))) for C in built}
         for f, h in pairs:
@@ -256,7 +258,7 @@ def check_parameter_preservation() -> dict:
                 continue
             images = set()
             for C, before in codes[f].values():
-                D = apply_isometry_to_code(C, w, h)
+                D = apply_isometry_to_code(C, w, algebras[h])
                 images.add(D.g)
                 checked += 1
                 known = codes[h].get(D.g)  # None only if D.g does not divide h

@@ -427,6 +427,27 @@ def test_catalogue_gf8_sigma2_m3_bytes(capsys):
     )
 
 
+BENCH_CATALOGUES = [
+    (("--field", "3,2,2,1,1", "--sigma", "1", "--m", "3"), 55,
+     "c812de072fa5cd3d8095f3507fffb2f67f6affe9482d33f87f45c5d7f21c120b"),
+    (("--field", "2,2,1,1,1", "--sigma", "1", "--m", "7", "--constacyclic"), 1,
+     "6e13ca56c6a6f9646a51489aa4f3ef72b3a7919c4ae37f74f181bbd6a3f83882"),
+    (("--field", "3,2,2,1,1", "--sigma", "1", "--m", "4", "--constacyclic"), 5,
+     "481501e5bbf4fa01e5d6203abc7d446a5f159be02eed79d48ad9bbc445be359a"),
+]
+
+
+@pytest.mark.parametrize("argv,count,digest", BENCH_CATALOGUES,
+                         ids=["GF(9) m=3", "GF(4) m=7 constacyclic", "GF(9) m=4 constacyclic"])
+def test_catalogue_bench_config_bytes(capsys, argv, count, digest):
+    """The benchmark's other catalogue configs, at the modulus x^2 + x + 2 for
+    GF(9): the bytes of the catalogue built from record dicts."""
+    code, out = run(capsys, "catalogue", *argv)
+    assert code == 0
+    assert len(out.splitlines()) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_catalogue_computes_each_generator_once(capsys, monkeypatch):
     """Z_4, m = 4: 656 codes over 160 classes but 81 distinct generators, so the
     minimum distance runs 81 times, and no class builds more than one algebra."""

@@ -1,6 +1,7 @@
 """Code construction: generator matrices, shift closure, distance, code transport."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -142,10 +143,10 @@ def test_catalogue_codes_match_each_representative(label, tw, m, constacyclic):
     rows_of = {}
     shared = 0
     classes = partition_classes(tw, m, constacyclic, 2 ** 20)
-    for rec, cls in zip(run_catalogue(tw, m, constacyclic), classes, strict=True):
+    for line, cls in zip(run_catalogue(tw, m, constacyclic), classes, strict=True):
         A = PetitAlgebra(cls["members"][0])
         codes = code_class_codes(A)
-        assert rec["codes"] == [
+        assert json.loads(line)["codes"] == [
             {"g": poly_to_json(C.g), "length": C.length, "dim": C.dimension,
              "min_dist": min_hamming_distance(C)}
             for C in codes
@@ -283,7 +284,7 @@ def test_transport_preserves_parameters():
         if g.degree >= 3:
             continue
         C = build_code(PetitAlgebra(f), g)
-        D = apply_isometry_to_code(C, w, h)
+        D = apply_isometry_to_code(C, w, PetitAlgebra(h))
         assert (C.length, C.dimension) == (D.length, D.dimension)
         assert min_hamming_distance(C) == min_hamming_distance(D)
         assert shift_closure_check(D)
@@ -295,31 +296,45 @@ def test_transport_rejects_bad_witness():
     C = build_code(PetitAlgebra(f), SkewPoly.from_ints([1, 1], TW))
     bogus = IsometryWitness(identity_aut(GF4), GF4.one, 1)
     with pytest.raises(WitnessInvalid):
-        apply_isometry_to_code(C, bogus, h)
+        apply_isometry_to_code(C, bogus, PetitAlgebra(h))
 
 
-@pytest.mark.parametrize("tw", [_twist(GF4, 1), _twist(make_residue_ring(4))], ids=["GF(4)", "Z_4"])
-def test_catalogue_records_are_unshared_element_json(tw):
-    """Every polynomial of a catalogue record is its coefficients' Element.to_json
-    forms (digit lists over a field, ints over Z_n), and no list or dict object
-    appears twice in the records, so changing one record changes no other."""
-    records = run_catalogue(tw, 2)
+def _form(g):
+    """g's JSON form from its coefficients' Element.to_json forms."""
+    beta = g.twist.delta_beta
+    return {"coeffs": [c.to_json() for c in g.coeffs],
+            "delta": None if beta is None else {"inner": beta.to_json()},
+            "sigma_exp": g.twist.sigma.frob_exp}
 
-    def form(g):
-        return {"coeffs": [c.to_json() for c in g.coeffs], "sigma_exp": tw.sigma.frob_exp,
-                "delta": None}
 
-    classes = partition_classes(tw, 2, False, 2 ** 20)
-    assert [rec["full_class"] for rec in records] == [
-        [form(g) for g in cls["members"]] for cls in classes
-    ]
-    seen = []
+CANONICAL = [
+    ("GF(4) Frobenius m=2", _twist(GF4, 1), 2, False),
+    ("Z_4 m=2", _twist(make_residue_ring(4)), 2, False),
+    ("GF(4) Frobenius m=3", _twist(GF4, 1), 3, False),
+    ("Z_4 m=3", _twist(make_residue_ring(4)), 3, False),
+    ("Z_6 m=3", _twist(make_residue_ring(6)), 3, False),
+    ("GF(8) sigma^2 m=3", _twist(make_field(2, 3), 2), 3, False),
+    ("GF(9) Frobenius m=3 constacyclic", _twist(make_field(3, 2), 1), 3, True),
+    ("GF(4) Frobenius delta_beta=0 m=3", TwistContext(GF4, FROB, GF4.zero), 3, False),
+]
 
-    def walk(obj):
-        if isinstance(obj, (list, dict)):
-            seen.append(id(obj))
-            for x in obj.values() if isinstance(obj, dict) else obj:
-                walk(x)
 
-    walk(records)
-    assert len(seen) == len(set(seen))
+@pytest.mark.parametrize("label,tw,m,constacyclic", CANONICAL, ids=[c[0] for c in CANONICAL])
+def test_catalogue_lines_are_canonical_element_json(label, tw, m, constacyclic):
+    """Each line, assembled from per-polynomial text, is the sort_keys json.dumps of
+    what it parses to, and every polynomial in it (representative, full class, Chen
+    subclasses, code generators) parses to its coefficients' Element.to_json forms:
+    digit lists over a field, ints over Z_n.  A delta_beta that is the zero element
+    leaves has_delta False, so the catalogue runs, and it is written as {"inner": ...}."""
+    lines = run_catalogue(tw, m, constacyclic)
+    classes = partition_classes(tw, m, constacyclic, 2 ** 20)
+    for line, cls in zip(lines, classes, strict=True):
+        rec = json.loads(line)
+        assert line == json.dumps(rec, sort_keys=True)
+        rep = cls["members"][0]
+        assert rec["representative"] == _form(rep)
+        assert rec["full_class"] == [_form(g) for g in cls["members"]]
+        assert rec["chen_classes"] == [[_form(g) for g in sub] for sub in cls["chen"]]
+        assert [c["g"] for c in rec["codes"]] == [
+            _form(C.g) for C in code_class_codes(PetitAlgebra(rep))
+        ]
