@@ -12,14 +12,7 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd
 
-from .coeffring import (
-    Automorphism,
-    Element,
-    RingContext,
-    all_automorphisms,
-    norm_image,
-    partial_norm,
-)
+from .coeffring import Automorphism, Element, RingContext, all_automorphisms
 from .errors import (
     ContextMismatch,
     DegreeMismatch,
@@ -82,31 +75,40 @@ def _require_classifiable(f: SkewPoly, h: SkewPoly):
         raise DegreeMismatch("f and h must be monic of the same degree")
 
 
-def trailing_coeffs(f: SkewPoly):
-    """The a_i with f = t^m - sum a_i t^i."""
-    m = int(f.degree)
-    return [-f.coeff(i) for i in range(m)]
+def _norms(ring: RingContext, e: int, a: int, n: int):
+    """[N_0(a), ..., N_n(a)] as indices, under sigma: x -> x^(p^e) (0 <= e < r).
+
+    N_i(a) = a * sigma(a) * ... * sigma^(i-1)(a), the empty product N_0(a) = 1;
+    e = 0 gives the powers a^i.
+    """
+    mul = ring._mul
+    sig = ring.frobenius_table(e)
+    out = [ring.one.val]
+    for _ in range(n):
+        out.append(mul[out[-1]][a])
+        a = sig[a]
+    return out
+
+
+def _is_constacyclic(vals) -> bool:
+    """Whether the monic polynomial with index sequence vals is t^m - a with a != 0."""
+    return bool(vals[0]) and not any(vals[1:-1])
 
 
 def _scaled_norms(tw, hv, alpha: int):
     """[N_(m-i)(sigma^i(alpha)) * h_i for i < m] as indices, for h of degree m given by hv.
 
-    N_(m-i)(sigma^i(alpha)) = sigma^i(alpha) * ... * sigma^(m-1)(alpha), so every
-    norm comes from one running product from i = m - 1 down (S is commutative).
+    N_m(alpha) = N_i(alpha) * N_(m-i)(sigma^i(alpha)), as both sides are
+    alpha * sigma(alpha) * ... * sigma^(m-1)(alpha) (S is commutative), so for a
+    unit alpha N_(m-i)(sigma^i(alpha)) = N_m(alpha) / N_i(alpha): every norm
+    comes from the one list N_0(alpha), ..., N_m(alpha).
     """
     ring = tw.ring
-    mul = ring._mul
-    sig = ring.frobenius_table(tw.sigma.frob_exp)
+    mul, inv = ring._mul, ring._inv
     m = len(hv) - 1
-    conj = [alpha]
-    for _ in range(m - 1):
-        conj.append(sig[conj[-1]])
-    out = [0] * m
-    norm = ring.one.val
-    for i in range(m - 1, -1, -1):
-        norm = mul[conj[i]][norm]
-        out[i] = mul[norm][hv[i]]
-    return out
+    norms = _norms(ring, tw.sigma.frob_exp, alpha, m)
+    top = mul[norms[m]]
+    return [mul[top[inv[norms[i]]]][hv[i]] for i in range(m)]
 
 
 def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Element) -> bool:
@@ -150,39 +152,30 @@ def fast_reject(f: SkewPoly, h: SkewPoly):
     """A reason string when a cheap filter proves non-equivalence, else None."""
     _require_classifiable(f, h)
     ring = f.twist.ring
-    sigma = f.twist.sigma
+    mul, inv = ring._mul, ring._inv
+    e, n = f.twist.sigma.frob_exp, f.twist.sigma.order
     m = int(f.degree)
-    a = trailing_coeffs(f)
-    b = trailing_coeffs(h)
+    # a_i = -f_i and b_i = -h_i: zeros, units and tau(a_i) / b_i = tau(f_i) / h_i
+    # are the same for the f_i and h_i themselves
+    a, b = f.vals, h.vals
     for i in range(m):
-        if a[i].is_zero() != b[i].is_zero():
+        if (a[i] == 0) != (b[i] == 0):
             return f"support mismatch at degree {i}"
     for i in range(m):
-        if a[i].is_unit() != b[i].is_unit():
+        if (inv[a[i]] is None) != (inv[b[i]] is None):
             return f"invertibility pattern mismatch at degree {i}"
     # norm coset test: N_(S/S0)(tau(a_i) / b_i) must be an (m-i)-th power of a
     # value of the full norm for some tau
-    n = sigma.order
-    full_norms = norm_image(sigma, n)
-    taus = all_automorphisms(ring)
+    full_norms = {_norms(ring, e, u.val, n)[n] for u in ring.units}
+    taus = [ring.frobenius_table(tau.frob_exp) for tau in all_automorphisms(ring)]
     for i in range(m):
-        if not (a[i].is_unit() and b[i].is_unit()):
+        if inv[a[i]] is None or inv[b[i]] is None:
             continue
-        powers = {x ** (m - i) for x in full_norms}
-        b_inv = b[i].inverse()
-        if all(
-            partial_norm(sigma, tau(a[i]) * b_inv, n) not in powers for tau in taus
-        ):
+        powers = {_norms(ring, 0, x, m - i)[m - i] for x in full_norms}
+        b_inv = mul[inv[b[i]]]
+        if all(_norms(ring, e, b_inv[tt[a[i]]], n)[n] not in powers for tt in taus):
             return f"norm coset obstruction at degree {i}"
     return None
-
-
-def _constacyclic_constant(f: SkewPoly) -> Element:
-    m = int(f.degree)
-    a = trailing_coeffs(f)
-    if a[0].is_zero() or any(not a[i].is_zero() for i in range(1, m)):
-        raise NotConstacyclic("polynomial is not of the shape t^m - a with a != 0")
-    return a[0]
 
 
 def valid_isometry_degrees(m: int, n: int):
@@ -202,26 +195,16 @@ def check_isometry_k(
     _require_classifiable(f, h)
     if not alpha.is_unit():
         raise NonUnit("alpha must be a unit")
-    a = _constacyclic_constant(f)
-    b = _constacyclic_constant(h)
+    if not (_is_constacyclic(f.vals) and _is_constacyclic(h.vals)):
+        raise NotConstacyclic("polynomial is not of the shape t^m - a with a != 0")
+    ring = f.twist.ring
     m = int(f.degree)
     if k != 1 and k not in valid_isometry_degrees(m, f.twist.sigma.order):
         raise InvalidK(f"k={k} violates the monomial-degree constraints")
-    sigma_k = f.twist.sigma.power(k)
-    return partial_norm(sigma_k, alpha, m) * b ** k == tau(a)
-
-
-def isometry_image(poly: SkewPoly, tau: Automorphism, alpha: Element, k: int) -> SkewPoly:
-    """G(sum d_i t^i) = sum tau(d_i) N_i^(sigma^k)(alpha) t^(k i), not reduced."""
-    tw = poly.twist
-    ring = tw.ring
-    sigma_k = ring.frobenius_table(tw.sigma.frob_exp * k % ring.r)
-    coeffs = [ring.zero] * (k * len(poly.vals))  # the degrees k*i are distinct
-    norm, x = ring.one, alpha  # N_i(alpha) and sigma^(k i)(alpha)
-    for i, d in enumerate(poly.coeffs):
-        coeffs[k * i] = tau(d) * norm
-        norm, x = norm * x, ring.elements[sigma_k[x.val]]
-    return SkewPoly(coeffs, tw)
+    a, b = ring._neg[f.vals[0]], ring._neg[h.vals[0]]
+    norm = _norms(ring, f.twist.sigma.frob_exp * k % ring.r, alpha.val, m)[m]
+    b_k = _norms(ring, 0, b, k)[k]
+    return ring._mul[norm][b_k] == ring.frobenius_table(tau.frob_exp)[a]
 
 
 def _image_table(B: PetitAlgebra, witness: IsometryWitness):
@@ -233,19 +216,16 @@ def _image_table(B: PetitAlgebra, witness: IsometryWitness):
     Each list has length m.
     """
     ring = B.ring
-    mul = ring._mul
-    sigma_k = ring.frobenius_table(B.twist.sigma.frob_exp * witness.k % ring.r)
     m, k = B.m, witness.k
     red = B._reductions(k * (m - 1))
     images = []
-    norm, x = ring.one.val, witness.alpha.val  # N_j(alpha) and sigma^(k j)(alpha)
-    for j in range(m):
-        row = mul[norm]
+    for j, norm in enumerate(_norms(ring, B.twist.sigma.frob_exp * k % ring.r,
+                                    witness.alpha.val, m - 1)):
+        row = ring._mul[norm]
         img = [0] * m
         for l, c in red[k * j]:
             img[l] = row[c]
         images.append(img)
-        norm, x = mul[norm][x], sigma_k[x]
     return images
 
 
@@ -347,8 +327,7 @@ def _first_witness(f: SkewPoly, h: SkewPoly, degrees, taus, algebras: list):
     for later searches of the same pair.
     """
     units = f.twist.ring.units
-    # f = t^m - a with a != 0, and the same for h
-    constacyclic = all(p.vals[0] and not any(p.vals[1:-1]) for p in (f, h))
+    constacyclic = _is_constacyclic(f.vals) and _is_constacyclic(h.vals)
     for k in degrees:
         for tau in taus:
             for alpha in units:
@@ -437,13 +416,14 @@ def count_constacyclic_classes(ctx: RingContext, sigma: Automorphism, m: int):
     """
     if m < 1:
         raise InvalidConfig(f"class counts need degree m >= 1, got {m}")
-    image = set(norm_image(sigma, m))
+    if sigma.ctx is not ctx:
+        raise ContextMismatch("sigma acts on a different ring")
+    image = {_norms(ctx, sigma.frob_exp, u.val, m)[m] for u in ctx.units}
     total = len(ctx.units) // len(image)
-    n = sigma.order
-    if m % n != 0:
+    if m % sigma.order != 0:
         return total, 0
-    fixed_units = [u for u in ctx.units if sigma(u) == u]
-    assoc = len(fixed_units) // len(image)
+    sig = ctx.frobenius_table(sigma.frob_exp)
+    assoc = sum(sig[u.val] == u.val for u in ctx.units) // len(image)
     return total - assoc, assoc
 
 

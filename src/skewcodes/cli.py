@@ -66,13 +66,17 @@ def _twist(args, ctx) -> TwistContext:
     return TwistContext(ctx, Automorphism(ctx, args.sigma))
 
 
-def _emit(doc, args):
-    text = json.dumps(doc, sort_keys=True)
+def _write(text: str, args):
+    """Write text to --out's path, or to stdout when there is none."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(doc, args):
+    _write(json.dumps(doc, sort_keys=True) + "\n", args)
 
 
 def cmd_algebra_info(args) -> int:
@@ -129,12 +133,7 @@ def cmd_count_classes(args) -> int:
 def cmd_catalogue(args) -> int:
     ctx = _parse_ring(args)
     tw = _twist(args, ctx)
-    text = "\n".join(run_catalogue(tw, args.m, args.constacyclic, args.cap)) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(run_catalogue(tw, args.m, args.constacyclic, args.cap)) + "\n", args)
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ depend only on the twist, m and g, not on which f of degree m g divides.
 
 from __future__ import annotations
 
-from .classify import check_equivalence, isometry_image
+from .classify import _apply_images, _image_table, check_equivalence
 from .errors import EnumerationCapExceeded, WitnessInvalid
 from .petit import PetitAlgebra, _check_generator, _left_ideal_span
 from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, all_monic_right_divisors, monic_scale
@@ -204,12 +204,18 @@ def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
 
 
 def apply_isometry_to_code(C: LinearCode, witness, target: PetitAlgebra) -> LinearCode:
-    """Transport C along an equivalence witness into the class of target's f."""
+    """Transport C along an equivalence witness into the class of target's f.
+
+    The generator g has degree < m, so its image G(g) = sum_j tau(g_j) G(t^j)
+    is read from the witness's image table on S_h without a reduction.
+    """
     if witness.k != 1:
         raise WitnessInvalid("code transport requires a degree-1 witness")
     if not check_equivalence(C.algebra.f, target.f, witness.tau, witness.alpha):
         raise WitnessInvalid("witness does not certify equivalence of the classes")
     if C.g is None:
         raise WitnessInvalid("code has no generator polynomial")
-    image = isometry_image(C.g, witness.tau, witness.alpha, 1)
-    return build_code(target, monic_scale(image))
+    ring = target.ring
+    image = _apply_images(_image_table(target, witness),
+                          ring.frobenius_table(witness.tau.frob_exp), C.g.vals, ring)
+    return build_code(target, monic_scale(SkewPoly.from_indices(image, target.twist)))

@@ -110,30 +110,42 @@ class Element:
 
     def __add__(self, other):
         self._check(other)
-        return self.ctx.add(self, other)
+        ctx = self.ctx
+        return ctx.elements[ctx._add[self.val][other.val]]
 
     def __sub__(self, other):
         self._check(other)
-        return self.ctx.add(self, self.ctx.neg(other))
+        ctx = self.ctx
+        return ctx.elements[ctx._add[self.val][ctx._neg[other.val]]]
 
     def __neg__(self):
-        return self.ctx.neg(self)
+        return self.ctx.elements[self.ctx._neg[self.val]]
 
     def __mul__(self, other):
         self._check(other)
-        return self.ctx.mul(self, other)
+        ctx = self.ctx
+        return ctx.elements[ctx._mul[self.val][other.val]]
 
     def __pow__(self, n: int):
-        return self.ctx.pow(self, n)
+        base, n = (self, n) if n >= 0 else (self.inverse(), -n)
+        out = self.ctx.one
+        while n:
+            if n & 1:
+                out = out * base
+            base, n = base * base, n >> 1
+        return out
 
     def inverse(self) -> "Element":
-        return self.ctx.inverse(self)
+        inv = self.ctx._inv[self.val]
+        if inv is None:
+            raise NonUnit(f"{self!r} is not invertible")
+        return self.ctx.elements[inv]
 
     def is_zero(self) -> bool:
         return self.val == 0
 
     def is_unit(self) -> bool:
-        return self.ctx.is_unit(self)
+        return self.ctx._inv[self.val] is not None
 
     def to_json(self):
         """The digit list of a field element, the residue of a Z_n element."""
@@ -149,8 +161,9 @@ class RingContext:
     ``add[i][j]`` and ``mul[i][j]`` are the indices of the sum and product of
     the elements with indices i and j.  Negation, inverses and the
     automorphism tables are read off these, so no operation depends on the
-    kind of ring.  Use :func:`make_field` / :func:`make_residue_ring` instead
-    of calling the constructor directly.
+    kind of ring; Element's operators read the tables ``_add``, ``_neg``,
+    ``_mul`` and ``_inv`` directly.  Use :func:`make_field` /
+    :func:`make_residue_ring` instead of calling the constructor directly.
     """
 
     def __init__(self, kind, add, mul, p=None, r=1, modulus=None, n_mod=None):
@@ -212,39 +225,6 @@ class RingContext:
                 table = [frob[y] for y in self.frobenius_table(e - 1)]
             self._frobenius[e] = table
         return table
-
-    # -- arithmetic ------------------------------------------------------
-
-    def add(self, a: Element, b: Element) -> Element:
-        return self.elements[self._add[a.val][b.val]]
-
-    def neg(self, a: Element) -> Element:
-        return self.elements[self._neg[a.val]]
-
-    def mul(self, a: Element, b: Element) -> Element:
-        return self.elements[self._mul[a.val][b.val]]
-
-    def pow(self, a: Element, n: int) -> Element:
-        if n < 0:
-            a = self.inverse(a)
-            n = -n
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    def is_unit(self, a: Element) -> bool:
-        return self._inv[a.val] is not None
-
-    def inverse(self, a: Element) -> Element:
-        inv = self._inv[a.val]
-        if inv is None:
-            raise NonUnit(f"{a!r} is not invertible")
-        return self.elements[inv]
 
 
 class Automorphism:

@@ -14,9 +14,9 @@ from skewcodes.classify import (
     count_constacyclic_classes,
     count_constacyclic_classes_formula,
     equivalence_class_of,
+    _norms,
     fast_reject,
     find_equivalence,
-    trailing_coeffs,
     valid_isometry_degrees,
     verify_witness_multiplicative,
 )
@@ -56,6 +56,11 @@ def monic_polys(tw, degree):
             for tail in itertools.product(ring.elements, repeat=degree)]
 
 
+def trailing_coeffs(f):
+    """The a_i with f = t^m - sum a_i t^i, on Elements."""
+    return [-f.coeff(i) for i in range(int(f.degree))]
+
+
 def test_trailing_coeffs_sign():
     f = consta(TW, 2, OMEGA)  # t^2 - w, stored as t^2 + w in char 2
     assert trailing_coeffs(f) == [OMEGA, GF4.zero]
@@ -79,7 +84,6 @@ def test_chen_witness_for_cyclic_pair():
     assert w is not None
     assert w.tau.is_identity
     # N_3(alpha) * b = a reads N_3(alpha) * w = 1
-    from skewcodes.coeffring import partial_norm
     assert partial_norm(FROB, w.alpha, 3) * OMEGA == GF4.one
 
 
@@ -412,6 +416,24 @@ def test_classify_pair_ladder_oracle(label, polys, K, stride):
                         assert got.filter_reason == reason
 
 
+NORM_RINGS = [
+    ("GF(4)", GF4), ("GF(8)", make_field(2, 3)), ("GF(9)", make_field(3, 2)),
+    ("Z_6", make_residue_ring(6)), ("Z_9", make_residue_ring(9)),
+]
+
+
+@pytest.mark.parametrize("label,ring", NORM_RINGS, ids=[c[0] for c in NORM_RINGS])
+def test_norms_match_partial_norm(label, ring):
+    """_norms(ring, e, a, n)[i] is partial_norm(x -> x^(p^e), a, i) for every e < r, every a
+    (units and non-units) and every i <= n <= 6."""
+    for e in range(ring.r):
+        sigma = Automorphism(ring, e)
+        for a in ring.elements:
+            for n in range(7):
+                want = [partial_norm(sigma, a, i).val for i in range(n + 1)]
+                assert _norms(ring, e, a.val, n) == want, (e, a, n)
+
+
 def test_valid_isometry_degrees():
     # n = 1: every 1 < k < m coprime to m qualifies
     assert valid_isometry_degrees(6, 1) == [5]
@@ -477,6 +499,14 @@ def test_counting_z6():
     nonassoc, assoc = count_constacyclic_classes(Z6, ident, 2)
     assert nonassoc == 0  # identity twist is always associative-compatible
     assert assoc >= 1
+
+
+def test_counting_rejects_sigma_of_another_ring():
+    """sigma must act on the ring counted, for m divisible by its order or not."""
+    GF8 = make_field(2, 3)
+    for m in (2, 3):
+        with pytest.raises(ContextMismatch):
+            count_constacyclic_classes(GF8, FROB, m)
 
 
 def test_formula_requires_s_dividing_r():

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewcodes.catalogue import partition_classes, poly_to_json, run_catalogue
-from skewcodes.classify import IsometryWitness, _class_orbit, find_equivalence
+from skewcodes.classify import (
+    IsometryWitness,
+    _class_orbit,
+    check_equivalence,
+    find_equivalence,
+)
 from skewcodes.codes import (
     LinearCode,
     apply_isometry_to_code,
@@ -17,10 +22,23 @@ from skewcodes.codes import (
     min_hamming_distance,
     shift_closure_check,
 )
-from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
+from skewcodes.coeffring import (
+    Automorphism,
+    all_automorphisms,
+    identity_aut,
+    make_field,
+    make_residue_ring,
+    partial_norm,
+)
 from skewcodes.errors import EnumerationCapExceeded, WitnessInvalid
 from skewcodes.petit import PetitAlgebra, _left_ideal_span
-from skewcodes.skewpoly import SkewPoly, TwistContext, all_monic_right_divisors, skew_mul
+from skewcodes.skewpoly import (
+    SkewPoly,
+    TwistContext,
+    all_monic_right_divisors,
+    monic_scale,
+    skew_mul,
+)
 
 GF4 = make_field(2, 2)
 FROB = Automorphism(GF4, 1)
@@ -297,6 +315,44 @@ def test_transport_rejects_bad_witness():
     bogus = IsometryWitness(identity_aut(GF4), GF4.one, 1)
     with pytest.raises(WitnessInvalid):
         apply_isometry_to_code(C, bogus, PetitAlgebra(h))
+
+
+def _image_oracle(g, w):
+    """G(g) = sum tau(g_i) N_i(alpha) t^i for a k = 1 witness, on Elements; deg g < m, so
+    G(g) needs no reduction."""
+    sigma = g.twist.sigma
+    return SkewPoly([w.tau(c) * partial_norm(sigma, w.alpha, i) for i, c in enumerate(g.coeffs)],
+                    g.twist)
+
+
+TRANSPORTS = [
+    ("GF(4) Frobenius m=2", TW, 2),
+    ("GF(4) Frobenius m=3", TW, 3),
+    ("Z_4 m=3", _twist(make_residue_ring(4)), 3),
+]
+
+
+@pytest.mark.parametrize("label,tw,m", TRANSPORTS, ids=[c[0] for c in TRANSPORTS])
+def test_transported_generator_is_the_scaled_image(label, tw, m):
+    """apply_isometry_to_code(C, w, S_h).g is the monic scaling of the oracle's G(C.g), for
+    every k = 1 witness (f, h, tau, alpha) over the monic f, h of degree m and every code
+    of f."""
+    ring = tw.ring
+    polys = [SkewPoly(list(tail) + [ring.one], tw)
+             for tail in itertools.product(ring.elements, repeat=m)]
+    algebras = {f: PetitAlgebra(f) for f in polys}
+    witnesses = 0
+    for f in polys:
+        codes = code_class_codes(algebras[f])
+        for h, tau, alpha in itertools.product(polys, all_automorphisms(ring), ring.units):
+            if check_equivalence(f, h, tau, alpha):
+                w = IsometryWitness(tau, alpha)
+                for C in codes:
+                    assert apply_isometry_to_code(C, w, algebras[h]).g == \
+                        monic_scale(_image_oracle(C.g, w)), (f, h, w, C.g)
+                witnesses += 1
+    # each (f, tau, alpha) certifies exactly one h
+    assert witnesses == len(polys) * len(all_automorphisms(ring)) * len(ring.units)
 
 
 def _form(g):

@@ -94,6 +94,26 @@ def test_inverses(ctx):
                 e.inverse()
 
 
+@pytest.mark.parametrize("ctx", [GF4, GF9, Z6])
+def test_negation_and_powers(ctx):
+    """a - b = a + (-b), a + (-a) = 0, a^n a product of n copies of a, and a^-n = (a^-1)^n
+    for a unit a (NonUnit otherwise), for n <= 6."""
+    for a in ctx.elements:
+        assert a + -a == ctx.zero
+        for b in ctx.elements:
+            assert a - b == a + -b
+        power = ctx.one
+        for n in range(7):
+            assert a ** n == power
+            if a.is_unit():
+                assert a ** -n == a.inverse() ** n
+                assert a ** -n * power == ctx.one
+            elif n:
+                with pytest.raises(NonUnit):
+                    a ** -n
+            power = power * a
+
+
 def test_z6_units():
     assert [u.to_json() for u in Z6.units] == [1, 5]
 

@@ -12,7 +12,6 @@ from skewcodes.classify import (
     IsometryWitness,
     _apply_images,
     _image_table,
-    isometry_image,
     valid_isometry_degrees,
     verify_witness_multiplicative,
 )
@@ -23,6 +22,7 @@ from skewcodes.coeffring import (
     identity_aut,
     make_field,
     make_residue_ring,
+    partial_norm,
 )
 from skewcodes.petit import PetitAlgebra, _nucleus_orders, is_associative
 from skewcodes.skewpoly import SkewPoly, TwistContext, right_divide
@@ -50,6 +50,16 @@ def monics(tw, m):
 def consta(tw, m, d):
     ring = tw.ring
     return SkewPoly([-d] + [ring.zero] * (m - 1) + [ring.one], tw)
+
+
+def isometry_image(poly, tau, alpha, k):
+    """G(sum d_i t^i) = sum tau(d_i) N_i^(sigma^k)(alpha) t^(k i), not reduced, on Elements."""
+    tw = poly.twist
+    sigma_k = tw.sigma.power(k)
+    coeffs = [tw.ring.zero] * (k * len(poly.vals))  # the degrees k*i are distinct
+    for i, d in enumerate(poly.coeffs):
+        coeffs[k * i] = tau(d) * partial_norm(sigma_k, alpha, i)
+    return SkewPoly(coeffs, tw)
 
 
 class Tables:

@@ -104,10 +104,18 @@ def test_ring_associativity_inner_delta():
 
 
 def test_inner_delta_satisfies_derivation_law():
-    tw = TwistContext(GF4, FROB, delta_beta=OMEGA)
-    for a in GF4.elements:
-        for b in GF4.elements:
-            assert tw.delta(a * b) == FROB(a) * tw.delta(b) + tw.delta(a) * b
+    """delta(ab) = sigma(a)delta(b) + delta(a)b for delta(a) = beta*(sigma(a) - a) and every
+    beta, the identity TwistContext's docstring proves, on GF(4) with the Frobenius, GF(8)
+    with sigma and sigma^2 and GF(9) with the Frobenius."""
+    GF8, GF9 = make_field(2, 3), make_field(3, 2)
+    for sigma in (FROB, Automorphism(GF8, 1), Automorphism(GF8, 2), Automorphism(GF9, 1)):
+        ring = sigma.ctx
+        for beta in ring.elements:
+            def delta(a):
+                return beta * (sigma(a) - a)
+
+            for a, b in itertools.product(ring.elements, repeat=2):
+                assert delta(a * b) == sigma(a) * delta(b) + delta(a) * b, (sigma, beta, a, b)
 
 
 def test_residue_ring_rejects_frobenius_twist():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses, and
-importing the package leaves out the code that only `skewcodes verify` runs."""
+"""Source hygiene: no module of the package imports a name it never uses, every
+private function and method is used somewhere in the package, and importing the
+package leaves out the code that only `skewcodes verify` runs."""
 
 import ast
 import os
@@ -53,6 +54,53 @@ def test_no_unused_imports():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unreferenced_private_defs(sources):
+    """(module, name) of each private module-level function or method in ``sources``
+    (module name -> source) that no name, attribute or import of any module reads
+    outside the def's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defs = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(d.name):
+                    defs.append((module, d))
+    refs = []  # (name, node) for every read of a name
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, node))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(alias.name, node) for alias in node.names]
+    out = []
+    for module, d in defs:
+        own = set(map(id, ast.walk(d)))
+        if not any(name == d.name and id(node) not in own for name, node in refs):
+            out.append((module, d.name))
+    return sorted(out)
+
+
+def test_no_unreferenced_private_defs():
+    sample = {
+        "a": "def _used(): return 1\n"
+             "def _recursive(n): return _recursive(n - 1)\n"
+             "class K:\n"
+             "    def __init__(self): self._m()\n"
+             "    def _m(self): pass\n"
+             "    def _orphan(self): pass\n",
+        "b": "from .a import _used\n",
+    }
+    assert unreferenced_private_defs(sample) == [("a", "_orphan"), ("a", "_recursive")]
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []
 
 
 def test_import_leaves_verify_unloaded():
