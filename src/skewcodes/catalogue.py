@@ -5,12 +5,12 @@ from __future__ import annotations
 import itertools
 import json
 
-from .classify import _class_orbit
-from .codes import LinearCode, min_hamming_distance
+from .classify import _class_orbit, _unit_scales
+from .codes import _min_distance
 from .coeffring import all_automorphisms
 from .errors import EnumerationCapExceeded, InvalidConfig
-from .petit import PetitAlgebra, _left_ideal_span
-from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext, monic_right_divisor_lists
+from .petit import _left_ideal_span
+from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext, _divisor_tuples
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +57,8 @@ def _partition(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     """Full-equivalence classes as (members, Chen subclasses) of index tuples, canonically ordered.
 
     One Chen orbit per class, computed for its first candidate f, gives both
-    the members and the Chen subclasses.  The units alpha act on the
+    the members and the Chen subclasses; every orbit reads the per-unit norm
+    scales of _unit_scales, built once.  The units alpha act on the
     candidates by a group action, f -> f_alpha with coefficient
     N_(m-i)(sigma^i(alpha)) * f_i at t^i: norms are multiplicative in the
     commutative S, so (f_alpha)_beta = f_(alpha*beta).  An automorphism tau
@@ -81,12 +82,13 @@ def _partition(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     candidates = _candidates(twist, m, constacyclic, cap)
     ring = twist.ring
     tables = [ring.frobenius_table(tau.frob_exp) for tau in all_automorphisms(ring)]
+    scales = _unit_scales(twist, m)
     pending = set(candidates)
     classes = []
     for f in candidates:
         if f not in pending:
             continue
-        orbit = _class_orbit(twist, f, chen_only=True)
+        orbit = _class_orbit(twist, f, True, scales)
         subs = {}
         for tt in tables:
             sub = sorted(tuple([tt[c] for c in g]) for g in orbit)
@@ -107,30 +109,24 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
             for members, chen in _partition(twist, m, constacyclic, cap)]
 
 
-def _codes_for(f: SkewPoly, divisors, cap: int, text, codes):
+def _codes_for(twist: TwistContext, m: int, divisors, cap: int, text, codes):
     """The JSON text of the code of each g of degree < m in divisors, f's monic right divisors.
 
-    codes maps g's index tuple to its code's text; it is read first and
-    filled on a miss, and f's PetitAlgebra is built only for its first miss.
-    This is exact: the code of g is the span of the rows t^i*g for
-    i < m - deg g, and each row has degree deg g + i <= m - 1, so no row is
-    reduced by f.  In _left_ideal_span each row is the _t_step of the one
-    before, of degree at most m - 2, so t*r has no t^m term and the step
-    never reads f.  The rows, their number m - deg g and the minimum
-    distance therefore depend only on (twist, m, g), which one run_catalogue
-    call fixes.
+    The divisors are index tuples.  codes maps g's index tuple to its code's
+    text; it is read first and filled on a miss.  The code of g is the span of the rows t^i*g for
+    i < m - deg g, none of which is reduced by f (_left_ideal_span), so f is
+    never read: the rows, their number m - deg g and the minimum distance
+    depend only on (twist, m, g), which one run_catalogue call fixes.
     """
-    m = int(f.degree)
-    algebra, out = None, []
+    out = []
     for g in divisors:
-        if g.degree >= m:
+        if len(g) > m:
             continue
-        known = codes.get(g.vals)
+        known = codes.get(g)
         if known is None:
-            algebra = algebra or PetitAlgebra(f)
-            code = LinearCode(algebra, g, _left_ideal_span(algebra, g))
-            known = codes[g.vals] = '{"dim": %d, "g": %s, "length": %d, "min_dist": %d}' % (
-                code.dimension, text(g.vals), m, min_hamming_distance(code, cap=cap))
+            rows = _left_ideal_span(twist, m, g)
+            known = codes[g] = '{"dim": %d, "g": %s, "length": %d, "min_dist": %d}' % (
+                len(rows), text(g), m, _min_distance(twist.ring, rows, cap))
         out.append(known)
     return out
 
@@ -149,21 +145,20 @@ def run_catalogue(twist: TwistContext, m: int, constacyclic: bool = False,
     written by %d, as json.dumps writes them, therefore has the same bytes.
 
     The monic right divisors of every class representative come from one
-    monic_right_divisor_lists call, so representatives that share a high
-    part share each divisor scan.
+    _divisor_tuples call, as index tuples, so representatives that share a
+    high part share each divisor scan.
     """
     if m < 2:
         raise InvalidConfig("catalogue needs degree m > 1")
     text = _poly_text(twist)
     codes = {}  # generator index tuple -> its code's text; see _codes_for
     classes = _partition(twist, m, constacyclic, cap)
-    reps = [SkewPoly.from_indices(members[0], twist) for members, _ in classes]
-    lists = monic_right_divisor_lists(reps, cap)
+    lists = _divisor_tuples(twist, [members[0] for members, _ in classes], cap)
     return [
         '{"chen_classes": [%s], "codes": [%s], "full_class": [%s], "representative": %s, '
         '"schema_version": %d}' % (
             ", ".join(["[" + ", ".join(map(text, sub)) + "]" for sub in chen]),
-            ", ".join(_codes_for(rep, divisors, cap, text, codes)),
+            ", ".join(_codes_for(twist, m, divisors, cap, text, codes)),
             ", ".join(map(text, members)), text(members[0]), SCHEMA_VERSION)
-        for (members, chen), rep, divisors in zip(classes, reps, lists)
+        for (members, chen), divisors in zip(classes, lists)
     ]

@@ -95,8 +95,8 @@ def _is_constacyclic(vals) -> bool:
     return bool(vals[0]) and not any(vals[1:-1])
 
 
-def _scaled_norms(tw, hv, alpha: int):
-    """[N_(m-i)(sigma^i(alpha)) * h_i for i < m] as indices, for h of degree m given by hv.
+def _scales(tw, alpha: int, m: int):
+    """The rows mul[N_(m-i)(sigma^i(alpha))] for i < m: multiplying by N_(m-i)(sigma^i(alpha)).
 
     N_m(alpha) = N_i(alpha) * N_(m-i)(sigma^i(alpha)), as both sides are
     alpha * sigma(alpha) * ... * sigma^(m-1)(alpha) (S is commutative), so for a
@@ -105,16 +105,15 @@ def _scaled_norms(tw, hv, alpha: int):
     """
     ring = tw.ring
     mul, inv = ring._mul, ring._inv
-    m = len(hv) - 1
     norms = _norms(ring, tw.sigma.frob_exp, alpha, m)
     top = mul[norms[m]]
-    return [mul[top[inv[norms[i]]]][hv[i]] for i in range(m)]
+    return [mul[top[inv[n]]] for n in norms[:m]]
 
 
 def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Element) -> bool:
     """Test tau(a_i) = N_(m-i)(sigma^i(alpha)) * b_i for all i.
 
-    As a_i = -f_i and b_i = -h_i, this is tau(f_i) = _scaled_norms(h, alpha)[i].
+    As a_i = -f_i and b_i = -h_i, this is tau(f_i) = _scales(alpha, m)[i][h_i].
 
     For m >= 2 this is verify_witness_multiplicative on the witness
     (tau, alpha, 1), so k = 1 needs no multiplicativity check.  Extend G to
@@ -140,7 +139,8 @@ def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Elemen
     if not alpha.is_unit():
         raise NonUnit("alpha must be a unit")
     tt = ring.frobenius_table(tau.frob_exp)
-    return all(tt[a] == b for a, b in zip(f.vals, _scaled_norms(f.twist, h.vals, alpha.val)))
+    scales = _scales(f.twist, alpha.val, int(f.degree))
+    return all(tt[a] == row[b] for a, b, row in zip(f.vals, h.vals, scales))
 
 
 def find_equivalence(f: SkewPoly, h: SkewPoly, chen_only: bool = False):
@@ -378,12 +378,17 @@ def classify_pair(
 def equivalence_class_of(h: SkewPoly, chen_only: bool = False):
     """All h_(tau, alpha), deduplicated and canonically ordered."""
     tw = h.twist
-    orbit = _class_orbit(tw, h.vals, chen_only)
+    orbit = _class_orbit(tw, h.vals, chen_only, _unit_scales(tw, int(h.degree)))
     # all members have degree m, so index tuple order is sort_key order
     return [SkewPoly.from_indices(v, tw) for v in sorted(orbit)]
 
 
-def _class_orbit(tw, hv, chen_only: bool):
+def _unit_scales(tw, m: int):
+    """_scales(tw, alpha, m) for every unit alpha, in unit order: what orbits of degree m read."""
+    return [_scales(tw, alpha.val, m) for alpha in tw.ring.units]
+
+
+def _class_orbit(tw, hv, chen_only: bool, scales):
     """The (tau, alpha) orbit of h (index sequence hv, degree m) as index tuples of length m + 1.
 
     h_(tau, alpha) = t^m - sum N_(m-i)(sigma^i(tau(alpha))) * tau(b_i) t^i,
@@ -392,7 +397,8 @@ def _class_orbit(tw, hv, chen_only: bool):
     tau is a ring automorphism, and it commutes with sigma (both are powers
     of the Frobenius, or the identity over Z_n), so it maps each conjugate
     sigma^j(alpha) to sigma^j(tau(alpha)).  The orbit is therefore tau
-    applied to _scaled_norms(h, alpha), one norm list per alpha.
+    applied to the scaled coefficients _scales(alpha, m)[i][h_i], read from
+    scales = _unit_scales(tw, m), which depends on h only through m.
     """
     if tw.has_delta:
         raise DeltaNotZero("classification predicates require delta = 0")
@@ -400,8 +406,8 @@ def _class_orbit(tw, hv, chen_only: bool):
     tables = [ring.frobenius_table(tau.frob_exp) for tau in _taus(ring, chen_only)]
     one = (ring.one.val,)
     out = set()
-    for alpha in ring.units:
-        scaled = _scaled_norms(tw, hv, alpha.val)
+    for rows in scales:
+        scaled = [row[c] for row, c in zip(rows, hv)]
         for tt in tables:
             out.add(tuple([tt[c] for c in scaled]) + one)
     return out

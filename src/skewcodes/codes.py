@@ -63,7 +63,7 @@ class LinearCode:
 def build_code(A: PetitAlgebra, g: SkewPoly) -> LinearCode:
     """The code of the principal left ideal of g; rows per the shifted images of g."""
     _check_generator(A, g)
-    return LinearCode(A, g, _left_ideal_span(A, g))
+    return LinearCode(A, g, _left_ideal_span(A.twist, A.m, g.vals))
 
 
 def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
@@ -74,10 +74,10 @@ def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
     check.  The rows t^i*g have degree < m and are never reduced by f, so two
     f of degree m sharing a divisor g share its code (the catalogue computes
     each generator's parameters once for that reason, and takes the divisors
-    of all its representatives from one monic_right_divisor_lists batch).
+    of all its representatives from one _divisor_tuples batch).
     """
     return [
-        LinearCode(A, g, _left_ideal_span(A, g))
+        LinearCode(A, g, _left_ideal_span(A.twist, A.m, g.vals))
         for g in all_monic_right_divisors(A.f, cap=cap)
         if g.degree < A.m
     ]
@@ -94,8 +94,8 @@ def shift_closure_check(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
     return all(tuple(step(w)) in words for w in words)
 
 
-def _systematic_rows(C: LinearCode):
-    """Rows spanning C in systematic form, as index lists, and their pivot columns.
+def _systematic_rows(ring, rows):
+    """rows' span in systematic form, as index lists, and its pivot columns.
 
     Each returned row ends in a 1 at its pivot column and is 0 at every other
     pivot column; rows are sorted by pivot.  The rows t^i*g of a built code
@@ -107,22 +107,21 @@ def _systematic_rows(C: LinearCode):
     multiple of another row are invertible, so the span is unchanged, over a
     field and over Z_n alike.
     """
-    ring = C.algebra.ring
     add, mul, neg, inv = ring._add, ring._mul, ring._neg, ring._inv
-    rows = []
-    for row in C.rows:
+    pivoted = []
+    for row in rows:
         piv = len(row) - 1
         while piv >= 0 and not row[piv]:
             piv -= 1
         if piv < 0 or inv[row[piv]] is None:
             raise ValueError("rows need unit pivots for a systematic form")
         scale = mul[inv[row[piv]]]
-        rows.append((piv, [scale[c] for c in row]))
-    rows.sort()
-    pivots = [j for j, _ in rows]
+        pivoted.append((piv, [scale[c] for c in row]))
+    pivoted.sort()
+    pivots = [j for j, _ in pivoted]
     if len(set(pivots)) != len(pivots):
         raise ValueError("rows need distinct pivot columns for a systematic form")
-    rows = [row for _, row in rows]
+    rows = [row for _, row in pivoted]
     for i, col in enumerate(pivots):
         for row in rows[i + 1:]:
             s = neg[row[col]]
@@ -155,13 +154,18 @@ def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     without distinct unit pivots (a span of raw rows can have them) and the
     zero code raise ValueError.
     """
-    if not C.rows:
+    return _min_distance(C.algebra.ring, C.rows, cap)
+
+
+def _min_distance(ring, rows, cap: int):
+    """min_hamming_distance of the code spanned by rows, index tuples of one length n, over ring."""
+    if not rows:
         raise ValueError("the zero code has no minimum distance")
-    rows, pivots = _systematic_rows(C)
-    ring = C.algebra.ring
+    n = len(rows[0])
+    rows, pivots = _systematic_rows(ring, rows)
     add, mul = ring._add, ring._mul
     pivot_set = set(pivots)
-    free = [j for j in range(C.length) if j not in pivot_set]
+    free = [j for j in range(n) if j not in pivot_set]
     k = len(rows)
     nonzero = range(1, ring.size)
     units = [u.val for u in ring.units]
@@ -173,7 +177,7 @@ def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
     # scaled[i][s]: s * row_i restricted to the non-pivot columns
     scaled = [[[ms[row[j]] for j in free] for ms in mul] for row in rows]
     zero = [0] * len(free)
-    best = C.length + 1
+    best = n + 1
     enumerated = 0
 
     def search(start, left, acc, w, symbols):
@@ -204,18 +208,19 @@ def min_hamming_distance(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> int:
 
 
 def apply_isometry_to_code(C: LinearCode, witness, target: PetitAlgebra) -> LinearCode:
-    """Transport C along an equivalence witness into the class of target's f.
-
-    The generator g has degree < m, so its image G(g) = sum_j tau(g_j) G(t^j)
-    is read from the witness's image table on S_h without a reduction.
-    """
+    """Transport C along an equivalence witness into the class of target's f (see _transport)."""
     if witness.k != 1:
         raise WitnessInvalid("code transport requires a degree-1 witness")
     if not check_equivalence(C.algebra.f, target.f, witness.tau, witness.alpha):
         raise WitnessInvalid("witness does not certify equivalence of the classes")
+    return _transport(C, _image_table(target, witness), witness.tau, target)
+
+
+def _transport(C: LinearCode, images, tau, target: PetitAlgebra) -> LinearCode:
+    """apply_isometry_to_code for a checked witness with image table images on target: g has
+    degree < m, so G(g) = sum_j tau(g_j) G(t^j) is read from the table without a reduction."""
     if C.g is None:
         raise WitnessInvalid("code has no generator polynomial")
     ring = target.ring
-    image = _apply_images(_image_table(target, witness),
-                          ring.frobenius_table(witness.tau.frob_exp), C.g.vals, ring)
+    image = _apply_images(images, ring.frobenius_table(tau.frob_exp), C.g.vals, ring)
     return build_code(target, monic_scale(SkewPoly.from_indices(image, target.twist)))

@@ -68,16 +68,12 @@ class PetitAlgebra:
         leaves degree < m, as f is monic.  Remainders mod_r a monic f are
         unique: a nonzero q*f has degree deg q + m.
         """
-        ring, m = self.ring, self.m
-        add, t1 = ring._add, self._tb[1]
-        out = [0] * (m + 1)
-        for k, rk in enumerate(r):
-            for l, c in t1[rk]:
-                out[k + l] = add[out[k + l]][c]
+        ring = self.ring
+        out = _times_t(self.twist, r)
         c = out.pop()
         if c:
-            row, fv = ring._mul[ring._neg[c]], self.f.vals
-            for j in range(m):
+            add, row, fv = ring._add, ring._mul[ring._neg[c]], self.f.vals
+            for j in range(self.m):
                 out[j] = add[out[j]][row[fv[j]]]
         return out
 
@@ -262,17 +258,29 @@ def _check_generator(A: PetitAlgebra, g: SkewPoly):
 def left_ideal_span(A: PetitAlgebra, g: SkewPoly):
     """Basis [g, t*g, ..., t^(m-deg g-1)*g] of the principal left ideal of g."""
     _check_generator(A, g)
-    return [SkewPoly.from_indices(row, A.twist) for row in _left_ideal_span(A, g)]
+    return [SkewPoly.from_indices(row, A.twist) for row in _left_ideal_span(A.twist, A.m, g.vals)]
 
 
-def _left_ideal_span(A: PetitAlgebra, g: SkewPoly):
-    """left_ideal_span as index tuples of length m, for a g known to be a monic right divisor of f.
+def _times_t(tw, r):
+    """t*r = sum_k (t*r_k) t^k on an index list, one entry longer, read from t_times(1)."""
+    add, t1 = tw.ring._add, tw.t_times(1)
+    out = [0] * (len(r) + 1)
+    for k, rk in enumerate(r):
+        for l, c in t1[rk]:
+            out[k + l] = add[out[k + l]][c]
+    return out
 
-    Each row is _t_step of the one before.
+
+def _left_ideal_span(tw, m: int, gv):
+    """left_ideal_span as index tuples of length m, gv the indices of a monic right divisor of f.
+
+    Each row is t times the one before, with no reduction, so f is never
+    read: the rows t^i*g, i < m - deg g, have degree deg g + i <= m - 1,
+    and each row stepped has degree at most m - 2, so t*row has no t^m term.
     """
-    row = list(g.vals) + [0] * (A.m - len(g.vals))
+    row = list(gv) + [0] * (m - len(gv))
     span = [tuple(row)]
-    for _ in range(A.m - len(g.vals)):
-        row = A._t_step(row)
+    for _ in range(m - len(gv)):
+        row = _times_t(tw, row)[:m]
         span.append(tuple(row))
     return span

@@ -289,19 +289,25 @@ def right_divide(g: SkewPoly, f: SkewPoly):
 
 
 def left_divide(g: SkewPoly, f: SkewPoly):
-    """q, rem with g = f*q + rem and deg(rem) < deg(f).
+    """q, rem with g = f*q + rem and deg(rem) < deg(f), as SkewPolys: the view of _left_divide."""
+    _divisor_degree(g, f)
+    q, rem = _left_divide(g.twist, g.vals, f.vals)
+    return SkewPoly.from_indices(q, g.twist), SkewPoly.from_indices(rem, g.twist)
+
+
+def _left_divide(tw: TwistContext, gv, fv):
+    """left_divide on index lists, for an fv whose top coefficient is a unit.
 
     Each step cancels the leading term of rem with f*(c t^d), which is
     sum_j f_j * (t^j * c) * t^d and has leading coefficient lc(f) * sigma^deg(f)(c).
     """
-    df = _divisor_degree(g, f)
-    tw = g.twist
+    df = len(fv) - 1
     ring = tw.ring
     add, mul, neg = ring._add, ring._mul, ring._neg
     unshift = ring.frobenius_table(-df * tw.sigma.frob_exp % ring.r)  # sigma^(-deg f)
-    lead_inv = mul[ring._inv[f.vals[-1]]]
-    f_terms = [(mul[neg[fj]], tw.t_times(j)) for j, fj in enumerate(f.vals) if fj]
-    rem = list(g.vals)
+    lead_inv = mul[ring._inv[fv[-1]]]
+    f_terms = [(mul[neg[fj]], tw.t_times(j)) for j, fj in enumerate(fv) if fj]
+    rem = list(gv)
     q = [0] * max(len(rem) - df, 0)
     for top in range(len(rem) - 1, df - 1, -1):
         if not rem[top]:
@@ -311,18 +317,21 @@ def left_divide(g: SkewPoly, f: SkewPoly):
         for row, tb in f_terms:
             for l, e in tb[c]:
                 rem[l + d] = add[rem[l + d]][row[e]]
-    return SkewPoly.from_indices(q, tw), SkewPoly.from_indices(rem[:df], tw)
+    return q, rem[:df]
 
 
-def monic_right_divisor_table(poly: SkewPoly, degree: int, cap: int = DEFAULT_ENUM_CAP):
-    """The monic right divisors of the given degree of every polynomial with poly's high part.
+def monic_right_divisor_table(tw: TwistContext, degree: int, high, lows,
+                              cap: int = DEFAULT_ENUM_CAP):
+    """The monic right divisors of the given degree of every f = low + high with low in lows.
 
-    A dict from low part (the index tuple of f_0..f_(d-1), d = degree) to
-    the sorted index tails of its divisors.  Exact: split f = L + H, L the
-    terms below t^d.  Right remainders by a monic g of degree d are left
-    S-linear and deg L < d, so f mod_r g = L + (H mod_r g), and g |_r f
-    exactly when L = -(H mod_r g).  So one pass over the |S|^d candidates,
-    keyed by -(H mod_r g), serves every f with high part H.
+    high is the index tuple of f_d..f_n and each low one of f_0..f_(d-1),
+    d = degree.  The result maps each low with a divisor to the sorted index
+    tails of its divisors.  Exact: split f = L + H, L the terms below t^d.
+    Right remainders by a monic g of degree d are left S-linear and
+    deg L < d, so f mod_r g = L + (H mod_r g), and g |_r f exactly when
+    L = -(H mod_r g).  So one pass over the |S|^d candidates, keyed by
+    -(H mod_r g), serves every f with high part H; only the tails of the
+    lows asked for are kept.
 
     Candidates run in itertools.product order, which is sort_key order.
     H mod_r g takes the steps of right_divide for a monic g: the step at
@@ -330,16 +339,16 @@ def monic_right_divisor_table(poly: SkewPoly, degree: int, cap: int = DEFAULT_EN
     c * (t^e * 1) * t^d = c t^top (sigma(1) = 1, delta(1) = 0) cancels
     rem[top] with no inverse, so only the tail terms g_j, j < d, are applied.
     """
-    tw = poly.twist
     ring = tw.ring
     if ring.size ** degree > cap:
         raise EnumerationCapExceeded(
             f"{ring.size}^{degree} candidate divisors exceed cap {cap}"
         )
     add, mul, neg = ring._add, ring._mul, ring._neg
-    high = (0,) * degree + poly.vals[degree:]
+    wanted = {tuple([neg[c] for c in low]): low for low in lows}  # -(H mod_r g) -> low
+    high = (0,) * degree + tuple(high)
     steps = [(e + degree, tw.t_times(e)) for e in range(len(high) - degree - 1, -1, -1)]
-    by_rem = {}
+    table = {}
     for tail in itertools.product(range(ring.size), repeat=degree):
         rem = list(high)
         for top, tb in steps:
@@ -349,67 +358,73 @@ def monic_right_divisor_table(poly: SkewPoly, degree: int, cap: int = DEFAULT_EN
             for j, gj in enumerate(tail):
                 for l, e in tb[gj]:
                     rem[l + j] = add[rem[l + j]][row[e]]
-        key = tuple(rem[:degree])
-        tails = by_rem.get(key)
-        if tails is None:
-            by_rem[key] = [tail]
-        else:
-            tails.append(tail)
-    return {tuple(map(neg.__getitem__, key)): tails for key, tails in by_rem.items()}
-
-
-def _divisors(g: SkewPoly, degree: int, cap: int, tables: dict):
-    """g's monic right divisors of the given degree, sorted, from the table of its high part.
-
-    tables maps (sigma's exponent, degree, high part) to a table and is
-    filled on a miss.  A short g is padded with zeros: a nonzero g of lower
-    degree has no such divisor, and every candidate divides 0.
-    """
-    tw = g.twist
-    key = (tw.sigma.frob_exp, degree, g.vals[degree:])
-    table = tables.get(key)
-    if table is None:
-        table = tables[key] = monic_right_divisor_table(g, degree, cap)
-    low = g.vals[:degree]
-    one = (tw.ring.one.val,)
-    return [SkewPoly.from_indices(tail + one, tw)
-            for tail in table.get(low + (0,) * (degree - len(low)), ())]
+        low = wanted.get(tuple(rem[:degree]))
+        if low is not None:
+            table.setdefault(low, []).append(tail)
+    return table
 
 
 def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_ENUM_CAP):
     """All monic right divisors of f of the given degree, sorted: f's entry in its table."""
-    return _divisors(f, degree, cap, {})
+    low = f.vals[:degree] + (0,) * (degree - len(f.vals))  # every candidate divides 0
+    tails = monic_right_divisor_table(f.twist, degree, f.vals[degree:], [low], cap).get(low, ())
+    return [SkewPoly.from_indices(tail + (f.twist.ring.one.val,), f.twist) for tail in tails]
+
+
+def _divisor_tuples(tw: TwistContext, fs, cap: int):
+    """monic_right_divisor_lists on index tuples: fs are trimmed index tuples under tw.
+
+    Every (sigma's exponent, degree, high part) asked for is scanned once,
+    keeping the low parts its polynomials need (monic_right_divisor_table).
+    For a monic f under delta = 0 the degrees above m // 2 are the left
+    quotients of f by psi^-1(p), p over the divisors of psi(f), under
+    sigma^-1: sigma's exponent in a table's key tells the two twists apart
+    (psi needs delta = 0, so they differ in sigma only), and when
+    sigma^-1 = sigma they share tables too.  Within a degree, index tuple
+    order is sort_key order.
+    """
+    ring, e = tw.ring, tw.sigma.frob_exp
+    one = (ring.one.val,)
+    plans, need = [], {}
+    for f in fs:
+        m = len(f) - 1
+        halved = f[-1:] == one and not tw.has_delta
+        top = m // 2 if halved else m - 1
+        plan = [(tw, d, f, False) for d in range(1, top + 1)]
+        if halved:
+            f_psi = tuple(_psi(ring, e, f))
+            plan += [(tw.opposite(), m - d, f_psi, True) for d in range(top + 1, m)]
+        if f[-1:] != one:
+            plan.append((tw, m, f, False))
+        for twist, d, g, _ in plan:
+            need.setdefault((twist.sigma.frob_exp, d, g[d:]), (twist, set()))[1].add(g[:d])
+        plans.append((f, top, plan))
+    tables = {key: monic_right_divisor_table(twist, key[1], key[2], lows, cap)
+              for key, (twist, lows) in need.items()}
+    lists = []
+    for f, top, plan in plans:
+        out = [one] if top >= 0 else []
+        for twist, d, g, via_psi in plan:
+            tails = tables[twist.sigma.frob_exp, d, g[d:]].get(g[:d], ())
+            if via_psi:
+                q = [tuple(_left_divide(tw, f, _psi(ring, -e, tail + one))[0]) for tail in tails]
+                out.extend(sorted(q))
+            else:
+                out.extend([tail + one for tail in tails])
+        if f[-1:] == one:
+            out.append(f)
+        lists.append(out)
+    return lists
 
 
 def monic_right_divisor_lists(fs, cap: int = DEFAULT_ENUM_CAP):
-    """all_monic_right_divisors of each of fs, polynomials under one twist and of one degree.
+    """all_monic_right_divisors of each of fs, polynomials under one twist: _divisor_tuples' view.
 
-    Degree 0 is read off, as 1 divides everything.  Every other degree
-    reads the monic_right_divisor_table of the polynomial's high part,
-    built once in the call, so polynomials that share a high part share the
-    scan, and with none shared the candidates are those of one scan per
-    polynomial.  The degrees above m // 2 of a monic f under delta = 0 come
-    from psi(f), under sigma^-1; sigma's exponent in a table's key tells
-    the two twists apart (psi needs delta = 0, so they differ in sigma
-    only), and when sigma^-1 = sigma they share tables too.
+    Polynomials that share a high part share each scan, and with none
+    shared the candidates are those of one scan per polynomial and degree.
     """
-    tables = {}
-    lists = []
-    for f in fs:
-        m = int(f.degree)
-        halved = f.is_monic and not f.twist.has_delta
-        top = m // 2 if halved else m - 1
-        out = [SkewPoly.one(f.twist)] if top >= 0 else []
-        for d in range(1, top + 1):
-            out.extend(_divisors(f, d, cap, tables))
-        if halved:
-            f_psi = psi(f)
-            for d in range(top + 1, m):
-                found = [left_divide(f, psi(p))[0] for p in _divisors(f_psi, m - d, cap, tables)]
-                out.extend(sorted(found, key=SkewPoly.sort_key))
-        out.extend([f] if f.is_monic else _divisors(f, m, cap, tables))
-        lists.append(out)
-    return lists
+    lists = _divisor_tuples(fs[0].twist, [f.vals for f in fs], cap) if fs else []
+    return [[SkewPoly.from_indices(v, f.twist) for v in vals] for f, vals in zip(fs, lists)]
 
 
 def all_monic_right_divisors(f: SkewPoly, cap: int = DEFAULT_ENUM_CAP):
@@ -458,16 +473,17 @@ def monic_scale(g: SkewPoly) -> SkewPoly:
 
 
 def psi(g: SkewPoly) -> SkewPoly:
-    """The canonical anti-automorphism image of g (delta = 0, commutative S).
+    """The canonical anti-automorphism image of g (delta = 0, commutative S): _psi's view.
 
     Maps sum a_k t^k to sum sigma^(-k)(a_k) t^k, living under sigma inverse
-    (the twist's opposite).  sigma^(-k) is read from the ring's Frobenius
-    tables, so no automorphism is built per coefficient.
+    (the twist's opposite).
     """
     tw = g.twist
     if tw.has_delta:
         raise DeltaNotZero("psi is only implemented for delta = 0")
-    ring = tw.ring
-    e = -tw.sigma.frob_exp
-    vals = [ring.frobenius_table(e * k % ring.r)[c] for k, c in enumerate(g.vals)]
-    return SkewPoly.from_indices(vals, tw.opposite())
+    return SkewPoly.from_indices(_psi(tw.ring, tw.sigma.frob_exp, g.vals), tw.opposite())
+
+
+def _psi(ring: RingContext, e: int, vals):
+    """psi on index lists, sigma: x -> x^(p^e); sigma^(-k) is read from the Frobenius tables."""
+    return [ring.frobenius_table(-e * k % ring.r)[c] for k, c in enumerate(vals)]

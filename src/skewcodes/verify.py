@@ -14,6 +14,7 @@ import json
 from .catalogue import partition_classes, run_catalogue
 from .classify import (
     IsometryWitness,
+    _image_table,
     check_equivalence,
     count_constacyclic_classes,
     count_constacyclic_classes_formula,
@@ -22,7 +23,7 @@ from .classify import (
     verify_witness_multiplicative,
 )
 from .codes import (
-    apply_isometry_to_code,
+    _transport,
     build_code,
     code_class_codes,
     min_hamming_distance,
@@ -228,7 +229,8 @@ def check_parameter_preservation() -> dict:
     their minimum distances are computed once, from one
     monic_right_divisor_lists call per class.  A transported code D with
     generator g in S_h takes its minimum distance from h's code of g, the
-    same span of the rows t^i*g.
+    same span of the rows t^i*g.  Each pair's witness is checked, and its
+    image table built, once for all of f's codes.
     """
     K, tw = _gf4_frobenius()
     omega = K.from_json([0, 1])
@@ -253,12 +255,14 @@ def check_parameter_preservation() -> dict:
             codes[f] = {C.g: (C, (C.length, C.dimension, min_hamming_distance(C))) for C in built}
         for f, h in pairs:
             w = find_equivalence(f, h)
-            if w is None:
-                failures.append({"pair": (repr(f), repr(h)), "error": "no witness"})
+            if w is None or not check_equivalence(f, h, w.tau, w.alpha):
+                failures.append({"pair": (repr(f), repr(h)),
+                                 "error": "no witness" if w is None else "witness not certified"})
                 continue
+            table = _image_table(algebras[h], w)
             images = set()
             for C, before in codes[f].values():
-                D = apply_isometry_to_code(C, w, algebras[h])
+                D = _transport(C, table, w.tau, algebras[h])
                 images.add(D.g)
                 checked += 1
                 known = codes[h].get(D.g)  # None only if D.g does not divide h

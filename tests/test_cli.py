@@ -396,9 +396,9 @@ def test_catalogue_scans_each_high_part_once(capsys, monkeypatch):
     scans = []
     table = skewpoly.monic_right_divisor_table
 
-    def counted_table(poly, degree, cap):
-        scans.append(poly.twist.ring.size ** degree)
-        return table(poly, degree, cap)
+    def counted_table(tw, degree, high, lows, cap):
+        scans.append(tw.ring.size ** degree)
+        return table(tw, degree, high, lows, cap)
 
     monkeypatch.setattr(skewpoly, "monic_right_divisor_table", counted_table)
     code, _ = run(capsys, "catalogue", "--ring", "4", "--sigma", "0", "--m", "4")
@@ -450,12 +450,13 @@ def test_catalogue_bench_config_bytes(capsys, argv, count, digest):
 
 def test_catalogue_computes_each_generator_once(capsys, monkeypatch):
     """Z_4, m = 4: 656 codes over 160 classes but 81 distinct generators, so the
-    minimum distance runs 81 times, and no class builds more than one algebra."""
+    minimum distance runs 81 times; the code spans never read f, so no
+    PetitAlgebra is built."""
     import skewcodes.catalogue as catalogue
     from skewcodes.petit import PetitAlgebra
 
     calls = {"min_distance": 0, "algebra": 0}
-    min_distance, init = catalogue.min_hamming_distance, PetitAlgebra.__init__
+    min_distance, init = catalogue._min_distance, PetitAlgebra.__init__
 
     def counted_min_distance(*args, **kwargs):
         calls["min_distance"] += 1
@@ -465,7 +466,7 @@ def test_catalogue_computes_each_generator_once(capsys, monkeypatch):
         calls["algebra"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(catalogue, "min_hamming_distance", counted_min_distance)
+    monkeypatch.setattr(catalogue, "_min_distance", counted_min_distance)
     monkeypatch.setattr(PetitAlgebra, "__init__", counted_init)
     code, out = run(capsys, "catalogue", "--ring", "4", "--sigma", "0", "--m", "4")
     assert code == 0
@@ -473,4 +474,27 @@ def test_catalogue_computes_each_generator_once(capsys, monkeypatch):
     assert len(records) == 160
     assert sum(len(rec["codes"]) for rec in records) == 656
     assert calls["min_distance"] == 81
-    assert 0 < calls["algebra"] <= len(records)
+    assert calls["algebra"] == 0
+
+
+PINNED_CATALOGUES = [
+    (("--field", "2,3", "--sigma", "1", "--m", "4"), 208,
+     "ce1c77a5c227865b1e356aa7119d9910ee4f50578d08c244a36a863e7623ee9e"),
+    (("--ring", "8", "--sigma", "0", "--m", "4"), 1408,
+     "946c4a8a929987262673d9c16d62f1c0031663d778fc41d9327ac15f2ff7dbcf"),
+    (("--field", "2,2", "--sigma", "1", "--m", "5"), 192,
+     "f94dc50f831c4b2dcfa2728aecdc08b38a233d4e40381d3744c8e1c68a179ec2"),
+]
+
+
+@pytest.mark.parametrize("argv,count,digest", PINNED_CATALOGUES,
+                         ids=["GF(8) sigma m=4", "Z_8 m=4", "GF(4) Frobenius m=5"])
+def test_catalogue_pinned_bytes(capsys, argv, count, digest):
+    """Catalogues whose divisor lists take the psi-halved upper half under
+    sigma^-1 != sigma (GF(8)), over Z_8, whose even elements are zero divisors,
+    and at an odd degree (GF(4), m = 5): the bytes that SkewPoly divisor lists,
+    PetitAlgebra spans and per-class norm scales gave."""
+    code, out = run(capsys, "catalogue", *argv)
+    assert code == 0
+    assert len(out.splitlines()) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,6 +11,7 @@ from skewcodes.catalogue import partition_classes, poly_to_json, run_catalogue
 from skewcodes.classify import (
     IsometryWitness,
     _class_orbit,
+    _unit_scales,
     check_equivalence,
     find_equivalence,
 )
@@ -157,7 +158,8 @@ def test_min_distance_matches_codewords_on_catalogues(label, tw, m, constacyclic
 def test_catalogue_codes_match_each_representative(label, tw, m, constacyclic):
     """Each record's codes, whose parameters the catalogue computes once per
     generator, equal the codes of its own representative's algebra; and a
-    generator that divides two representatives spans the same rows in both."""
+    generator that divides two representatives spans the same rows in both,
+    when each row is stepped by t*row mod_r the representative's f."""
     rows_of = {}
     shared = 0
     classes = partition_classes(tw, m, constacyclic, 2 ** 20)
@@ -170,7 +172,10 @@ def test_catalogue_codes_match_each_representative(label, tw, m, constacyclic):
             for C in codes
         ]
         for C in codes:
-            rows = _left_ideal_span(A, C.g)
+            rows = [C.rows[0]]
+            while len(rows) < C.dimension:
+                rows.append(tuple(A._t_step(rows[-1])))
+            assert rows == _left_ideal_span(tw, m, C.g.vals)
             if C.g.vals in rows_of:
                 shared += 1
                 assert rows_of[C.g.vals] == rows, (cls["members"][0], C.g)
@@ -187,16 +192,17 @@ def _two_pass_partition(tw, m, constacyclic):
     else:
         candidates = [tail + (one,) for tail in itertools.product(range(ring.size), repeat=m)]
     pending = set(candidates)
+    scales = _unit_scales(tw, m)
     classes = []
     for f in candidates:
         if f not in pending:
             continue
-        members = sorted(g for g in _class_orbit(tw, f, chen_only=False) if g in pending)
+        members = sorted(g for g in _class_orbit(tw, f, False, scales) if g in pending)
         pending.difference_update(members)
         chen, seen = [], set()
         for g in members:
             if g not in seen:
-                sub = sorted(x for x in _class_orbit(tw, g, chen_only=True) if x in members)
+                sub = sorted(x for x in _class_orbit(tw, g, True, scales) if x in members)
                 seen.update(sub)
                 chen.append(sub)
         classes.append((members, sorted(chen)))

@@ -118,7 +118,7 @@ def test_reductions_match_right_divide(label, tw, m):
         for g in all_monic_right_divisors(f):
             if g.degree == m:
                 continue
-            rows = _left_ideal_span(A, g)
+            rows = _left_ideal_span(tw, m, g.vals)
             assert len(rows) == m - g.degree
             assert SkewPoly.from_indices(rows[0], tw) == g
             for row, after in zip(rows, rows[1:] + [tuple(A._t_step(rows[-1]))]):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from skewcodes.errors import (
 from skewcodes.skewpoly import (
     SkewPoly,
     TwistContext,
+    _left_divide,
     all_monic_right_divisors,
     enumerate_monic_right_divisors,
     left_divide,
@@ -282,6 +284,8 @@ PRODUCT_CONFIGS = [
     ("GF(4) Frobenius m=4", _tw(GF4, 1), 4),
     ("Z_4 m=3", _tw(make_residue_ring(4)), 3),
     ("GF(9) Frobenius m=3", _tw(make_field(3, 2), 1), 3),
+    ("GF(8) sigma m=3", _tw(make_field(2, 3), 1), 3),
+    ("Z_8 m=3", _tw(make_residue_ring(8)), 3),
     ("GF(4) inner delta m=3", TwistContext(GF4, FROB, delta_beta=OMEGA), 3),
 ]
 
@@ -291,8 +295,9 @@ def test_all_divisors_match_products(label, tw, m):
     """Product-side oracle: the monic right divisors of every monic f of degree m
     are the g of all monic products q*g = f with deg q + deg g = m.
 
-    The first three configs take the psi-halved path, the delta != 0 one the
-    scan of every degree; no division is used to build the oracle."""
+    All but the delta != 0 config take the psi-halved path (over GF(8), psi(f)
+    lives under sigma^-1 != sigma), the delta != 0 one the scan of every
+    degree; no division is used to build the oracle."""
     oracle = {}
     for d in range(m + 1):
         for q in _monics(tw, m - d, False):
@@ -308,6 +313,21 @@ def test_all_divisors_match_per_degree_scan_on_products():
     moves the t-coefficient w of a quadratic to w^2."""
     h = SkewPoly([GF4.one, OMEGA, GF4.zero, GF4.one], TW)
     for g in _monics(TW, 2, False):
+        f = skew_mul(h, g)
+        divs = all_monic_right_divisors(f)
+        assert g in divs
+        assert divs == _per_degree_scan(f), f
+
+
+def test_all_divisors_on_products_use_psi_inverse():
+    """f = h*g of degree 5 over GF(8) with sigma: x -> x^2, h = t^2 + x*t + x and g
+    over every 16th monic cubic: g is the left quotient of f by psi^-1(psi(h)) = h,
+    and h's t-coefficient x is not fixed by sigma^2 = sigma^-1, so psi in place of
+    psi^-1 there gives another quotient (sigma^-1 = sigma in the test above)."""
+    x = make_field(2, 3).from_json([0, 1, 0])
+    tw = _tw(x.ctx, 1)
+    h = SkewPoly([x, x, x.ctx.one], tw)
+    for g in _monics(tw, 3, False)[::16]:
         f = skew_mul(h, g)
         divs = all_monic_right_divisors(f)
         assert g in divs
@@ -355,16 +375,41 @@ def test_divisor_lists_mix_monic_and_non_monic():
 
 
 def test_divisor_table_keys_low_parts():
-    """The table of one high part holds every candidate once, keyed by the low
-    part of the one f with that high part it divides, as right_divide finds."""
-    f = P(1, 0, 1, 1)
-    table = monic_right_divisor_table(f, 2)
+    """Asked for every low part, the table of one high part holds every candidate
+    once, keyed by the low part of the one f with that high part it divides, as
+    right_divide finds; asked for some, it keeps only theirs."""
+    high = P(1, 0, 1, 1).vals[2:]
+    lows = list(itertools.product(range(4), repeat=2))
+    table = monic_right_divisor_table(TW, 2, high, lows)
     assert sum(len(tails) for tails in table.values()) == 16
     one = (GF4.one.val,)
     for low, tails in table.items():
-        h = SkewPoly.from_indices(low + f.vals[2:], TW)
+        h = SkewPoly.from_indices(low + high, TW)
         expected = [g for g in _monics(TW, 2, False) if right_divide(h, g)[1].is_zero]
         assert [SkewPoly.from_indices(t + one, TW) for t in tails] == expected
+    some = list(table)[::2]
+    assert monic_right_divisor_table(TW, 2, high, some) == {low: table[low] for low in some}
+
+
+def test_divisor_table_memory_keeps_only_asked_lows():
+    """One degree-3 table over GF(16), 4,096 candidates, asked for one low part:
+    it holds that low part's divisors only, so its peak under tracemalloc stays
+    under 64 KiB (keeping every candidate tail took about 0.7 MiB)."""
+    field = make_field(2, 4)
+    tw = _tw(field, 1)
+    one = (field.one.val,)
+    g = SkewPoly.from_indices((3, 5, 7) + one, tw)
+    f = skew_mul(SkewPoly.from_indices((2, 9, 11) + one, tw), g)
+    args = (tw, 3, f.vals[3:], [f.vals[:3]])
+    table = monic_right_divisor_table(*args)  # builds the t_times levels it reads
+    tracemalloc.start()
+    try:
+        table = monic_right_divisor_table(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(table) == [f.vals[:3]] and g.vals[:3] in table[f.vals[:3]]
+    assert peak < 64 * 1024, peak
 
 
 def test_divisor_lists_cap():
@@ -432,6 +477,29 @@ def test_psi_involution_and_antimultiplicative():
         assert psi(psi(g)) == g
         for h in polys[::7]:
             assert psi(skew_mul(g, h)) == skew_mul(psi(h), psi(g))
+
+
+LEFT_QUOTIENT_CONFIGS = [
+    ("GF(4) Frobenius m=4", _tw(GF4, 1), 4, 1),
+    ("GF(8) sigma m=3", _tw(make_field(2, 3), 1), 3, 5),
+    ("Z_8 m=3", _tw(make_residue_ring(8)), 3, 5),
+]
+
+
+@pytest.mark.parametrize("label,tw,m,stride", LEFT_QUOTIENT_CONFIGS,
+                         ids=[c[0] for c in LEFT_QUOTIENT_CONFIGS])
+def test_index_left_quotient_matches_left_divide(label, tw, m, stride):
+    """The index-level left division that the psi-halved divisor lists read,
+    over every stride-th monic f of degree m and every monic q of degree
+    1..m-1, returns left_divide's quotient and remainder, the quotient already
+    trimmed (monic of degree m - deg q), and f = q*quotient + remainder."""
+    qs = [q for d in range(1, m) for q in _monics(tw, d, False)]
+    for f in _monics(tw, m, False)[::stride]:
+        for q in qs:
+            quot, rem = _left_divide(tw, f.vals, q.vals)
+            expected = left_divide(f, q)
+            assert (tuple(quot), SkewPoly.from_indices(rem, tw)) == (expected[0].vals, expected[1])
+            assert skew_mul(q, expected[0]) + expected[1] == f, (f, q)
 
 
 def test_psi_rejects_delta():
