@@ -1,8 +1,8 @@
 """Quotient algebras R/Rf with multiplication g*h reduced by f on the right.
 
-These are nonassociative in general.  The structural probes (associativity,
-nuclei as kernels, two-sidedness of f) are exact and work on additive
-generators: none enumerates the elements of S_f.
+These are nonassociative in general.  The structural probe (associativity,
+nuclei, two-sidedness of f) is exact and reads one additive kernel, the
+eigenring of f, on additive generators: it enumerates no element of S_f.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .coeffring import additive_generators
 from .errors import DegreeTooHigh, NonMonic, NotARightDivisor
-from .skewpoly import SkewPoly, right_divide, skew_mul
+from .skewpoly import SkewPoly, right_divide
 
 
 class StructureReport(namedtuple(
@@ -135,12 +135,6 @@ class PetitAlgebra:
         return acc
 
 
-def f_is_two_sided(A: PetitAlgebra) -> bool:
-    """Whether Rf is a two-sided ideal: f*t and f*a reduce to 0 mod_r f."""
-    factors = [SkewPoly.t_power(1, A.twist)] + [SkewPoly([a], A.twist) for a in A.ring.elements]
-    return all(right_divide(skew_mul(A.f, g), A.f)[1].is_zero for g in factors)
-
-
 def is_associative(A: PetitAlgebra) -> bool:
     """Exhaustive associator check over additive generators.
 
@@ -165,33 +159,6 @@ def is_associative(A: PetitAlgebra) -> bool:
                 if mul(xy, z) != mul(x, mul(y, z)):
                     return False
     return True
-
-
-def _nucleus_orders(A: PetitAlgebra):
-    """Orders of the left, middle and right nuclei of S_f, each as a kernel.
-
-    With c the characteristic of S (p for GF(p^r), n for Z_n), the base-c
-    digits of coefficient indices give (S_f, +) = Z_c^N, N = rm, with the
-    generators g_i = b*t^j as basis.  The associator is additive in every
-    slot (see is_associative), so the nucleus of a slot is the kernel of the
-    Z-linear phi(x) = ([x in that slot] on all generator pairs of the others),
-    of order c^N / |im phi|; im phi is spanned by the rows phi(g_i), read off
-    the N^3 generator associators, computed once for the three slots on
-    index lists, each as add[l][neg[r]] coefficientwise.
-    """
-    ring = A.ring
-    c, add, neg = ring.characteristic, ring._add, ring._neg
-    mul = A.mul_indices
-    gens = A._generator_indices()
-    digits = [[v // b.val % c for b in additive_generators(ring)] for v in range(ring.size)]
-    prod = [[mul(x, y) for y in gens] for x in gens]
-    rows = [[[] for _ in gens] for _ in range(3)]
-    for i, j, k in itertools.product(range(len(gens)), repeat=3):
-        lhs, rhs = mul(prod[i][j], gens[k]), mul(gens[i], prod[j][k])
-        coords = [d for l, r in zip(lhs, rhs) for d in digits[add[l][neg[r]]]]
-        for slot, x in enumerate((i, j, k)):
-            rows[slot][x].extend(coords)
-    return [c ** len(gens) // _image_order(slot_rows, c) for slot_rows in rows]
 
 
 def _image_order(rows, c: int) -> int:
@@ -228,21 +195,50 @@ def _dim_from_count(A: PetitAlgebra, count: int) -> int:
 
 
 def probe_structure(A: PetitAlgebra) -> StructureReport:
-    """Associativity, nucleus dimensions, and two-sidedness of f.
+    """Associativity, nucleus dimensions and two-sidedness of f, from one additive kernel.
 
-    No element of S_f is enumerated: the nuclei are kernels of maps on
-    generators (see _nucleus_orders), and S_f is associative exactly when
-    its left nucleus is all of S_f.
+    Petit's theorem reads all three off the eigenring E(f) = {z : deg z < m,
+    f*z in Rf}, the kernel of e(z) = (f*z) mod_r f = sum_(i<=m) f_i L^i(z),
+    L = _t_step (right remainders are left S-linear): m steps per additive
+    generator z = b*t^j, and no product of S_f.  Write x*y = q_xy*f + x o y.
+    1. [x, y, z] = -(q_xy*f*z) mod_r f = -(q_xy*e(z)) mod_r f, as
+       x*(y o z) = x*y*z - x*q_yz*f and f*z = q'*f + e(z).
+    2. So E(f) lies in the right nucleus, and x = t^(m-1), y = t give
+       q_xy = 1 (f is monic) and [x, y, z] = -e(z): the right nucleus is E(f).
+    3. A factor of degree 0 keeps a product below degree m, so q = 0 and S
+       lies in the left and middle nuclei.
+    4. For deg x = d >= 1, the pair (x, t^(m-d)) has q = x_d, and the pair
+       (t^(m-d), x) has q = sigma^(m-d)(x_d) (delta only adds lower terms).
+       Over a field both are units, so by step 1 such an x lies in the left
+       or middle nucleus only if e = 0: otherwise both nuclei are S.
+    5. e = 0 <=> S_f is associative (steps 1, 2) <=> Rf is two-sided, since
+       {g : f*g in Rf} is a subring (f*g*h = u*f*h) and t, S lie in R_m.
+       Over Z_n, sigma = id and delta = 0, so S_f is commutative: always e = 0.
+    Steps 1-3 and 5 use only left S-linearity and leading terms, with or
+    without delta; step 4 needs unit leading coefficients, which a
+    nontrivial sigma over a ring with zero divisors would not give.  With c
+    the characteristic of S, base-c digits of indices give (S_f, +) = Z_c^N,
+    N = rm, and |E(f)| = c^N / |im e|, _image_order of the digit rows e(z).
     """
-    orders = _nucleus_orders(A)
-    dims = [_dim_from_count(A, order) for order in orders]
-    return StructureReport(
-        is_associative=orders[0] == A.ring.size ** A.m,
-        left_nucleus_dim=dims[0],
-        middle_nucleus_dim=dims[1],
-        right_nucleus_dim=dims[2],
-        f_two_sided=f_is_two_sided(A),
-    )
+    ring, m, fv = A.ring, A.m, A.f.vals
+    c, add, mul = ring.characteristic, ring._add, ring._mul
+    digits = [[v // b.val % c for b in additive_generators(ring)] for v in range(ring.size)]
+    rows = []
+    for z in A._generator_indices():
+        z += [0] * (m - len(z))
+        acc = [mul[fv[0]][v] for v in z]
+        for fi in fv[1:]:
+            z = A._t_step(z)
+            acc = [add[a][mul[fi][v]] for a, v in zip(acc, z)]
+        rows.append([d for v in acc for d in digits[v]])
+    image = _image_order(rows, c)
+    associative = image == 1
+    if associative:
+        orders = [ring.size ** m] * 3
+    else:
+        orders = [ring.size, ring.size, c ** len(rows) // image]
+    left, middle, right = (_dim_from_count(A, n) for n in orders)
+    return StructureReport(associative, left, middle, right, associative)
 
 
 def _check_generator(A: PetitAlgebra, g: SkewPoly):

@@ -37,7 +37,7 @@ from .coeffring import (
     make_residue_ring,
     partial_norm,
 )
-from .petit import PetitAlgebra, is_associative
+from .petit import PetitAlgebra, is_associative, probe_structure
 from .skewpoly import (
     DEFAULT_ENUM_CAP,
     SkewPoly,
@@ -75,7 +75,11 @@ def _constacyclic(tw: TwistContext, m: int, d) -> SkewPoly:
 
 
 def check_associativity_criterion() -> dict:
-    """Brute-force associativity of t^m - d matches d in Fix(sigma) and n | m."""
+    """Brute-force associativity of t^m - d matches d in Fix(sigma) and n | m.
+
+    The probe's associativity and two-sidedness, read off the eigenring
+    kernel, must agree with it too (one check per algebra).
+    """
     failures = []
     checked = 0
     for p, r in ((2, 2), (2, 3), (3, 2)):
@@ -89,11 +93,12 @@ def check_associativity_criterion() -> dict:
                     A = PetitAlgebra(_constacyclic(tw, m, d))
                     expected = sigma(d) == d and m % n == 0
                     got = is_associative(A)
+                    report = probe_structure(A)
                     checked += 1
-                    if got != expected:
+                    if not (got == expected == report.is_associative == report.f_two_sided):
                         failures.append(
                             {"p": p, "r": r, "s": s, "m": m, "d": d.to_json(),
-                             "expected": expected, "got": got}
+                             "expected": expected, "got": got, "probe": report.to_json()}
                         )
     return _report("associativity-criterion", failures, checked)
 

@@ -1,12 +1,16 @@
 """Generator-reduced exhaustive checks against all-pairs and all-triples brute force.
 
-verify_witness_multiplicative, is_associative and the nucleus scan look only
-at additive generators b*t^j of S_f.  These tests keep the full scans, over
-multiplication tables of every element, as the reference.
+verify_witness_multiplicative and is_associative look only at additive
+generators b*t^j of S_f, and probe_structure only at the eigenring kernel.
+These tests keep the full scans, over multiplication tables of every
+element, as the reference, and the generator associator kernels
+(_nucleus_orders) as the oracle for probe_structure where tables are too big.
 """
 
 import itertools
 import random
+
+import pytest
 
 from skewcodes.classify import (
     IsometryWitness,
@@ -24,11 +28,19 @@ from skewcodes.coeffring import (
     make_residue_ring,
     partial_norm,
 )
-from skewcodes.petit import PetitAlgebra, _nucleus_orders, is_associative
-from skewcodes.skewpoly import SkewPoly, TwistContext, right_divide
+from skewcodes.petit import (
+    PetitAlgebra,
+    StructureReport,
+    _dim_from_count,
+    _image_order,
+    is_associative,
+    probe_structure,
+)
+from skewcodes.skewpoly import SkewPoly, TwistContext, right_divide, skew_mul
 
 GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
+GF8 = make_field(2, 3)
 GF9 = make_field(3, 2)
 Z4 = make_residue_ring(4)
 Z6 = make_residue_ring(6)
@@ -271,15 +283,56 @@ def _brute_structure(A, tables):
     return sizes[0] == len(elems), sizes
 
 
+def _nucleus_orders(A: PetitAlgebra):
+    """Orders of the left, middle and right nuclei of S_f, as kernels of generator associators.
+
+    With c the characteristic of S (p for GF(p^r), n for Z_n), the base-c
+    digits of coefficient indices give (S_f, +) = Z_c^N, N = rm, with the
+    generators g_i = b*t^j as basis.  The associator is additive in every
+    slot (see is_associative), so the nucleus of a slot is the kernel of the
+    Z-linear phi(x) = ([x in that slot] on all generator pairs of the others),
+    of order c^N / |im phi|; im phi is spanned by the rows phi(g_i), read off
+    the N^3 generator associators, computed once for the three slots on
+    index lists, each as add[l][neg[r]] coefficientwise.
+    """
+    ring = A.ring
+    c, add, neg = ring.characteristic, ring._add, ring._neg
+    mul = A.mul_indices
+    gens = A._generator_indices()
+    digits = [[v // b.val % c for b in additive_generators(ring)] for v in range(ring.size)]
+    prod = [[mul(x, y) for y in gens] for x in gens]
+    rows = [[[] for _ in gens] for _ in range(3)]
+    for i, j, k in itertools.product(range(len(gens)), repeat=3):
+        lhs, rhs = mul(prod[i][j], gens[k]), mul(gens[i], prod[j][k])
+        coords = [d for l, r in zip(lhs, rhs) for d in digits[add[l][neg[r]]]]
+        for slot, x in enumerate((i, j, k)):
+            rows[slot][x].extend(coords)
+    return [c ** len(gens) // _image_order(slot_rows, c) for slot_rows in rows]
+
+
+def _oracle_report(A, orders):
+    """The StructureReport of nucleus orders: S_f is associative when its left nucleus is S_f."""
+    associative = orders[0] == A.ring.size ** A.m
+    return StructureReport(associative, *(_dim_from_count(A, n) for n in orders), associative)
+
+
 def _compare_structure(polys):
+    """probe_structure and the generator oracle against all-triples tables and the eigenring.
+
+    f is two-sided when f*g lies in Rf for every g of degree < m, each
+    checked by skew_mul and right_divide.
+    """
     tables = Tables()
     seen = set()
     for f in polys:
         A = PetitAlgebra(f)
-        brute = _brute_structure(A, tables)
-        reduced = (is_associative(A), tuple(_nucleus_orders(A)))
-        assert reduced == brute, f
-        seen.add(brute[0])
+        associative, sizes = _brute_structure(A, tables)
+        two_sided = all(right_divide(skew_mul(f, g), f)[1].is_zero for g in tables(A)[0])
+        assert two_sided == associative, f
+        brute = StructureReport(associative, *(_dim_from_count(A, n) for n in sizes), two_sided)
+        assert tuple(_nucleus_orders(A)) == sizes, f
+        assert probe_structure(A) == brute, f
+        seen.add(associative)
     return seen
 
 
@@ -291,6 +344,14 @@ def test_structure_gf4_m3():
     polys = [consta(TW4, 3, d) for d in GF4.units]
     polys += [SkewPoly.t_power(3, TW4)]  # R t^3 is two-sided
     polys += random.Random(3).sample(monics(TW4, 3), 3)
+    assert _compare_structure(polys) == {True, False}
+
+
+def test_structure_gf8_sigma2_m2():
+    """sigma^2 has order 3, so t^2 - d is never associative; R t^2 is two-sided."""
+    tw = TwistContext(GF8, Automorphism(GF8, 2))
+    polys = [consta(tw, 2, d) for d in GF8.units[:2]] + [SkewPoly.t_power(2, tw)]
+    polys += random.Random(8).sample(monics(tw, 2), 2)
     assert _compare_structure(polys) == {True, False}
 
 
@@ -306,5 +367,38 @@ def test_structure_residue_rings_m2():
 
 
 def test_structure_gf4_inner_delta():
-    tw = TwistContext(GF4, Automorphism(GF4, 1), delta_beta=OMEGA)
-    assert _compare_structure(monics(tw, 2)) == {True, False}
+    """delta != 0 with beta = w and beta = 1: every monic f of degree 2."""
+    for beta in (OMEGA, GF4.one):
+        tw = TwistContext(GF4, Automorphism(GF4, 1), delta_beta=beta)
+        assert _compare_structure(monics(tw, 2)) == {True, False}
+
+
+ORACLE_CONFIGS = [
+    ("GF(2)", TW2, 1),
+    ("GF(4) id", TwistContext(GF4, identity_aut(GF4)), 1),
+    ("GF(4) Frobenius", TW4, 1),
+    ("GF(4) Frobenius, delta", TwistContext(GF4, Automorphism(GF4, 1), delta_beta=OMEGA), 1),
+    ("GF(8) sigma", TwistContext(GF8, Automorphism(GF8, 1)), 4),
+    ("GF(8) sigma^2", TwistContext(GF8, Automorphism(GF8, 2)), 4),
+    ("GF(9) Frobenius", TW9, 1),
+    ("Z_4", TWZ4, 1),
+    ("Z_6", TWZ6, 1),
+]
+
+
+@pytest.mark.parametrize("label,tw,stride", ORACLE_CONFIGS, ids=[c[0] for c in ORACLE_CONFIGS])
+def test_probe_structure_matches_associator_oracle(label, tw, stride):
+    """probe_structure equals the generator associator kernels on every monic f of degree 2 and 3.
+
+    GF(8) at m = 3 takes every stride-th f: the oracle's N^3 = 729
+    associators per algebra make its 512 algebras several seconds.
+    """
+    seen = set()
+    for m in (2, 3):
+        polys = monics(tw, m)
+        for f in polys[::stride if m == 3 else 1]:
+            A = PetitAlgebra(f)
+            report = probe_structure(A)
+            assert report == _oracle_report(A, _nucleus_orders(A)), f
+            seen.add(report.is_associative)
+    assert seen == ({True, False} if tw.sigma.frob_exp or tw.has_delta else {True})

@@ -11,7 +11,6 @@ from skewcodes.petit import (
     PetitAlgebra,
     _image_order,
     _left_ideal_span,
-    f_is_two_sided,
     is_associative,
     left_ideal_span,
     probe_structure,
@@ -34,6 +33,16 @@ OMEGA = GF4.from_json([0, 1])
 def consta(tw, m, d):
     ring = tw.ring
     return SkewPoly([-d] + [ring.zero] * (m - 1) + [ring.one], tw)
+
+
+def f_is_two_sided(A: PetitAlgebra) -> bool:
+    """Whether Rf is a two-sided ideal: f*t and f*a reduce to 0 mod_r f for every a in S.
+
+    {g : f*g in Rf} is closed under + and * (f*g*h = u*f*h), and t and S
+    generate R, so these factors decide it.
+    """
+    factors = [SkewPoly.t_power(1, A.twist)] + [SkewPoly([a], A.twist) for a in A.ring.elements]
+    return all(right_divide(skew_mul(A.f, g), A.f)[1].is_zero for g in factors)
 
 
 T2_OMEGA = PetitAlgebra(consta(TW, 2, OMEGA))
@@ -157,12 +166,47 @@ def test_associativity_matches_brute_force():
         assert is_associative(A) == brute
 
 
+TWO_SIDED_CONFIGS = [
+    ("GF(4) Frobenius", TW, 3),
+    ("GF(4) inner delta", TwistContext(GF4, FROB, delta_beta=OMEGA), 3),
+    ("GF(8) sigma^2", _twist(make_field(2, 3), 2), 2),
+    ("GF(9) Frobenius", _twist(make_field(3, 2), 1), 2),
+    ("Z_6", _twist(make_residue_ring(6)), 2),
+]
+
+
 def test_two_sided_agrees_with_associative():
-    """Probed over every constacyclic f of degree 2 and 3 over GF(4)."""
-    for m in (2, 3):
-        for d in GF4.units:
-            A = PetitAlgebra(consta(TW, m, d))
-            assert f_is_two_sided(A) == is_associative(A)
+    """The two-sidedness oracle, the associator check and the probe agree on every monic f."""
+    for label, tw, m in TWO_SIDED_CONFIGS:
+        ring = tw.ring
+        for tail in itertools.product(ring.elements, repeat=m):
+            A = PetitAlgebra(SkewPoly(list(tail) + [ring.one], tw))
+            rep = probe_structure(A)
+            verdicts = {f_is_two_sided(A), is_associative(A), rep.f_two_sided, rep.is_associative}
+            assert len(verdicts) == 1, (label, A.f)
+
+
+def test_probe_structure_work_bound(monkeypatch):
+    """One probe of GF(4), t^9 + 1 makes no product of S_f and one _t_step per (generator, power).
+
+    The r*m generators b*t^j each take m steps to L^m(z), so r*m*m steps in all.
+    """
+    A = PetitAlgebra(consta(TW, 9, GF4.one))
+    calls = {"mul_indices": 0, "_t_step": 0}
+
+    def counted(name):
+        method = getattr(PetitAlgebra, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(PetitAlgebra, name, counted(name))
+    probe_structure(A)
+    assert calls["mul_indices"] == 0
+    assert 0 < calls["_t_step"] <= GF4.r * A.m * A.m
 
 
 def test_probe_structure_report():

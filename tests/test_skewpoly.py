@@ -238,6 +238,14 @@ def test_top_degree_divisor_is_f_itself():
         assert [g for g in all_monic_right_divisors(f) if g.degree == 2] == [f]
 
 
+def test_constant_divisors_listed_once():
+    """A constant f has the one monic right divisor 1, listed once, monic or not."""
+    for tw in (TW, TwistContext(GF4, FROB, delta_beta=OMEGA)):
+        for c in (GF4.one, OMEGA):
+            f = SkewPoly([c], tw)
+            assert all_monic_right_divisors(f) == [SkewPoly.one(tw)] == _per_degree_scan(f), f
+
+
 def _per_degree_scan(f):
     """Every degree scanned; a monic f is its own only monic divisor of top degree."""
     m = int(f.degree)
