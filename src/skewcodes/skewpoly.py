@@ -403,7 +403,7 @@ def _divisor_tuples(tw: TwistContext, fs, cap: int):
               for key, (twist, lows) in need.items()}
     lists = []
     for f, top, plan in plans:
-        out = [one] if 0 <= top < m else []  # a monic f of degree 0 is appended below
+        out = [one] if top >= 0 and f != one else []  # f = 1 is appended below
         for twist, d, g, via_psi in plan:
             tails = tables[twist.sigma.frob_exp, d, g[d:]].get(g[:d], ())
             if via_psi:

@@ -37,7 +37,7 @@ from .coeffring import (
     make_residue_ring,
     partial_norm,
 )
-from .petit import PetitAlgebra, is_associative, probe_structure
+from .petit import PetitAlgebra, probe_structure
 from .skewpoly import (
     DEFAULT_ENUM_CAP,
     SkewPoly,
@@ -72,6 +72,32 @@ def _gf4_frobenius():
 def _constacyclic(tw: TwistContext, m: int, d) -> SkewPoly:
     ring = tw.ring
     return SkewPoly([-d] + [ring.zero] * (m - 1) + [ring.one], tw)
+
+
+def is_associative(A: PetitAlgebra) -> bool:
+    """Exhaustive associator check over additive generators, the reference for probe_structure.
+
+    The associator [x, y, z] = (x*y)*z - x*(y*z) is additive in every slot,
+    because the product of S_f is biadditive (with or without delta).  It is
+    also left S-linear in the first slot: a*(g*h) = (a*g)*h in R, and if
+    g = q*f + r then a*g = (a*q)*f + a*r, so right remainders are left
+    S-linear.  Hence [x, y, z] = sum_i a_i [t^i, y, z] for x = sum a_i t^i,
+    and y, z may range over the additive generators b*t^j of S_f.  Vanishing
+    on the m * (rm)^2 triples (t^i, b t^j, c t^k), with b and c in
+    additive_generators(S) (r = 1 over Z_n), is therefore equivalent to
+    vanishing on all triples.  The products run on index lists.
+    """
+    mul = A.mul_indices
+    gens = A._generator_indices()
+    one = A.ring.one.val
+    for i in range(A.m):
+        x = [0] * i + [one]
+        for y in gens:
+            xy = mul(x, y)
+            for z in gens:
+                if mul(xy, z) != mul(x, mul(y, z)):
+                    return False
+    return True
 
 
 def check_associativity_criterion() -> dict:

@@ -33,10 +33,10 @@ from skewcodes.petit import (
     StructureReport,
     _dim_from_count,
     _image_order,
-    is_associative,
     probe_structure,
 )
 from skewcodes.skewpoly import SkewPoly, TwistContext, right_divide, skew_mul
+from skewcodes.verify import is_associative
 
 GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
@@ -317,7 +317,7 @@ def _oracle_report(A, orders):
 
 
 def _compare_structure(polys):
-    """probe_structure and the generator oracle against all-triples tables and the eigenring.
+    """probe_structure, is_associative and the generator oracle against all-triples tables.
 
     f is two-sided when f*g lies in Rf for every g of degree < m, each
     checked by skew_mul and right_divide.
@@ -330,6 +330,7 @@ def _compare_structure(polys):
         two_sided = all(right_divide(skew_mul(f, g), f)[1].is_zero for g in tables(A)[0])
         assert two_sided == associative, f
         brute = StructureReport(associative, *(_dim_from_count(A, n) for n in sizes), two_sided)
+        assert is_associative(A) == associative, f
         assert tuple(_nucleus_orders(A)) == sizes, f
         assert probe_structure(A) == brute, f
         seen.add(associative)

@@ -11,7 +11,6 @@ from skewcodes.petit import (
     PetitAlgebra,
     _image_order,
     _left_ideal_span,
-    is_associative,
     left_ideal_span,
     probe_structure,
 )
@@ -23,6 +22,7 @@ from skewcodes.skewpoly import (
     right_divide,
     skew_mul,
 )
+from skewcodes.verify import is_associative
 
 GF4 = make_field(2, 2)
 FROB = Automorphism(GF4, 1)

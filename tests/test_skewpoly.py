@@ -244,6 +244,13 @@ def test_constant_divisors_listed_once():
         for c in (GF4.one, OMEGA):
             f = SkewPoly([c], tw)
             assert all_monic_right_divisors(f) == [SkewPoly.one(tw)] == _per_degree_scan(f), f
+        # batches of mixed degree: each polynomial's own degree decides whether 1 leads its list
+        linear = SkewPoly([GF4.one, GF4.one], tw)
+        quadratic = SkewPoly([GF4.one, GF4.zero, GF4.one], tw)
+        for c in (GF4.one, OMEGA):
+            constant = SkewPoly([c], tw)
+            for batch in ([linear, constant], [constant, quadratic], [quadratic, constant, linear]):
+                assert monic_right_divisor_lists(batch) == [_per_degree_scan(f) for f in batch], batch
 
 
 def _per_degree_scan(f):
