@@ -145,7 +145,8 @@ def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Elemen
 
 def find_equivalence(f: SkewPoly, h: SkewPoly, chen_only: bool = False):
     """First witness (tau, alpha, 1) in canonical scan order, or None: the k = 1 search."""
-    return _first_witness(f, h, [1], _taus(f.twist.ring, chen_only), [])
+    found = _first_witness(f, h, [1], _taus(f.twist.ring, chen_only))
+    return None if found is None else found[1]
 
 
 def fast_reject(f: SkewPoly, h: SkewPoly):
@@ -241,12 +242,9 @@ def _apply_images(images, tt, xv, ring: RingContext):
 
 
 def verify_witness_multiplicative(
-    f: SkewPoly,
-    h: SkewPoly,
-    witness: IsometryWitness,
-    algebras: tuple[PetitAlgebra, PetitAlgebra] | None = None,
+    A: PetitAlgebra, B: PetitAlgebra, witness: IsometryWitness
 ) -> bool:
-    """Check G(x *_f y) = G(x) *_h G(y) for all x, y in S_f.
+    """Check G(x *_f y) = G(x) *_h G(y) for all x, y in A = S_f, with B = S_h.
 
     The check runs over the m * rm pairs x = t^i, y = b * t^j
     (i, j < m, b in coeffring.additive_generators(S), r = 1 over Z_n), and is
@@ -277,18 +275,18 @@ def verify_witness_multiplicative(
     result is True exactly when D vanishes on every pair of the same fixed
     set, and the loop stops only at a pair where it does not.
 
-    ``algebras`` passes (S_f, S_h) already built, to share them between
-    witnesses of the same pair.
+    The caller builds S_f and S_h, so one search shares them between all the
+    witnesses of a pair (see _image_table and codes.apply_isometry_to_code,
+    which take built algebras the same way).
     """
-    _require_classifiable(f, h)
-    A, B = algebras or (PetitAlgebra(f), PetitAlgebra(h))
-    ring = f.twist.ring
+    _require_classifiable(A.f, B.f)
+    ring = A.ring
     tt = ring.frobenius_table(witness.tau.frob_exp)
     images = _image_table(B, witness)
     gens = A._generator_indices()
     m, red = A.m, A._red
     for i in range(m - 1, -1, -1):
-        sigma_i = ring.frobenius_table(f.twist.sigma.frob_exp * i % ring.r)
+        sigma_i = ring.frobenius_table(A.twist.sigma.frob_exp * i % ring.r)
         for y in gens:
             # x = t^i, y = b t^j: x *_f y = sigma^i(b) (t^(i+j) mod_r f) for delta = 0
             j, b = len(y) - 1, y[-1]
@@ -316,30 +314,35 @@ def _taus(ring: RingContext, chen_only: bool):
     return taus[:1] if chen_only else taus
 
 
-def _first_witness(f: SkewPoly, h: SkewPoly, degrees, taus, algebras: list):
-    """The first witness over degrees, then taus, then units, each in the given order, or None.
+def _first_witness(f: SkewPoly, h: SkewPoly, degrees, taus):
+    """The first (relation, witness) of the ladder over degrees and taus, or None.
 
+    The rungs run in _LADDER order, strongest first; within a rung the scan
+    goes by degree, then tau, then unit alpha, each in the given order.
     k = 1 is decided by check_equivalence (its docstring proves that this is
     the multiplicativity test for m >= 2).  A k > 1 candidate of a
     constacyclic pair must first pass the necessary check_isometry_k, and is
-    then decided by verify_witness_multiplicative.  ``algebras`` is empty or
-    holds (S_f, S_h): they are built at the first verification and kept there
-    for later searches of the same pair.
+    then decided by verify_witness_multiplicative on S_f and S_h, which are
+    built at the first such verification and shared by the rest of the pass.
     """
     units = f.twist.ring.units
     constacyclic = _is_constacyclic(f.vals) and _is_constacyclic(h.vals)
-    for k in degrees:
-        for tau in taus:
-            for alpha in units:
-                if k == 1:
-                    if check_equivalence(f, h, tau, alpha):
-                        return IsometryWitness(tau, alpha)
-                elif not constacyclic or check_isometry_k(f, h, tau, alpha, k):
-                    if not algebras:
-                        algebras += PetitAlgebra(f), PetitAlgebra(h)
-                    w = IsometryWitness(tau, alpha, k)
-                    if verify_witness_multiplicative(f, h, w, algebras=tuple(algebras)):
-                        return w
+    algebras = None
+    for rung, relation in _LADDER.items():
+        for k in degrees:
+            for tau in taus:
+                if (k == 1, tau.is_identity) != rung:
+                    continue
+                for alpha in units:
+                    if k == 1:
+                        if check_equivalence(f, h, tau, alpha):
+                            return relation, IsometryWitness(tau, alpha)
+                    elif not constacyclic or check_isometry_k(f, h, tau, alpha, k):
+                        if algebras is None:
+                            algebras = PetitAlgebra(f), PetitAlgebra(h)
+                        w = IsometryWitness(tau, alpha, k)
+                        if verify_witness_multiplicative(*algebras, w):
+                            return relation, w
     return None
 
 
@@ -350,8 +353,8 @@ def classify_pair(
 
     The ladder runs ChenEquivalent (k = 1, tau = id), Equivalent (k = 1),
     ChenIsometric (k > 1, tau = id), Isometric (k > 1); a witness's rung is
-    its (k == 1, tau is the identity).  The first rung with a witness, searched
-    by degree, then tau, then alpha, gives the relation and the witness.
+    its (k == 1, tau is the identity).  One _first_witness pass finds the
+    first rung with a witness, searched by degree, then tau, then alpha.
     chen_only keeps tau = id; k keeps that one degree, which must be 1 or a
     valid_isometry_degrees entry (InvalidK if not).  The rungs are disjoint:
     each (tau, alpha) is checked and each (tau, alpha, k) verified at most
@@ -364,15 +367,10 @@ def classify_pair(
         if k not in degrees:
             raise InvalidK(f"k={k} violates the monomial-degree constraints")
         degrees = [k]
-    taus = _taus(f.twist.ring, chen_only)
-    algebras = []
-    for (equivalence, chen), relation in _LADDER.items():
-        rung_degrees = [d for d in degrees if (d == 1) == equivalence]
-        rung_taus = [tau for tau in taus if tau.is_identity == chen]
-        w = _first_witness(f, h, rung_degrees, rung_taus, algebras)
-        if w is not None:
-            return ClassificationResult(relation, w)
-    return ClassificationResult(Relation.NOT_RELATED, None, fast_reject(f, h))
+    found = _first_witness(f, h, degrees, _taus(f.twist.ring, chen_only))
+    if found is None:
+        return ClassificationResult(Relation.NOT_RELATED, None, fast_reject(f, h))
+    return ClassificationResult(*found)
 
 
 def equivalence_class_of(h: SkewPoly, chen_only: bool = False):

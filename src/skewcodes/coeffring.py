@@ -37,28 +37,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_divmod_p(num, den, p):
-    """Commutative division of coefficient lists over F_p; den must be monic-able."""
+def _poly_rem_monic(num, den, p):
+    """The remainder of num by the monic den, coefficient lists over F_p (little-endian)."""
     num = list(num)
-    dd = len(den) - 1
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-        dd -= 1
-    inv_lead = pow(den[-1], p - 2, p) if p > 2 else den[-1]
-    q = [0] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1 - dd, -1, -1):
-        c = (num[i + dd] * inv_lead) % p
+    d = len(den) - 1
+    for i in range(len(num) - 1 - d, -1, -1):
+        c = num[i + d]
         if c:
-            q[i] = c
             for j, dj in enumerate(den):
                 num[i + j] = (num[i + j] - c * dj) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def _poly_is_zero(u):
-    return all(c == 0 for c in u)
+    return num[:d]
 
 
 def _is_irreducible(modulus, p, r) -> bool:
@@ -68,9 +56,7 @@ def _is_irreducible(modulus, p, r) -> bool:
         return r == 1
     for d in range(1, r // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            den = list(tail) + [1]
-            _, rem = _poly_divmod_p(modulus, den, p)
-            if _poly_is_zero(rem):
+            if not any(_poly_rem_monic(modulus, list(tail) + [1], p)):
                 return False
     return True
 
@@ -166,12 +152,11 @@ class RingContext:
     :func:`make_residue_ring` instead of calling the constructor directly.
     """
 
-    def __init__(self, kind, add, mul, p=None, r=1, modulus=None, n_mod=None):
+    def __init__(self, kind, add, mul, p=None, r=1, modulus=None):
         self.kind = kind
         self.p = p
         self.r = r
         self.modulus = modulus
-        self.n_mod = n_mod
         self.size = len(add)
         self._add = add
         self._mul = mul
@@ -202,7 +187,7 @@ class RingContext:
             for d in digits + [0] * (self.r - len(digits)):
                 idx = idx * self.p + d
             return self.elements[idx]
-        return self.elements[int(obj) % self.n_mod]
+        return self.elements[int(obj) % self.size]
 
     def from_int(self, k: int) -> Element:
         """Embed an integer as k * 1, of index (k mod c) * index(1): 1 is one base-c digit."""
@@ -360,7 +345,7 @@ def make_residue_ring(n: int) -> RingContext:
         raise EnumerationCapExceeded(f"ring size {n} exceeds cap {DEFAULT_SIZE_CAP}")
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[a * b % n for b in range(n)] for a in range(n)]
-    return RingContext("residue", add, mul, n_mod=n)
+    return RingContext("residue", add, mul)
 
 
 def partial_norm(tau: Automorphism, beta: Element, i: int) -> Element:

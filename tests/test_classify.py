@@ -33,6 +33,7 @@ from skewcodes.errors import (
     DegreeMismatch,
     DeltaNotZero,
     InvalidK,
+    NonUnit,
     NotConstacyclic,
 )
 from skewcodes.petit import PetitAlgebra
@@ -43,6 +44,7 @@ FROB = Automorphism(GF4, 1)
 TW = TwistContext(GF4, FROB)
 OMEGA = GF4.from_json([0, 1])
 OMEGA2 = OMEGA * OMEGA
+Z4 = make_residue_ring(4)
 
 
 def consta(tw, m, d):
@@ -95,6 +97,21 @@ def test_check_equivalence_guards():
     with pytest.raises(DeltaNotZero):
         check_equivalence(consta(tw_d, 2, GF4.one), consta(tw_d, 2, GF4.one),
                           FROB, GF4.one)
+    with pytest.raises(DeltaNotZero):
+        equivalence_class_of(consta(tw_d, 2, GF4.one))
+    tw4 = _twist(Z4)
+    with pytest.raises(NonUnit):  # 2 is a nonzero non-unit of Z_4
+        check_equivalence(consta(tw4, 2, Z4.one), consta(tw4, 2, Z4.one),
+                          identity_aut(Z4), Z4.from_json(2))
+
+
+def test_isometry_witness_guards():
+    with pytest.raises(NonUnit):
+        IsometryWitness(identity_aut(Z4), Z4.from_json(2))
+    with pytest.raises(NonUnit):
+        IsometryWitness(FROB, GF4.zero, 3)
+    with pytest.raises(InvalidK):
+        IsometryWitness(FROB, GF4.one, 0)
 
 
 def test_equivalence_class_partition():
@@ -226,7 +243,7 @@ def test_witness_multiplicative():
     f = consta(TW, 3, GF4.one)
     h = consta(TW, 3, OMEGA)
     w = find_equivalence(f, h)
-    assert verify_witness_multiplicative(f, h, w)
+    assert verify_witness_multiplicative(PetitAlgebra(f), PetitAlgebra(h), w)
 
 
 def test_witness_verification_has_no_size_cap():
@@ -235,8 +252,9 @@ def test_witness_verification_has_no_size_cap():
     tw = TwistContext(GF4, ident)
     f, h = consta(tw, 7, GF4.one), consta(tw, 7, OMEGA)
     # t -> t^3 maps t^7 - 1 onto t^7 - w because w^3 = 1
-    assert verify_witness_multiplicative(f, h, IsometryWitness(ident, GF4.one, 3))
-    assert not verify_witness_multiplicative(f, h, IsometryWitness(ident, GF4.one, 1))
+    A, B = PetitAlgebra(f), PetitAlgebra(h)
+    assert verify_witness_multiplicative(A, B, IsometryWitness(ident, GF4.one, 3))
+    assert not verify_witness_multiplicative(A, B, IsometryWitness(ident, GF4.one, 1))
     f = SkewPoly.from_ints([1, 0, 1, 0, 0, 0, 0, 1], TW)
     h = SkewPoly.from_ints([2, 1, 0, 0, 1, 0, 0, 1], TW)
     assert classify_pair(f, h).relation == Relation.NOT_RELATED
@@ -249,9 +267,9 @@ def test_classify_pair_verifies_no_witness_twice(monkeypatch):
     seen = []
     verify = classify.verify_witness_multiplicative
 
-    def counting(f, h, w, **kwargs):
-        seen.append((f.coeffs, h.coeffs, w.tau.frob_exp, w.alpha.val, w.k))
-        return verify(f, h, w, **kwargs)
+    def counting(A, B, w):
+        seen.append((A.f.coeffs, B.f.coeffs, w.tau.frob_exp, w.alpha.val, w.k))
+        return verify(A, B, w)
 
     monkeypatch.setattr(classify, "verify_witness_multiplicative", counting)
     f = SkewPoly([GF4.from_json(c) for c in ([1, 1], [1, 0], [1, 0], [1, 0])] + [GF4.one], TW)
@@ -340,7 +358,7 @@ def test_equivalence_is_multiplicativity(label, tw, m):
                 for alpha in tw.ring.units:
                     w = IsometryWitness(tau, alpha)
                     assert check_equivalence(f, h, tau, alpha) == \
-                        verify_witness_multiplicative(f, h, w, algebras=(A, B)), (f, h, w)
+                        verify_witness_multiplicative(A, B, w), (f, h, w)
 
 
 # the ladder of classify_pair's docstring, strongest first, written out apart from it
@@ -362,7 +380,7 @@ def _all_witnesses(f, h, algebras):
             for alpha in tw.ring.units:
                 w = IsometryWitness(tau, alpha, k)
                 if (check_equivalence(f, h, tau, alpha) if k == 1
-                        else verify_witness_multiplicative(f, h, w, algebras=algebras)):
+                        else verify_witness_multiplicative(*algebras, w)):
                     found.append(w)
     return found
 
@@ -450,6 +468,43 @@ def test_check_isometry_k_guards():
     with pytest.raises(NotConstacyclic):
         check_isometry_k(SkewPoly.from_ints([1, 1, 0, 0, 0, 1], TW), h,
                          FROB, GF4.one, 3)
+    with pytest.raises(NonUnit):
+        check_isometry_k(f, h, FROB, GF4.zero, 3)
+
+
+# (label, twist, m, accepted witnesses): every constacyclic pair of the config
+PREFILTER_CONFIGS = [
+    ("GF(7) m=3", _twist(make_field(7, 1)), 3, 36),
+    ("GF(7) m=6", _twist(make_field(7, 1)), 6, 36),
+    ("GF(13) m=4", _twist(make_field(13, 1)), 4, 144),
+    ("GF(4) id m=5", _twist(GF4), 5, 54),
+    ("GF(4) Frobenius m=4", TW, 4, 6),
+    ("GF(4) Frobenius m=6", TW, 6, 6),
+    ("Z_9 m=3", _twist(make_residue_ring(9)), 3, 36),
+    ("GF(9) Frobenius m=4", _twist(make_field(3, 2), 1), 4, 32),
+]
+
+
+@pytest.mark.parametrize("label,tw,m,accepted", PREFILTER_CONFIGS,
+                         ids=[c[0] for c in PREFILTER_CONFIGS])
+def test_constacyclic_prefilter_hides_no_witness(label, tw, m, accepted):
+    """Every constacyclic (tau, alpha, k > 1) that verify_witness_multiplicative accepts
+    also passes check_isometry_k, so classify_pair's prefilter on constacyclic pairs
+    never skips a witness that the verification would accept."""
+    ring = tw.ring
+    polys = [consta(tw, m, a) for a in ring.units]
+    algebras = {f: PetitAlgebra(f) for f in polys}
+    found = 0
+    for f in polys:
+        for h in polys:
+            for k in valid_isometry_degrees(m, tw.sigma.order):
+                for tau in all_automorphisms(ring):
+                    for alpha in ring.units:
+                        w = IsometryWitness(tau, alpha, k)
+                        if verify_witness_multiplicative(algebras[f], algebras[h], w):
+                            found += 1
+                            assert check_isometry_k(f, h, tau, alpha, k), (f, h, w)
+    assert found == accepted
 
 
 def test_check_isometry_k_necessary_condition():

@@ -209,6 +209,35 @@ def test_count_classes_residue(capsys):
     assert doc["formula_nonassoc"] is None
 
 
+def test_count_classes_formula_needs_s_dividing_r(capsys):
+    """GF(8) with sigma = x^4: s = 2 does not divide r = 3, so the formula fields are null.
+
+    N_2(u) = u^5 and gcd(5, 7) = 1, so the norm image is all of GF(8)^x: one
+    class; sigma has order 3, which does not divide m = 2, so none is associative.
+    """
+    code, out = run(capsys, "count-classes", "--field", "2,3", "--sigma", "2", "--m", "2")
+    assert code == 0
+    assert json.loads(out) == {"nonassoc": 1, "assoc": 0,
+                               "formula_nonassoc": None, "formula_assoc": None}
+
+
+def test_residue_ring_polynomials(capsys):
+    """Z_n coefficients are integers read mod n: 7 is 3 in Z_4.
+
+    f = t^3 + 3 = t^3 - 1 and h = t^3 + 1 = t^3 - 3: 1 = N_3(alpha) * 3 = alpha^3 * 3
+    holds for alpha = 3, not for alpha = 1.  t^2 - 1 over the commutative Z_4 is
+    associative, and every nucleus is the whole algebra, of rank m = 2.
+    """
+    code, out = run(capsys, "check-equiv", "--ring", "4", "--f", "7,0,0", "--h", "1,0,0")
+    assert code == 0
+    assert json.loads(out) == {"relation": "ChenEquivalent", "filter_reason": None,
+                               "witness": {"tau_frob_exp": 0, "alpha": 3, "k": 1}}
+    code, out = run(capsys, "algebra-info", "--ring", "4", "--f", "3,0")
+    assert code == 0
+    assert json.loads(out) == {"associative": True, "two_sided_f": True,
+                               "nucleus_dims": [2, 2, 2]}
+
+
 def test_catalogue_constacyclic(capsys):
     code, out = run(capsys, "catalogue", "--field", "2,2", "--sigma", "1",
                     "--m", "2", "--constacyclic")
@@ -236,6 +265,16 @@ def test_catalogue_cap_exceeded(capsys):
     code, _ = run(capsys, "catalogue", "--field", "2,2", "--sigma", "1",
                   "--m", "2", "--cap", "2")
     assert code == 2
+
+
+def test_catalogue_constacyclic_cap_below_unit_count(capsys):
+    """GF(4) has 3 units, so --constacyclic with --cap 2 refuses the candidate list."""
+    code = main(["catalogue", "--field", "2,2", "--sigma", "1", "--m", "2",
+                 "--constacyclic", "--cap", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: unit enumeration exceeds cap")
 
 
 def test_invalid_field_spec(capsys):
@@ -280,6 +319,18 @@ def test_help_and_version_exit_0(capsys, argv):
 def test_missing_ring_spec(capsys):
     code, _ = run(capsys, "algebra-info", "--f", "1,0")
     assert code == 1
+
+
+@pytest.mark.parametrize("ring, message", [
+    (["--field", "2,2", "--ring", "4"], "--field and --ring are mutually exclusive"),
+    (["--field", "2"], "--field needs at least p,r"),
+])
+def test_invalid_ring_spec(capsys, ring, message):
+    code = main(["algebra-info", *ring, "--f", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_out_flag(tmp_path, capsys):

@@ -31,7 +31,7 @@ from skewcodes.coeffring import (
     make_residue_ring,
     partial_norm,
 )
-from skewcodes.errors import EnumerationCapExceeded, WitnessInvalid
+from skewcodes.errors import DegreeTooHigh, EnumerationCapExceeded, NonMonic, WitnessInvalid
 from skewcodes.petit import PetitAlgebra, _left_ideal_span
 from skewcodes.skewpoly import (
     SkewPoly,
@@ -59,6 +59,16 @@ def test_cyclic_example_code():
     one, zero = GF4.one, GF4.zero
     assert C.gen_matrix == ((one, one, zero), (zero, one, one))
     assert min_hamming_distance(C) == 2
+
+
+def test_build_code_rejects_bad_generators():
+    """g must be nonzero, of degree below m = 3 and monic."""
+    with pytest.raises(DegreeTooHigh):
+        build_code(A3, F_CYCLIC3)
+    with pytest.raises(DegreeTooHigh):
+        build_code(A3, SkewPoly([], TW))
+    with pytest.raises(NonMonic):
+        build_code(A3, SkewPoly([OMEGA, OMEGA], TW))  # w*t + w = w*(t + 1)
 
 
 def test_dimension_formula():

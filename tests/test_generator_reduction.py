@@ -132,7 +132,7 @@ def _compare_witnesses(pairs, degrees=None):
             g = images[key]
             brute = all(g[prod_f[i][j]] == prod_h[g[i]][g[j]]
                         for i in range(n) for j in range(n))
-            assert verify_witness_multiplicative(f, h, w, algebras=(A, B)) == brute, (f, h, w)
+            assert verify_witness_multiplicative(A, B, w) == brute, (f, h, w)
             verdicts[brute] += 1
     return verdicts
 
@@ -186,7 +186,7 @@ def test_verification_rejects_a_bad_witness():
     """The generator-pair check catches a map that is not multiplicative."""
     f, h = consta(TW4, 3, GF4.one), consta(TW4, 3, OMEGA)
     bad = IsometryWitness(identity_aut(GF4), GF4.one, 1)
-    assert not verify_witness_multiplicative(f, h, bad)
+    assert not verify_witness_multiplicative(PetitAlgebra(f), PetitAlgebra(h), bad)
 
 
 def _check_image_identity(polys, degrees):
@@ -235,7 +235,7 @@ def _compare_with_element_loop(pairs, degrees):
         A, B = PetitAlgebra(f), PetitAlgebra(h)
         for w in _witnesses(f, degrees):
             want = _verdict_on_elements(f, h, w, A, B)
-            assert verify_witness_multiplicative(f, h, w, algebras=(A, B)) == want, (f, h, w)
+            assert verify_witness_multiplicative(A, B, w) == want, (f, h, w)
             verdicts[want] += 1
     return verdicts
 

@@ -84,6 +84,28 @@ def test_skew_mul_noncommutative():
     assert skew_mul(t, w) != skew_mul(w, t)
 
 
+def test_operators_match_hand_arithmetic():
+    """-g, g - h and g * h, on Z_4[t] and on GF(9)[t; x -> x^3]."""
+    Z4 = make_residue_ring(4)
+    tw = TwistContext(Z4, identity_aut(Z4))
+
+    def Z(*ints):
+        return SkewPoly.from_ints(ints, tw)
+
+    assert -Z(1, 1) == Z(3, 3)
+    assert -(-Z(1, 2, 3)) == Z(1, 2, 3)
+    assert Z(1, 1) - Z(3, 1) == Z(2)
+    assert (Z(1, 1) - Z(1, 1)).is_zero
+    assert Z(1, 1) * Z(3, 1) == Z(3, 0, 1)  # (t + 1)(t - 1) = t^2 - 1
+    GF9 = make_field(3, 2)
+    tw9 = TwistContext(GF9, Automorphism(GF9, 1))
+    x = GF9.from_json([0, 1])
+    t, a = SkewPoly.t_power(1, tw9), SkewPoly([x], tw9)
+    assert t * a == SkewPoly([GF9.zero, x ** 3], tw9)  # t * x = x^3 * t
+    assert t * a - a * t == SkewPoly([GF9.zero, x ** 3 - x], tw9)
+    assert not (t * a - a * t).is_zero  # x is not in GF(3)
+
+
 def test_ring_associativity_delta_zero():
     polys = [SkewPoly(list(tail), TW) for tail in
              itertools.product(GF4.elements, repeat=3)]
