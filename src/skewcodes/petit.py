@@ -40,7 +40,8 @@ class PetitAlgebra:
     ``_red[n]`` holds the nonzero index terms (k, c) of t^n mod_r f.  It
     starts with n <= 2(m-1), every power a product of S_f reaches, and
     ``_reductions(n)`` extends it on demand, one step per power (the
-    witness check reads t^(kj) mod_r h for kj <= (m-1)^2 from S_h's table).
+    structure probe reads it to 2m - 1, the witness check to (m-1)^2 in
+    S_h's table).
     """
 
     def __init__(self, f: SkewPoly):
@@ -168,13 +169,39 @@ def _dim_from_count(A: PetitAlgebra, count: int) -> int:
     return d
 
 
+def _eigenring_rows(A: PetitAlgebra):
+    """e(b*t^j) = (f*b*t^j) mod_r f as index lists of length m, in _generator_indices order.
+
+    f*(b*t^j) = (f*b)*t^j in the associative ring R, and right remainders are
+    left S-linear, so with f*b = sum_(l<=m) P_l t^l (read from t_times, delta
+    included), e(b*t^j) = sum_l P_l * (t^(l+j) mod_r f), l + j <= 2m - 1.
+    """
+    m, fv, add, mul = A.m, A.f.vals, A.ring._add, A.ring._mul
+    red = A._reductions(2 * m - 1)
+    tb = A._tb + [A.twist.t_times(m)]
+    rows = []
+    for b in additive_generators(A.ring):
+        fb = [0] * (m + 1)
+        for fi, level in zip(fv, tb):
+            for l, c in level[b.val]:
+                fb[l] = add[fb[l]][mul[fi][c]]
+        terms = [(l, mul[p]) for l, p in enumerate(fb) if p]
+        for j in range(m):
+            acc = [0] * m
+            for l, coef in terms:
+                for k, rk in red[l + j]:
+                    acc[k] = add[acc[k]][coef[rk]]
+            rows.append(acc)
+    return rows
+
+
 def probe_structure(A: PetitAlgebra) -> StructureReport:
     """Associativity, nucleus dimensions and two-sidedness of f, from one additive kernel.
 
     Petit's theorem reads all three off the eigenring E(f) = {z : deg z < m,
-    f*z in Rf}, the kernel of e(z) = (f*z) mod_r f = sum_(i<=m) f_i L^i(z),
-    L = _t_step (right remainders are left S-linear): m steps per additive
-    generator z = b*t^j, and no product of S_f.  Write x*y = q_xy*f + x o y.
+    f*z in Rf}, the kernel of e(z) = (f*z) mod_r f on the additive generators
+    z = b*t^j (_eigenring_rows: r products f*b, then r*m*(m+1) row
+    combinations, and no product of S_f).  Write x*y = q_xy*f + x o y.
     1. [x, y, z] = -(q_xy*f*z) mod_r f = -(q_xy*e(z)) mod_r f, as
        x*(y o z) = x*y*z - x*q_yz*f and f*z = q'*f + e(z).
     2. So E(f) lies in the right nucleus, and x = t^(m-1), y = t give
@@ -194,17 +221,10 @@ def probe_structure(A: PetitAlgebra) -> StructureReport:
     the characteristic of S, base-c digits of indices give (S_f, +) = Z_c^N,
     N = rm, and |E(f)| = c^N / |im e|, _image_order of the digit rows e(z).
     """
-    ring, m, fv = A.ring, A.m, A.f.vals
-    c, add, mul = ring.characteristic, ring._add, ring._mul
-    digits = [[v // b.val % c for b in additive_generators(ring)] for v in range(ring.size)]
-    rows = []
-    for z in A._generator_indices():
-        z += [0] * (m - len(z))
-        acc = [mul[fv[0]][v] for v in z]
-        for fi in fv[1:]:
-            z = A._t_step(z)
-            acc = [add[a][mul[fi][v]] for a, v in zip(acc, z)]
-        rows.append([d for v in acc for d in digits[v]])
+    ring, m, c = A.ring, A.m, A.ring.characteristic
+    gens = [b.val for b in additive_generators(ring)]
+    digits = [[v // g % c for g in gens] for v in range(ring.size)]
+    rows = [[d for v in row for d in digits[v]] for row in _eigenring_rows(A)]
     image = _image_order(rows, c)
     associative = image == 1
     if associative:

@@ -36,7 +36,7 @@ class TwistContext:
     beta*(sigma(a)sigma(b) - sigma(a)b + sigma(a)b - ab) = beta*(sigma(ab) - ab).
     """
 
-    __slots__ = ("ring", "sigma", "delta_beta", "_t_table", "_opposite")
+    __slots__ = ("ring", "sigma", "delta_beta", "has_delta", "_delta", "_t_table", "_opposite")
 
     def __init__(self, ring: RingContext, sigma: Automorphism, delta_beta: Element | None = None):
         if sigma.ctx is not ring:
@@ -46,30 +46,30 @@ class TwistContext:
         self.ring = ring
         self.sigma = sigma
         self.delta_beta = delta_beta
+        # _delta[a] is the index of delta(a); a zero beta or sigma = id gives delta = 0
+        if delta_beta is None:
+            self._delta = [0] * ring.size
+        else:
+            sig, row = ring.frobenius_table(sigma.frob_exp), ring._mul[delta_beta.val]
+            self._delta = [row[ring._add[sig[a]][ring._neg[a]]] for a in range(ring.size)]
+        self.has_delta = any(self._delta)
         # _t_table[i][b] holds the nonzero index terms of t^i * b; level 0 is b itself
         self._t_table = [[[(0, b)] if b else [] for b in range(ring.size)]]
         self._opposite = None
-
-    @property
-    def has_delta(self) -> bool:
-        return self.delta_beta is not None and not self.delta_beta.is_zero()
 
     def t_times(self, i: int):
         """The nonzero index terms (l, c) of t^i * b = sum c * t^l, for every b, indexed by b.
 
         Level i comes from level i - 1 by t*a = sigma(a)*t + delta(a), read
-        from sigma's Frobenius table and a table of delta built once for the
-        levels added, so for b != 0, t^i * b has degree i with top coefficient
-        sigma^i(b).  Levels are built on demand and kept, so every polynomial
-        and quotient algebra under this twist shares them.
+        from sigma's Frobenius table and the table of delta, so for b != 0,
+        t^i * b has degree i with top coefficient sigma^i(b).  Levels are
+        built on demand and kept, so every polynomial and quotient algebra
+        under this twist shares them.
         """
         table = self._t_table
         if len(table) <= i:
-            ring = self.ring
-            add = ring._add
-            sig = ring.frobenius_table(self.sigma.frob_exp)
-            beta = 0 if self.delta_beta is None else self.delta_beta.val
-            dlt = [ring._mul[beta][add[sig[c]][ring._neg[c]]] for c in range(ring.size)]
+            add, dlt = self.ring._add, self._delta
+            sig = self.ring.frobenius_table(self.sigma.frob_exp)
             while len(table) <= i:
                 level = []
                 for terms in table[-1]:

@@ -1,10 +1,12 @@
 """Equivalence, isometry, fast filters, and class counting."""
 
 import itertools
+import json
 import math
 
 import pytest
 
+from skewcodes.catalogue import run_catalogue
 from skewcodes.classify import (
     IsometryWitness,
     Relation,
@@ -37,7 +39,7 @@ from skewcodes.errors import (
     NotConstacyclic,
 )
 from skewcodes.petit import PetitAlgebra
-from skewcodes.skewpoly import SkewPoly, TwistContext
+from skewcodes.skewpoly import SkewPoly, TwistContext, psi
 
 GF4 = make_field(2, 2)
 FROB = Automorphism(GF4, 1)
@@ -606,3 +608,48 @@ def test_bridge_agreement():
                 h = SkewPoly([norms[i].inverse() * tau(f.coeff(i)) for i in range(m)] + [GF4.one], TW)
                 assert check_equivalence(f, h, tau, alpha)
                 assert _bridge_parts(f, h, tau, alpha), (f, h, tau, alpha)
+
+
+ZERO_DERIVATIONS = [
+    ("Z_4, beta = 1", Z4, Z4.one),
+    ("GF(4) sigma = id, beta = w", GF4, OMEGA),
+]
+
+
+def _without_delta(value):
+    """A parsed catalogue line with every polynomial's "delta" field dropped."""
+    if isinstance(value, dict):
+        return {k: _without_delta(v) for k, v in value.items() if k != "delta"}
+    if isinstance(value, list):
+        return [_without_delta(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("label,ring,beta", ZERO_DERIVATIONS, ids=[c[0] for c in ZERO_DERIVATIONS])
+def test_zero_derivation_is_no_delta(label, ring, beta):
+    """With sigma = id, delta(a) = beta*(a - a) = 0, so the twist behaves as the delta-free one.
+
+    classify_pair agrees on every ordered monic pair at m = 2 and 3, and the
+    catalogue lines agree once the "delta" field is dropped.
+    """
+    plain, zero = _twist(ring), TwistContext(ring, identity_aut(ring), beta)
+    assert not zero.has_delta
+    for m in (2, 3):
+        for fv, hv in itertools.product([f.vals for f in monic_polys(plain, m)], repeat=2):
+            pair = [SkewPoly.from_indices(v, tw) for tw in (plain, zero) for v in (fv, hv)]
+            assert classify_pair(*pair[:2]).to_json() == classify_pair(*pair[2:]).to_json()
+        lines = [[_without_delta(json.loads(line)) for line in run_catalogue(tw, m)]
+                 for tw in (plain, zero)]
+        assert lines[0] == lines[1]
+    f = consta(zero, 3, ring.one)
+    assert psi(f).vals == f.vals
+    assert [g.vals for g in equivalence_class_of(f)] == \
+        [g.vals for g in equivalence_class_of(consta(plain, 3, ring.one))]
+
+
+def test_nonzero_derivation_has_delta():
+    """sigma != id and beta != 0 give delta != 0: over GF(4), GF(8) and GF(9)."""
+    for K in (GF4, make_field(2, 3), make_field(3, 2)):
+        for e in range(1, K.r):
+            for beta in K.units:
+                assert TwistContext(K, Automorphism(K, e), beta).has_delta

@@ -9,6 +9,7 @@ from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_res
 from skewcodes.errors import NonMonic, NotARightDivisor
 from skewcodes.petit import (
     PetitAlgebra,
+    _eigenring_rows,
     _image_order,
     _left_ideal_span,
     left_ideal_span,
@@ -187,9 +188,10 @@ def test_two_sided_agrees_with_associative():
 
 
 def test_probe_structure_work_bound(monkeypatch):
-    """One probe of GF(4), t^9 + 1 makes no product of S_f and one _t_step per (generator, power).
+    """One probe of GF(4), t^9 + 1 makes no product of S_f and at most one _t_step.
 
-    The r*m generators b*t^j each take m steps to L^m(z), so r*m*m steps in all.
+    Its rows read the power table, which S_f's set-up holds to t^16; the one
+    step extends it to t^17 = t^(2m-1).
     """
     A = PetitAlgebra(consta(TW, 9, GF4.one))
     calls = {"mul_indices": 0, "_t_step": 0}
@@ -206,7 +208,52 @@ def test_probe_structure_work_bound(monkeypatch):
         monkeypatch.setattr(PetitAlgebra, name, counted(name))
     probe_structure(A)
     assert calls["mul_indices"] == 0
-    assert 0 < calls["_t_step"] <= GF4.r * A.m * A.m
+    assert calls["_t_step"] <= 1
+
+
+def _horner_rows(A: PetitAlgebra):
+    """e(z) = (f*z) mod_r f = sum_i f_i L^i(z), L = _t_step, on each generator z = b*t^j.
+
+    t^i*z mod_r f is L^i(z), and right remainders are left S-linear.
+    """
+    add, mul, fv = A.ring._add, A.ring._mul, A.f.vals
+    rows = []
+    for z in A._generator_indices():
+        z += [0] * (A.m - len(z))
+        acc = [mul[fv[0]][v] for v in z]
+        for fi in fv[1:]:
+            z = A._t_step(z)
+            acc = [add[a][mul[fi][v]] for a, v in zip(acc, z)]
+        rows.append(acc)
+    return rows
+
+
+GF8, GF9 = make_field(2, 3), make_field(3, 2)
+FROB9 = Automorphism(GF9, 1)
+ROW_TWISTS = [
+    ("GF(4) Frobenius", TW),
+    ("GF(4) Frobenius, beta = 1", TwistContext(GF4, FROB, GF4.one)),
+    ("GF(4) Frobenius, beta = w", TwistContext(GF4, FROB, OMEGA)),
+    ("GF(9) Frobenius", TwistContext(GF9, FROB9)),
+    ("GF(9) Frobenius, beta = 1", TwistContext(GF9, FROB9, GF9.one)),
+    ("GF(8) sigma", _twist(GF8, 1)),
+    ("GF(8) sigma^2", _twist(GF8, 2)),
+    ("Z_4", _twist(make_residue_ring(4))),
+    ("Z_6", _twist(make_residue_ring(6))),
+]
+
+
+@pytest.mark.parametrize("label,tw", ROW_TWISTS, ids=[c[0] for c in ROW_TWISTS])
+def test_eigenring_rows_match_horner(label, tw):
+    """The probe's rows, (f*b)*t^j read from the power table, equal the Horner rows.
+
+    Every monic f of degree 2 and 3, entry for entry, in generator order.
+    """
+    ring = tw.ring
+    for m in (2, 3):
+        for tail in itertools.product(ring.elements, repeat=m):
+            A = PetitAlgebra(SkewPoly(list(tail) + [ring.one], tw))
+            assert _eigenring_rows(A) == _horner_rows(A), (label, A.f)
 
 
 def test_probe_structure_report():
