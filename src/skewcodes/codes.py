@@ -86,12 +86,14 @@ def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
 def shift_closure_check(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
     """Whether the twisted shift defined by f maps every codeword back into C.
 
-    The shift of c is t*c mod_r f (PetitAlgebra._t_step): sigma(c_(i-1)) +
-    sigma(c_(m-1))*a_i + delta(c_i) at column i, with f = t^m - sum a_i t^i.
+    The shift of c is t*c mod_r f, the product t o c of S_f (mul_indices):
+    sigma(c_(i-1)) + sigma(c_(m-1))*a_i + delta(c_i) at column i, with
+    f = t^m - sum a_i t^i.
     """
-    step = C.algebra._t_step
+    A = C.algebra
+    t = (0, A.ring.one.val)
     words = C._words(cap)
-    return all(tuple(step(w)) in words for w in words)
+    return all(tuple(A.mul_indices(t, w)) in words for w in words)
 
 
 def _systematic_rows(ring, rows):

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .coeffring import additive_generators
 from .errors import DegreeTooHigh, NonMonic, NotARightDivisor
-from .skewpoly import SkewPoly, right_divide
+from .skewpoly import SkewPoly, _product, right_divide
 
 
 class StructureReport(namedtuple(
@@ -37,11 +37,13 @@ class StructureReport(namedtuple(
 class PetitAlgebra:
     """S_f for a monic f of degree m >= 2: residues of degree < m under *.
 
-    ``_red[n]`` holds the nonzero index terms (k, c) of t^n mod_r f.  It
-    starts with n <= 2(m-1), every power a product of S_f reaches, and
-    ``_reductions(n)`` extends it on demand, one step per power (the
-    structure probe reads it to 2m - 1, the witness check to (m-1)^2 in
-    S_h's table).
+    ``_red[n]`` holds the nonzero index terms (k, c) of t^n mod_r f.  For
+    n < m that is t^n itself, and t^m mod_r f = -(f_0 + ... + f_(m-1) t^(m-1)),
+    as t^m minus it is 1*f (f is monic, so no delta is involved).  The rest,
+    to 2m - 1, comes from _reductions: 2(m-1) is every power a product of
+    S_f reaches and 2m - 1 the most the structure probe reads.
+    ``_reductions(n)`` extends the table on demand (the witness check reads
+    S_h's to k(m-1)).
     """
 
     def __init__(self, f: SkewPoly):
@@ -52,43 +54,29 @@ class PetitAlgebra:
         self.f = f
         self.twist = f.twist
         self.ring = f.twist.ring
-        self.m = int(f.degree)
+        self.m = m = int(f.degree)
         # _tb[i][b] holds the index terms of t^i * b for i < m, shared with the twist
-        self._tb = [self.twist.t_times(i) for i in range(self.m)]
-        self._red = [[(0, self.ring.one.val)]]  # t^0
-        self._reductions(2 * self.m - 2)
-
-    def _t_step(self, r):
-        """t*r mod_r f, both as index lists of length m.
-
-        If g = q*f + r with deg r < m, then t*g = (t*q)*f + t*r, and (t*q)*f
-        lies in the left ideal Rf, so t*g and t*r have the same remainder.
-        t*r = sum_k (t*r_k) t^k, read from t_times(1) (sigma, and delta when
-        there is one), has degree at most m.  Subtracting c*f, c its
-        coefficient of t^m, stays in the class of t*r (c*f lies in Rf) and
-        leaves degree < m, as f is monic.  Remainders mod_r a monic f are
-        unique: a nonzero q*f has degree deg q + m.
-        """
-        ring = self.ring
-        out = _times_t(self.twist, r)
-        c = out.pop()
-        if c:
-            add, row, fv = ring._add, ring._mul[ring._neg[c]], self.f.vals
-            for j in range(self.m):
-                out[j] = add[out[j]][row[fv[j]]]
-        return out
+        self._tb = [self.twist.t_times(i) for i in range(m)]
+        one, neg = self.ring.one.val, self.ring._neg
+        self._red = [[(n, one)] for n in range(m)]
+        self._red.append([(k, neg[c]) for k, c in enumerate(f.vals[:m]) if c])
+        self._reductions(2 * m - 1)
 
     def _reductions(self, n: int):
         """The table _red, extended to hold t^j mod_r f for every j <= n.
 
-        One _t_step per power: t^j mod_r f = t*(t^(j-1) mod_r f) mod_r f.
+        One product of S_f per power: t^j mod_r f = t o (t^(j-1) mod_r f).
+        If g = q*f + r with deg r < m, then t*g = (t*q)*f + t*r, and (t*q)*f
+        lies in the left ideal Rf, so t*g and t*r have the same remainder.
+        mul_indices(t, r) reads the table only to t^m, which it holds.
         """
         red, m = self._red, self.m
+        t = (0, self.ring.one.val)
         while len(red) <= n:
             rem = [0] * m
             for k, c in red[-1]:
                 rem[k] = c
-            red.append([(k, c) for k, c in enumerate(self._t_step(rem)) if c])
+            red.append([(k, c) for k, c in enumerate(self.mul_indices(t, rem)) if c])
         return red
 
     def basis(self):
@@ -118,7 +106,9 @@ class PetitAlgebra:
         so g*h = sum g_i * c_l * t^(l+j).  Right remainders are left
         S-linear, so g*h mod_r f = sum g_i * c_l * (t^(l+j) mod_r f), with
         l + j <= 2(m-1).  The c_l come from TwistContext.t_times; for
-        delta = 0, t^i * b = sigma^i(b) * t^i.
+        delta = 0, t^i * b = sigma^i(b) * t^i.  With gv = t = (0, one) this is
+        the twisted shift t*r mod_r f, which _reductions and
+        codes.shift_closure_check take.
         """
         add, mul = self.ring._add, self.ring._mul
         red = self._red
@@ -173,18 +163,14 @@ def _eigenring_rows(A: PetitAlgebra):
     """e(b*t^j) = (f*b*t^j) mod_r f as index lists of length m, in _generator_indices order.
 
     f*(b*t^j) = (f*b)*t^j in the associative ring R, and right remainders are
-    left S-linear, so with f*b = sum_(l<=m) P_l t^l (read from t_times, delta
-    included), e(b*t^j) = sum_l P_l * (t^(l+j) mod_r f), l + j <= 2m - 1.
+    left S-linear, so with f*b = sum_(l<=m) P_l t^l (_product, delta
+    included), e(b*t^j) = sum_l P_l * (t^(l+j) mod_r f), l + j <= 2m - 1,
+    which S_f's table holds from its set-up.
     """
-    m, fv, add, mul = A.m, A.f.vals, A.ring._add, A.ring._mul
-    red = A._reductions(2 * m - 1)
-    tb = A._tb + [A.twist.t_times(m)]
+    m, add, mul, red = A.m, A.ring._add, A.ring._mul, A._red
     rows = []
     for b in additive_generators(A.ring):
-        fb = [0] * (m + 1)
-        for fi, level in zip(fv, tb):
-            for l, c in level[b.val]:
-                fb[l] = add[fb[l]][mul[fi][c]]
+        fb = _product(A.twist, A.f.vals, (b.val,))
         terms = [(l, mul[p]) for l, p in enumerate(fb) if p]
         for j in range(m):
             acc = [0] * m
@@ -251,26 +237,17 @@ def left_ideal_span(A: PetitAlgebra, g: SkewPoly):
     return [SkewPoly.from_indices(row, A.twist) for row in _left_ideal_span(A.twist, A.m, g.vals)]
 
 
-def _times_t(tw, r):
-    """t*r = sum_k (t*r_k) t^k on an index list, one entry longer, read from t_times(1)."""
-    add, t1 = tw.ring._add, tw.t_times(1)
-    out = [0] * (len(r) + 1)
-    for k, rk in enumerate(r):
-        for l, c in t1[rk]:
-            out[k + l] = add[out[k + l]][c]
-    return out
-
-
 def _left_ideal_span(tw, m: int, gv):
     """left_ideal_span as index tuples of length m, gv the indices of a monic right divisor of f.
 
-    Each row is t times the one before, with no reduction, so f is never
-    read: the rows t^i*g, i < m - deg g, have degree deg g + i <= m - 1,
+    Each row is t times the one before (_product), with no reduction, so f
+    is never read: the rows t^i*g, i < m - deg g, have degree deg g + i <= m - 1,
     and each row stepped has degree at most m - 2, so t*row has no t^m term.
     """
+    t = (0, tw.ring.one.val)
     row = list(gv) + [0] * (m - len(gv))
     span = [tuple(row)]
     for _ in range(m - len(gv)):
-        row = _times_t(tw, row)[:m]
+        row = _product(tw, t, row)[:m]
         span.append(tuple(row))
     return span

@@ -231,14 +231,17 @@ class SkewPoly:
 
 
 def skew_mul(g: SkewPoly, h: SkewPoly) -> SkewPoly:
-    """The product g*h = sum_(i,j) g_i * (t^i * h_j) * t^j in S[t; sigma, delta]."""
+    """The product g*h in S[t; sigma, delta]: _product's view."""
     g._check(h)
-    tw = g.twist
-    gv, hv = g.vals, h.vals
+    return SkewPoly.from_indices(_product(g.twist, g.vals, h.vals), g.twist)
+
+
+def _product(tw: TwistContext, gv, hv):
+    """g*h = sum_(i,j) g_i * (t^i * h_j) * t^j on index lists, untrimmed, of length
+    len(gv) + len(hv) - 1 (empty if either is)."""
     if not gv or not hv:
-        return SkewPoly.from_indices((), tw)
-    ring = tw.ring
-    add, mul = ring._add, ring._mul
+        return []
+    add, mul = tw.ring._add, tw.ring._mul
     acc = [0] * (len(gv) + len(hv) - 1)
     for i, gi in enumerate(gv):
         if not gi:
@@ -248,7 +251,7 @@ def skew_mul(g: SkewPoly, h: SkewPoly) -> SkewPoly:
         for j, hj in enumerate(hv):
             for l, c in tb[hj]:
                 acc[l + j] = add[acc[l + j]][row[c]]
-    return SkewPoly.from_indices(acc, tw)
+    return acc
 
 
 def _divisor_degree(g: SkewPoly, f: SkewPoly) -> int:

@@ -40,6 +40,7 @@ from skewcodes.skewpoly import (
     monic_scale,
     skew_mul,
 )
+from test_petit import t_step
 
 GF4 = make_field(2, 2)
 FROB = Automorphism(GF4, 1)
@@ -83,19 +84,45 @@ def test_codeword_count():
     assert len(C.codewords()) == GF4.size ** 2
 
 
+GF9 = make_field(3, 2)
+DELTA_SHIFTS = [
+    (TwistContext(GF4, FROB, OMEGA), 3),
+    (TwistContext(GF4, FROB, GF4.one), 3),
+    (TwistContext(GF9, Automorphism(GF9, 1), GF9.one), 2),
+]
+
+
 def test_every_built_code_is_shift_closed():
+    """Two fixed f without delta, and every monic f under three inner derivations
+    (GF(4) Frobenius with beta = w and beta = 1 at m = 3, GF(9) Frobenius with
+    beta = 1 at m = 2), whose shift reads delta."""
     targets = [F_CYCLIC3, SkewPoly([OMEGA, GF4.zero, GF4.zero, GF4.one], TW)]
+    for tw, m in DELTA_SHIFTS:
+        targets += [SkewPoly(list(tail) + [tw.ring.one], tw)
+                    for tail in itertools.product(tw.ring.elements, repeat=m)]
+    checked = 0
     for f in targets:
         A = PetitAlgebra(f)
         for C in code_class_codes(A):
-            assert shift_closure_check(C)
+            assert shift_closure_check(C), (f, C.g)
+            checked += f.twist.has_delta
+    assert checked == 546
 
 
 def test_raw_span_not_shift_closed():
-    """A span that is not an ideal fails the closure check."""
+    """A span that is not an ideal fails the closure check.
+
+    The code of g = t + w in S_f, f = t^3 + w t^2 over GF(4) Frobenius, is no
+    ideal once delta(a) = w(sigma(a) - a) twists t (t*w = w^2 t + w): its rows
+    fail under beta = w and pass without delta.
+    """
     rows = [(GF4.one.val, GF4.zero.val, GF4.zero.val)]
     C = LinearCode(A3, None, rows)
     assert not shift_closure_check(C)
+    rows = _left_ideal_span(TW, 3, (OMEGA.val, GF4.one.val))
+    for tw, closed in ((TW, True), (DELTA_SHIFTS[0][0], False)):
+        f = SkewPoly([GF4.zero, GF4.zero, OMEGA, GF4.one], tw)
+        assert shift_closure_check(LinearCode(PetitAlgebra(f), None, rows)) is closed
 
 
 def test_min_distance_of_full_algebra():
@@ -184,7 +211,7 @@ def test_catalogue_codes_match_each_representative(label, tw, m, constacyclic):
         for C in codes:
             rows = [C.rows[0]]
             while len(rows) < C.dimension:
-                rows.append(tuple(A._t_step(rows[-1])))
+                rows.append(tuple(t_step(A, rows[-1])))
             assert rows == _left_ideal_span(tw, m, C.g.vals)
             if C.g.vals in rows_of:
                 shared += 1
