@@ -5,9 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 
-from .classify import _class_orbit, _unit_scales
+from .classify import _class, _tau_tables, _unit_scales
 from .codes import _min_distance
-from .coeffring import all_automorphisms
 from .errors import EnumerationCapExceeded, InvalidConfig
 from .petit import _left_ideal_span
 from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext, _divisor_tuples
@@ -56,45 +55,21 @@ def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
 def _partition(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     """Full-equivalence classes as (members, Chen subclasses) of index tuples, canonically ordered.
 
-    One Chen orbit per class, computed for its first candidate f, gives both
-    the members and the Chen subclasses; every orbit reads the per-unit norm
-    scales of _unit_scales, built once.  The units alpha act on the
-    candidates by a group action, f -> f_alpha with coefficient
-    N_(m-i)(sigma^i(alpha)) * f_i at t^i: norms are multiplicative in the
-    commutative S, so (f_alpha)_beta = f_(alpha*beta).  An automorphism tau
-    commutes with sigma (both are powers of the Frobenius, or the identity
-    over Z_n), so tau(f_alpha) = tau(f)_(tau(alpha)), and as alpha runs over
-    the units so does tau(alpha).  Hence:
-
-    * the Chen class of tau(f) is tau applied to the Chen class of f;
-    * the full class of f, the tau(f_alpha) over tau and alpha, is the union
-      of those tau-images;
-    * every member x lies in some image tau(C), C the Chen class of f, which
-      is a Chen class, so the Chen class of x is tau(C): the Chen subclasses
-      are the distinct images, and two images either coincide or are
-      disjoint (Chen classes are orbits).  Each is identified by its least
-      member.
-
-    The full classes are orbits too, so a class found from its first pending
+    Each class is classify._class of its first pending candidate, every
+    class reading the per-unit norm scales and the tau tables built once.
+    Classes are orbits (see _class), so a class found from its first pending
     candidate holds no member of an earlier class.  Candidates, members and
     Chen subclasses are index tuples, which sort in sort_key order.
     """
     candidates = _candidates(twist, m, constacyclic, cap)
-    ring = twist.ring
-    tables = [ring.frobenius_table(tau.frob_exp) for tau in all_automorphisms(ring)]
     scales = _unit_scales(twist, m)
+    tables = _tau_tables(twist.ring, False)
     pending = set(candidates)
     classes = []
     for f in candidates:
         if f not in pending:
             continue
-        orbit = _class_orbit(twist, f, True, scales)
-        subs = {}
-        for tt in tables:
-            sub = sorted(tuple([tt[c] for c in g]) for g in orbit)
-            subs.setdefault(sub[0], sub)
-        chen = [subs[least] for least in sorted(subs)]
-        members = sorted(g for sub in chen for g in sub)
+        members, chen = _class(twist, f, scales, tables)
         pending.difference_update(members)
         classes.append((members, chen))
     classes.sort(key=lambda cls: cls[0][0])

@@ -168,7 +168,7 @@ def fast_reject(f: SkewPoly, h: SkewPoly):
     # norm coset test: N_(S/S0)(tau(a_i) / b_i) must be an (m-i)-th power of a
     # value of the full norm for some tau
     full_norms = {_norms(ring, e, u.val, n)[n] for u in ring.units}
-    taus = [ring.frobenius_table(tau.frob_exp) for tau in all_automorphisms(ring)]
+    taus = _tau_tables(ring, False)
     for i in range(m):
         if inv[a[i]] is None or inv[b[i]] is None:
             continue
@@ -187,11 +187,21 @@ def valid_isometry_degrees(m: int, n: int):
 def check_isometry_k(
     f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Element, k: int
 ) -> bool:
-    """Necessary degree-k condition N_m^(sigma^k)(alpha) * b^k = tau(a).
+    """The degree-k condition N_m^(sigma^k)(alpha) * b^k = tau(a), for f = t^m - a, h = t^m - b.
 
-    For associative constacyclic targets (a, b fixed by sigma, n | m) the
-    condition is also sufficient; for nonassociative targets it is necessary
-    only and conclusive results come from verify_witness_multiplicative.
+    k is 1 or a valid_isometry_degrees entry, so sigma^k = sigma.  As
+    t^m = h + b and right remainders are left S-linear, t^(qm) mod_r h is
+    N_q^(sigma^m)(b); as k(m-1) = (k-1)m + m-k, G(t^(m-1)) is
+    N_(m-1)^(sigma^k)(alpha) * sigma^(m-k)(N_(k-1)^(sigma^m)(b)) * t^(m-k).
+    With G(t) = alpha t^k and G(t^(m-1) *_f t) = G(a) = tau(a), the pair
+    (t^(m-1), t) of verify_witness_multiplicative holds exactly when
+    tau(a) = N_m^(sigma^k)(alpha) * b * prod_(j=1..k-1) sigma^(jm-1)(b).
+    When sigma fixes b, that is this condition, which is then necessary.  If
+    also n | m, S_h is associative and the condition is sufficient: G is the
+    ring map R -> S_h extending tau by t -> alpha t^k, which kills f exactly
+    when it holds.  When sigma does not fix b the two differ both ways, and
+    that the condition hides no witness is only measured
+    (test_constacyclic_prefilter_hides_no_witness).
     """
     _require_classifiable(f, h)
     if not alpha.is_unit():
@@ -208,37 +218,39 @@ def check_isometry_k(
     return ring._mul[norm][b_k] == ring.frobenius_table(tau.frob_exp)[a]
 
 
-def _image_table(B: PetitAlgebra, witness: IsometryWitness):
-    """images[j] = G(t^j) = N_j^(sigma^k)(alpha) * (t^(k j) mod_r h) for j < m, as index lists.
+def _witness_map(B: PetitAlgebra, witness: IsometryWitness):
+    """The witness map G: S_f -> S_h as (images, G), on index lists; B is S_h.
 
-    B is S_h; the remainders come from its power table (PetitAlgebra._reductions),
-    extended to k(m-1) as needed.  Scaling the remainder by the norm is exact
-    because right remainders are left S-linear (see verify_witness_multiplicative).
-    Each list has length m.
+    images[j] = G(t^j) = N_j^(sigma^k)(alpha) * (t^(k j) mod_r h) for j < m,
+    each of length m.  The remainders come from B's power table
+    (PetitAlgebra._reductions), extended to k(m-1) as needed; scaling one by
+    the norm is exact because right remainders are left S-linear (see
+    verify_witness_multiplicative).  G(x) = sum_j tau(x_j) * images[j], as G
+    is additive and tau-semilinear.
     """
     ring = B.ring
     m, k = B.m, witness.k
+    add, mul = ring._add, ring._mul
+    tt = ring.frobenius_table(witness.tau.frob_exp)
     red = B._reductions(k * (m - 1))
     images = []
     for j, norm in enumerate(_norms(ring, B.twist.sigma.frob_exp * k % ring.r,
                                     witness.alpha.val, m - 1)):
-        row = ring._mul[norm]
+        row = mul[norm]
         img = [0] * m
         for l, c in red[k * j]:
             img[l] = row[c]
         images.append(img)
-    return images
 
+    def G(xv):
+        acc = [0] * m
+        for xj, img in zip(xv, images):
+            if xj:
+                row = mul[tt[xj]]
+                acc = [add[a][row[v]] for a, v in zip(acc, img)]
+        return acc
 
-def _apply_images(images, tt, xv, ring: RingContext):
-    """G(x) = sum_j tau(x_j) * images[j] on index lists, tt the table of tau."""
-    add, mul = ring._add, ring._mul
-    acc = [0] * len(images)
-    for xj, img in zip(xv, images):
-        if xj:
-            row = mul[tt[xj]]
-            acc = [add[a][row[v]] for a, v in zip(acc, img)]
-    return acc
+    return images, G
 
 
 def verify_witness_multiplicative(
@@ -259,7 +271,7 @@ def verify_witness_multiplicative(
     D(x, y) = sum tau(a_i) * D(t^i, y), a sum of copies of the D(t^i, b t^j),
     so D vanishes everywhere exactly when it vanishes on those pairs.
 
-    G itself is read from the m images of t^j (_image_table): by additivity
+    G itself is read from the m images of t^j (_witness_map): by additivity
     and tau-semilinearity, G(x) = sum_j tau(x_j) * G(t^j) for x = sum x_j t^j,
     so G(t^i) = images[i] and G(b t^j) = tau(b) * images[j].  Everything runs
     on index lists.  The S_f side needs no product: delta = 0, which
@@ -276,13 +288,12 @@ def verify_witness_multiplicative(
     set, and the loop stops only at a pair where it does not.
 
     The caller builds S_f and S_h, so one search shares them between all the
-    witnesses of a pair (see _image_table and codes.apply_isometry_to_code,
+    witnesses of a pair (see _witness_map and codes.apply_isometry_to_code,
     which take built algebras the same way).
     """
     _require_classifiable(A.f, B.f)
     ring = A.ring
-    tt = ring.frobenius_table(witness.tau.frob_exp)
-    images = _image_table(B, witness)
+    images, G = _witness_map(B, witness)
     gens = A._generator_indices()
     m, red = A.m, A._red
     for i in range(m - 1, -1, -1):
@@ -294,8 +305,7 @@ def verify_witness_multiplicative(
             xy = [0] * m
             for l, c in red[i + j]:
                 xy[l] = row[c]
-            lhs = _apply_images(images, tt, xy, ring)
-            if lhs != B.mul_indices(images[i], _apply_images(images, tt, y, ring)):
+            if G(xy) != B.mul_indices(images[i], G(y)):
                 return False
     return True
 
@@ -321,9 +331,10 @@ def _first_witness(f: SkewPoly, h: SkewPoly, degrees, taus):
     goes by degree, then tau, then unit alpha, each in the given order.
     k = 1 is decided by check_equivalence (its docstring proves that this is
     the multiplicativity test for m >= 2).  A k > 1 candidate of a
-    constacyclic pair must first pass the necessary check_isometry_k, and is
-    then decided by verify_witness_multiplicative on S_f and S_h, which are
-    built at the first such verification and shared by the rest of the pass.
+    constacyclic pair must first pass check_isometry_k (necessary when sigma
+    fixes h_0), and is then decided by verify_witness_multiplicative on S_f
+    and S_h, which are built at the first such verification and shared by
+    the rest of the pass.
     """
     units = f.twist.ring.units
     constacyclic = _is_constacyclic(f.vals) and _is_constacyclic(h.vals)
@@ -376,39 +387,56 @@ def classify_pair(
 def equivalence_class_of(h: SkewPoly, chen_only: bool = False):
     """All h_(tau, alpha), deduplicated and canonically ordered."""
     tw = h.twist
-    orbit = _class_orbit(tw, h.vals, chen_only, _unit_scales(tw, int(h.degree)))
+    members, _ = _class(tw, h.vals, _unit_scales(tw, int(h.degree)),
+                        _tau_tables(tw.ring, chen_only))
     # all members have degree m, so index tuple order is sort_key order
-    return [SkewPoly.from_indices(v, tw) for v in sorted(orbit)]
+    return [SkewPoly.from_indices(v, tw) for v in members]
 
 
 def _unit_scales(tw, m: int):
-    """_scales(tw, alpha, m) for every unit alpha, in unit order: what orbits of degree m read."""
+    """_scales(tw, alpha, m) for every unit alpha, in unit order: what classes of degree m read."""
     return [_scales(tw, alpha.val, m) for alpha in tw.ring.units]
 
 
-def _class_orbit(tw, hv, chen_only: bool, scales):
-    """The (tau, alpha) orbit of h (index sequence hv, degree m) as index tuples of length m + 1.
+def _tau_tables(ring: RingContext, chen_only: bool):
+    return [ring.frobenius_table(tau.frob_exp) for tau in _taus(ring, chen_only)]
+
+
+def _class(tw, hv, scales, tables):
+    """The class of h (index sequence hv, degree m) as (members, Chen subclasses).
+
+    Members and subclasses are sorted index tuples of length m + 1, the
+    subclasses ordered by their least members.  scales is _unit_scales(tw, m),
+    which depends on h only through m; tables are tau tables, the identity
+    first (_tau_tables): all of them give the full class, the identity alone
+    the Chen class.
 
     h_(tau, alpha) = t^m - sum N_(m-i)(sigma^i(tau(alpha))) * tau(b_i) t^i,
-    with b_i = -h_i, so its coefficient at t^i is
+    with b_i = -h_i, has at t^i the coefficient
     N_(m-i)(sigma^i(tau(alpha))) * tau(h_i) = tau(N_(m-i)(sigma^i(alpha)) * h_i):
-    tau is a ring automorphism, and it commutes with sigma (both are powers
-    of the Frobenius, or the identity over Z_n), so it maps each conjugate
-    sigma^j(alpha) to sigma^j(tau(alpha)).  The orbit is therefore tau
-    applied to the scaled coefficients _scales(alpha, m)[i][h_i], read from
-    scales = _unit_scales(tw, m), which depends on h only through m.
+    tau is a ring automorphism that commutes with sigma (both are powers of
+    the Frobenius, or the identity over Z_n).  So the Chen class C of h, the
+    h_alpha over the units alpha, is the scaled coefficients
+    scales[alpha][i][h_i], and the class is the union of the images tau(C).
+    The units act by a group action, h -> h_alpha: norms are multiplicative
+    in the commutative S, so (h_alpha)_beta = h_(alpha*beta).  And
+    tau(h_alpha) = tau(h)_(tau(alpha)), where tau(alpha) runs over the units
+    as alpha does, so tau(C) is the Chen class of tau(h).  Every member x of
+    the class lies in some tau(C), which is then the Chen class of x: the
+    subclasses are the distinct images, and two images, being orbits,
+    coincide or are disjoint, so each is identified by its least member.
+    Classes are orbits too, so two classes coincide or are disjoint.
     """
     if tw.has_delta:
         raise DeltaNotZero("classification predicates require delta = 0")
-    ring = tw.ring
-    tables = [ring.frobenius_table(tau.frob_exp) for tau in _taus(ring, chen_only)]
-    one = (ring.one.val,)
-    out = set()
-    for rows in scales:
-        scaled = [row[c] for row, c in zip(rows, hv)]
-        for tt in tables:
-            out.add(tuple([tt[c] for c in scaled]) + one)
-    return out
+    one = (tw.ring.one.val,)
+    chen = {tuple([row[c] for row, c in zip(rows, hv)]) + one for rows in scales}
+    subs = {}
+    for tt in tables:
+        sub = sorted(tuple([tt[c] for c in g]) for g in chen)
+        subs.setdefault(sub[0], sub)
+    subclasses = [subs[least] for least in sorted(subs)]
+    return sorted(g for sub in subclasses for g in sub), subclasses
 
 
 def count_constacyclic_classes(ctx: RingContext, sigma: Automorphism, m: int):

@@ -55,11 +55,9 @@ def _parse_element(ctx, token: str):
     return ctx.from_json(int(token))
 
 
-def _parse_poly(ctx, tw, text: str, monic: bool = True) -> SkewPoly:
-    coeffs = [_parse_element(ctx, tok) for tok in text.split(",")]
-    if monic:
-        coeffs.append(ctx.one)
-    return SkewPoly(coeffs, tw)
+def _parse_poly(ctx, tw, text: str) -> SkewPoly:
+    # text lists the coefficients below the leading 1
+    return SkewPoly([_parse_element(ctx, tok) for tok in text.split(",")] + [ctx.one], tw)
 
 
 def _twist(args, ctx) -> TwistContext:

@@ -9,7 +9,7 @@ depend only on the twist, m and g, not on which f of degree m g divides.
 
 from __future__ import annotations
 
-from .classify import _apply_images, _image_table, check_equivalence
+from .classify import _witness_map, check_equivalence
 from .errors import EnumerationCapExceeded, WitnessInvalid
 from .petit import PetitAlgebra, _check_generator, _left_ideal_span
 from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, all_monic_right_divisors, monic_scale
@@ -215,14 +215,13 @@ def apply_isometry_to_code(C: LinearCode, witness, target: PetitAlgebra) -> Line
         raise WitnessInvalid("code transport requires a degree-1 witness")
     if not check_equivalence(C.algebra.f, target.f, witness.tau, witness.alpha):
         raise WitnessInvalid("witness does not certify equivalence of the classes")
-    return _transport(C, _image_table(target, witness), witness.tau, target)
+    return _transport(C, _witness_map(target, witness)[1], target)
 
 
-def _transport(C: LinearCode, images, tau, target: PetitAlgebra) -> LinearCode:
-    """apply_isometry_to_code for a checked witness with image table images on target: g has
-    degree < m, so G(g) = sum_j tau(g_j) G(t^j) is read from the table without a reduction."""
+def _transport(C: LinearCode, G, target: PetitAlgebra) -> LinearCode:
+    """apply_isometry_to_code for a checked witness with map G = _witness_map(target, witness)[1]:
+    g has degree < m, so G(g) = sum_j tau(g_j) G(t^j) needs no reduction."""
     if C.g is None:
         raise WitnessInvalid("code has no generator polynomial")
-    ring = target.ring
-    image = _apply_images(images, ring.frobenius_table(tau.frob_exp), C.g.vals, ring)
-    return build_code(target, monic_scale(SkewPoly.from_indices(image, target.twist)))
+    image = SkewPoly.from_indices(G(C.g.vals), target.twist)
+    return build_code(target, monic_scale(image))

@@ -14,7 +14,7 @@ import json
 from .catalogue import partition_classes, run_catalogue
 from .classify import (
     IsometryWitness,
-    _image_table,
+    _witness_map,
     check_equivalence,
     count_constacyclic_classes,
     count_constacyclic_classes_formula,
@@ -229,11 +229,8 @@ def check_catalogue_structure() -> dict:
 
 def _constacyclic_classes_gf4_m2():
     """The members of each full class of constacyclic f over GF(4), Frobenius, m = 2."""
-    K, tw = _gf4_frobenius()
-    return [
-        [SkewPoly([K.from_json(c) for c in poly["coeffs"]], tw) for poly in rec["full_class"]]
-        for rec in map(json.loads, run_catalogue(tw, 2, constacyclic=True))
-    ]
+    _, tw = _gf4_frobenius()
+    return [cls["members"] for cls in partition_classes(tw, 2, True, DEFAULT_ENUM_CAP)]
 
 
 def _nonconstacyclic_classes(tw: TwistContext, m: int):
@@ -263,7 +260,7 @@ def check_parameter_preservation() -> dict:
     monic_right_divisor_lists call per class.  A transported code D with
     generator g in S_h takes its minimum distance from h's code of g, the
     same span of the rows t^i*g.  Each pair's witness is checked, and its
-    image table built, once for all of f's codes.
+    map G built, once for all of f's codes.
     """
     K, tw = _gf4_frobenius()
     omega = K.from_json([0, 1])
@@ -292,10 +289,10 @@ def check_parameter_preservation() -> dict:
                 failures.append({"pair": (repr(f), repr(h)),
                                  "error": "no witness" if w is None else "witness not certified"})
                 continue
-            table = _image_table(algebras[h], w)
+            G = _witness_map(algebras[h], w)[1]
             images = set()
             for C, before in codes[f].values():
-                D = _transport(C, table, w.tau, algebras[h])
+                D = _transport(C, G, algebras[h])
                 images.add(D.g)
                 checked += 1
                 known = codes[h].get(D.g)  # None only if D.g does not divide h

@@ -17,6 +17,7 @@ from skewcodes.classify import (
     count_constacyclic_classes_formula,
     equivalence_class_of,
     _norms,
+    _witness_map,
     fast_reject,
     find_equivalence,
     valid_isometry_degrees,
@@ -507,6 +508,45 @@ def test_constacyclic_prefilter_hides_no_witness(label, tw, m, accepted):
                             found += 1
                             assert check_isometry_k(f, h, tau, alpha, k), (f, h, w)
     assert found == accepted
+
+
+def _pair_holds(A, B, w):
+    """G(t^(m-1) *_f t) == G(t^(m-1)) *_h G(t) for G = _witness_map(B, w), on index lists."""
+    images, G = _witness_map(B, w)
+    m, one = A.m, A.ring.one.val
+    return G(A.mul_indices([0] * (m - 1) + [one], [0, one])) == \
+        B.mul_indices(images[m - 1], images[1])
+
+
+GF7 = make_field(7, 1)
+# (label, twist, m): h = t^m - b runs over the b that sigma fixes
+SIGMA_FIXED_CONFIGS = [
+    ("GF(7) m=3", _twist(GF7), 3),
+    ("GF(7) m=6", _twist(GF7), 6),
+    ("GF(4) Frobenius m=4, b in F_2", TW, 4),
+    ("GF(9) Frobenius m=4, b in F_3", _twist(make_field(3, 2), 1), 4),
+]
+
+
+@pytest.mark.parametrize("label,tw,m", SIGMA_FIXED_CONFIGS,
+                         ids=[c[0] for c in SIGMA_FIXED_CONFIGS])
+def test_check_isometry_k_is_the_pair_for_sigma_fixed_b(label, tw, m):
+    """For sigma(b) = b, check_isometry_k(f, h, tau, alpha, k) is the pair (t^(m-1), t)
+    of verify_witness_multiplicative, for every constacyclic f, k = 1 and every valid k,
+    tau and alpha."""
+    ring = tw.ring
+    fs = [consta(tw, m, a) for a in ring.units]
+    hs = [consta(tw, m, b) for b in ring.units if tw.sigma(b) == b]
+    algebras = {f: PetitAlgebra(f) for f in fs}
+    verdicts = set()
+    for f, h in itertools.product(fs, hs):
+        for k in [1] + valid_isometry_degrees(m, tw.sigma.order):
+            for tau, alpha in itertools.product(all_automorphisms(ring), ring.units):
+                got = check_isometry_k(f, h, tau, alpha, k)
+                assert got == _pair_holds(algebras[f], algebras[h],
+                                          IsometryWitness(tau, alpha, k)), (f, h, tau, alpha, k)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_check_isometry_k_necessary_condition():

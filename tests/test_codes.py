@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from skewcodes.catalogue import partition_classes, poly_to_json, run_catalogue
 from skewcodes.classify import (
     IsometryWitness,
-    _class_orbit,
-    _unit_scales,
     check_equivalence,
     find_equivalence,
 )
@@ -220,29 +218,31 @@ def test_catalogue_codes_match_each_representative(label, tw, m, constacyclic):
     assert shared >= len(classes) - 1  # g = 1 divides every representative
 
 
-def _two_pass_partition(tw, m, constacyclic):
-    """The classes as a full orbit per class plus a Chen orbit per member not yet covered."""
+def _related(f, polys, chen_only=False):
+    """(the g in polys with find_equivalence(f, g, chen_only), the other g), in order."""
+    found = [find_equivalence(f, g, chen_only=chen_only) is not None for g in polys]
+    return ([g for g, x in zip(polys, found) if x], [g for g, x in zip(polys, found) if not x])
+
+
+def _witness_partition(tw, m, constacyclic):
+    """The classes from the witness search: the members of a class are the candidates g
+    with find_equivalence(f, g) for its first candidate f, and the Chen subclass of a member
+    g is the members x with find_equivalence(g, x, chen_only=True)."""
     ring = tw.ring
-    one = ring.one.val
+    zero, one = ring.zero, ring.one
     if constacyclic:
-        candidates = [(ring._neg[u.val],) + (0,) * (m - 1) + (one,) for u in ring.units]
+        candidates = [[-u] + [zero] * (m - 1) + [one] for u in ring.units]
     else:
-        candidates = [tail + (one,) for tail in itertools.product(range(ring.size), repeat=m)]
-    pending = set(candidates)
-    scales = _unit_scales(tw, m)
+        candidates = [list(tail) + [one] for tail in itertools.product(ring.elements, repeat=m)]
+    pending = [SkewPoly(c, tw) for c in candidates]
     classes = []
-    for f in candidates:
-        if f not in pending:
-            continue
-        members = sorted(g for g in _class_orbit(tw, f, False, scales) if g in pending)
-        pending.difference_update(members)
-        chen, seen = [], set()
-        for g in members:
-            if g not in seen:
-                sub = sorted(x for x in _class_orbit(tw, g, True, scales) if x in members)
-                seen.update(sub)
-                chen.append(sub)
-        classes.append((members, sorted(chen)))
+    while pending:
+        members, pending = _related(pending[0], pending)
+        chen, left = [], members
+        while left:
+            sub, left = _related(left[0], left, chen_only=True)
+            chen.append(sorted(x.vals for x in sub))
+        classes.append((sorted(g.vals for g in members), sorted(chen)))
     return sorted(classes)
 
 
@@ -260,13 +260,13 @@ PARTITIONS = [
 
 @pytest.mark.parametrize("label,tw,m,constacyclic", PARTITIONS, ids=[c[0] for c in PARTITIONS])
 def test_partition_one_pass_matches_two_pass(label, tw, m, constacyclic):
-    """The tau-images of one Chen orbit per class give the same members and Chen
-    subclasses as the full orbit of each class and the Chen orbit of each member."""
+    """The tau-images of one Chen class per class give the same members and Chen
+    subclasses as the witness search over the candidates."""
     one_pass = [
         ([g.vals for g in cls["members"]], [[g.vals for g in sub] for sub in cls["chen"]])
         for cls in partition_classes(tw, m, constacyclic, 2 ** 20)
     ]
-    assert one_pass == _two_pass_partition(tw, m, constacyclic)
+    assert one_pass == _witness_partition(tw, m, constacyclic)
 
 
 HYPOTHESIS_TWISTS = [

@@ -14,8 +14,7 @@ import pytest
 
 from skewcodes.classify import (
     IsometryWitness,
-    _apply_images,
-    _image_table,
+    _witness_map,
     valid_isometry_degrees,
     verify_witness_multiplicative,
 )
@@ -190,16 +189,16 @@ def test_verification_rejects_a_bad_witness():
 
 
 def _check_image_identity(polys, degrees):
-    """sum_j tau(x_j) * images[j] against isometry_image(x) mod_r h on every x."""
+    """_witness_map's G(x) = sum_j tau(x_j) * G(t^j) against isometry_image(x) mod_r h on
+    every x."""
     witnesses = 0
     for h in polys:
-        ring, tw = h.twist.ring, h.twist
+        tw = h.twist
         elems = list(PetitAlgebra(h).elements())
         for w in _witnesses(h, degrees):
-            images = _image_table(PetitAlgebra(h), w)
-            tt = ring.frobenius_table(w.tau.frob_exp)
+            _, G = _witness_map(PetitAlgebra(h), w)
             for x in elems:
-                got = _apply_images(images, tt, [c.val for c in x.coeffs], ring)
+                got = G([c.val for c in x.coeffs])
                 want = right_divide(isometry_image(x, w.tau, w.alpha, w.k), h)[1]
                 assert SkewPoly.from_indices(got, tw) == want, (h, w, x)
             witnesses += 1
