@@ -84,26 +84,54 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
             for members, chen in _partition(twist, m, constacyclic, cap)]
 
 
-def _codes_for(twist: TwistContext, m: int, divisors, cap: int, text, codes):
-    """The JSON text of the code of each g of degree < m in divisors, f's monic right divisors.
+def _codes_for(twist: TwistContext, m: int, cap: int, text):
+    """A function from f's monic right divisors (index tuples) to the JSON text of the
+    code of each one of degree < m, for one run_catalogue call.
 
-    The divisors are index tuples.  codes maps g's index tuple to its code's
-    text; it is read first and filled on a miss.  The code of g is the span of the rows t^i*g for
-    i < m - deg g, none of which is reduced by f (_left_ideal_span), so f is
-    never read: the rows, their number m - deg g and the minimum distance
-    depend only on (twist, m, g), which one run_catalogue call fixes.
+    The code of g, of degree d, is the span of the rows t^i*g for i < m - d,
+    none of which is reduced by f (_left_ideal_span), so f is never read: the
+    rows, their number m - d and the minimum distance depend only on
+    (twist, m, g).  The minimum distance is computed once per class of g
+    (classify._class at degree d) and read for every member of it, by the
+    isometry H(sum x_j t^j) = sum tau(x_j) N_j(alpha) t^j, for tau an
+    automorphism of S and alpha a unit:
+    - H is multiplicative on S[t; sigma] (check_equivalence proves it).
+    - H applies tau and then scales each coordinate by the unit N_j(alpha),
+      so it is a bijection on S^m that preserves Hamming weight.
+    - H(t^i g) = N_i(alpha) t^i H(g), and H is tau-semilinear, so H maps the
+      span of the rows t^i g (i < m - d) onto the span of the rows t^i H(g),
+      which is the span for g' = monic(H(g)) = N_d(alpha)^-1 H(g), of the same
+      dimension m - d and the same minimum distance.
+    - g' has at t^j the coefficient N_j(alpha) N_d(alpha)^-1 tau(g_j) =
+      tau(N_(d-j)(sigma^j(beta)) g_j) with beta = tau^-1(alpha)^-1, as
+      N_j(beta) N_(d-j)(sigma^j(beta)) = N_d(beta) and tau commutes with
+      sigma.  That is _class's formula for the member (tau, beta); beta runs
+      over the units as alpha does, so the g' are exactly _class's members.
     """
-    out = []
-    for g in divisors:
-        if len(g) > m:
-            continue
-        known = codes.get(g)
-        if known is None:
-            rows = _left_ideal_span(twist, m, g)
-            known = codes[g] = '{"dim": %d, "g": %s, "length": %d, "min_dist": %d}' % (
-                len(rows), text(g), m, _min_distance(twist.ring, rows, cap))
-        out.append(known)
-    return out
+    ring = twist.ring
+    scales = [_unit_scales(twist, d) for d in range(m)]
+    tables = _tau_tables(ring, False)
+    texts = {}  # generator index tuple -> its code's text
+    dists = {}  # generator index tuple -> its code's minimum distance, filled a class at a time
+
+    def codes(divisors):
+        out = []
+        for g in divisors:
+            d = len(g) - 1
+            if d >= m:
+                continue
+            known = texts.get(g)
+            if known is None:
+                dist = dists.get(g)
+                if dist is None:
+                    dist = _min_distance(ring, _left_ideal_span(twist, m, g), cap)
+                    dists.update(dict.fromkeys(_class(twist, g, scales[d], tables)[0], dist))
+                known = texts[g] = '{"dim": %d, "g": %s, "length": %d, "min_dist": %d}' % (
+                    m - d, text(g), m, dist)
+            out.append(known)
+        return out
+
+    return codes
 
 
 def run_catalogue(twist: TwistContext, m: int, constacyclic: bool = False,
@@ -126,14 +154,14 @@ def run_catalogue(twist: TwistContext, m: int, constacyclic: bool = False,
     if m < 2:
         raise InvalidConfig("catalogue needs degree m > 1")
     text = _poly_text(twist)
-    codes = {}  # generator index tuple -> its code's text; see _codes_for
+    codes = _codes_for(twist, m, cap, text)
     classes = _partition(twist, m, constacyclic, cap)
     lists = _divisor_tuples(twist, [members[0] for members, _ in classes], cap)
     return [
         '{"chen_classes": [%s], "codes": [%s], "full_class": [%s], "representative": %s, '
         '"schema_version": %d}' % (
             ", ".join(["[" + ", ".join(map(text, sub)) + "]" for sub in chen]),
-            ", ".join(_codes_for(twist, m, divisors, cap, text, codes)),
+            ", ".join(codes(divisors)),
             ", ".join(map(text, members)), text(members[0]), SCHEMA_VERSION)
         for (members, chen), divisors in zip(classes, lists)
     ]

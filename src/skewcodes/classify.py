@@ -258,7 +258,7 @@ def verify_witness_multiplicative(
 ) -> bool:
     """Check G(x *_f y) = G(x) *_h G(y) for all x, y in A = S_f, with B = S_h.
 
-    The check runs over the m * rm pairs x = t^i, y = b * t^j
+    The check runs over the pairs x = t^i, y = b * t^j
     (i, j < m, b in coeffring.additive_generators(S), r = 1 over Z_n), and is
     equivalent to the check on all pairs.  G is additive and tau-semilinear,
     G(a*x) = tau(a)*G(x), because tau is a ring automorphism and the
@@ -281,7 +281,13 @@ def verify_witness_multiplicative(
     table, which holds every t^n mod_r f with n <= 2(m-1).  The S_h side
     comes from mul_indices.
 
-    The pairs run with i from m - 1 down to 0, so those whose product
+    The pairs with i = 0 or y = 1 (b = 1, j = 0) always hold and are
+    skipped, leaving (m - 1)(rm - 1) of them.  G(1) = images[0] =
+    N_0(alpha) * (t^0 mod_r h) = 1, the identity of S_h, and 1 is the
+    identity of S_f, so D(1, y) = G(y) - 1 *_h G(y) = 0 and
+    D(x, 1) = G(x) - G(x) *_h 1 = 0.
+
+    The pairs run with i from m - 1 down to 1, so those whose product
     t^i * b t^j reaches degree m and is reduced by f come first; a bad
     witness usually fails there.  The order cannot change the verdict: the
     result is True exactly when D vanishes on every pair of the same fixed
@@ -294,9 +300,10 @@ def verify_witness_multiplicative(
     _require_classifiable(A.f, B.f)
     ring = A.ring
     images, G = _witness_map(B, witness)
-    gens = A._generator_indices()
+    one = [ring.one.val]
+    gens = [y for y in A._generator_indices() if y != one]
     m, red = A.m, A._red
-    for i in range(m - 1, -1, -1):
+    for i in range(m - 1, 0, -1):
         sigma_i = ring.frobenius_table(A.twist.sigma.frob_exp * i % ring.r)
         for y in gens:
             # x = t^i, y = b t^j: x *_f y = sigma^i(b) (t^(i+j) mod_r f) for delta = 0

@@ -500,8 +500,11 @@ def test_catalogue_bench_config_bytes(capsys, argv, count, digest):
 
 
 def test_catalogue_computes_each_generator_once(capsys, monkeypatch):
-    """Z_4, m = 4: 656 codes over 160 classes but 81 distinct generators, so the
-    minimum distance runs 81 times; the code spans never read f, so no
+    """Z_4, m = 4: 656 codes over 160 classes, 81 distinct generators but 56
+    classes of generators (classify._class at each generator's degree), so the
+    minimum distance runs 56 times: the isometry t -> alpha*t twisted by tau maps
+    the code of g onto the code of each member of g's class, preserving
+    Hamming weight (catalogue._codes_for).  The code spans never read f, so no
     PetitAlgebra is built."""
     import skewcodes.catalogue as catalogue
     from skewcodes.petit import PetitAlgebra
@@ -524,8 +527,24 @@ def test_catalogue_computes_each_generator_once(capsys, monkeypatch):
     records = [json.loads(line) for line in out.splitlines()]
     assert len(records) == 160
     assert sum(len(rec["codes"]) for rec in records) == 656
-    assert calls["min_distance"] == 81
+    assert calls["min_distance"] == 56
     assert calls["algebra"] == 0
+
+
+def test_catalogue_min_distance_once_per_tau_orbit(capsys, monkeypatch):
+    """GF(8), sigma = Frobenius, m = 4: 273 distinct generators fall into 41
+    classes under all three automorphisms tau (85 under tau = id alone), and the
+    minimum distance runs once per class."""
+    import skewcodes.catalogue as catalogue
+
+    calls = []
+    min_distance = catalogue._min_distance
+    monkeypatch.setattr(catalogue, "_min_distance",
+                        lambda *args: calls.append(1) or min_distance(*args))
+    code, out = run(capsys, "catalogue", "--field", "2,3", "--sigma", "1", "--m", "4")
+    assert code == 0
+    assert len(out.splitlines()) == 208
+    assert len(calls) == 41
 
 
 PINNED_CATALOGUES = [
@@ -536,6 +555,26 @@ PINNED_CATALOGUES = [
     (("--field", "2,2", "--sigma", "1", "--m", "5"), 192,
      "f94dc50f831c4b2dcfa2728aecdc08b38a233d4e40381d3744c8e1c68a179ec2"),
 ]
+
+
+REACH_CATALOGUES = [
+    (("--field", "2,2,1,1,1", "--sigma", "1", "--m", "12", "--constacyclic"), 2,
+     "7e40164c3cd5853a5b63f484ad0e0dcb6316d6bb087432873b24eb0ebb647794"),
+    (("--field", "2,2,1,1,1", "--sigma", "1", "--m", "14", "--constacyclic"), 2,
+     "ec425aa9ed443574bdb697a70bc9da70bb44dfbdfd1e110ce48c1e064ea289e3"),
+]
+
+
+@pytest.mark.parametrize("argv,count,digest", REACH_CATALOGUES,
+                         ids=["GF(4) Frobenius m=12 constacyclic",
+                              "GF(4) Frobenius m=14 constacyclic"])
+def test_catalogue_reach_bytes(capsys, argv, count, digest):
+    """Constacyclic GF(4) catalogues at the degrees where minimum distance
+    dominates, each code's distance read once per class of its generator."""
+    code, out = run(capsys, "catalogue", *argv)
+    assert code == 0
+    assert len(out.splitlines()) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,count,digest", PINNED_CATALOGUES,

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from skewcodes.catalogue import partition_classes, poly_to_json, run_catalogue
 from skewcodes.classify import (
     IsometryWitness,
+    _class,
+    _tau_tables,
+    _unit_scales,
     check_equivalence,
     find_equivalence,
 )
 from skewcodes.codes import (
     LinearCode,
+    _min_distance,
     apply_isometry_to_code,
     build_code,
     code_class_codes,
@@ -267,6 +271,46 @@ def test_partition_one_pass_matches_two_pass(label, tw, m, constacyclic):
         for cls in partition_classes(tw, m, constacyclic, 2 ** 20)
     ]
     assert one_pass == _witness_partition(tw, m, constacyclic)
+
+
+ORBIT_TWISTS = [
+    ("GF(4) Frobenius m=2", _twist(GF4, 1), 2),
+    ("GF(4) Frobenius m=3", _twist(GF4, 1), 3),
+    ("GF(4) Frobenius m=4", _twist(GF4, 1), 4),
+    ("GF(8) sigma m=3", _twist(make_field(2, 3), 1), 3),
+    ("GF(8) sigma^2 m=3", _twist(make_field(2, 3), 2), 3),
+    ("GF(9) Frobenius m=3", _twist(make_field(3, 2), 1), 3),
+    ("Z_4 m=4", _twist(make_residue_ring(4)), 4),
+    ("Z_8 m=3", _twist(make_residue_ring(8)), 3),
+    ("GF(2) m=6", _twist(make_field(2, 1)), 6),
+]
+
+
+@pytest.mark.parametrize("label,tw,m", ORBIT_TWISTS, ids=[c[0] for c in ORBIT_TWISTS])
+def test_min_distance_constant_on_generator_orbits(label, tw, m):
+    """For every monic g of degree 1..m-1, each member x of g's class (_class at
+    degree deg g) spans a code of length m with g's minimum distance, each
+    distance computed from x's own rows: the catalogue computes one per class."""
+    ring = tw.ring
+    tables = _tau_tables(ring, False)
+    dist = {}
+
+    def distance(x):
+        if x not in dist:
+            dist[x] = _min_distance(ring, _left_ideal_span(tw, m, x), 2 ** 20)
+        return dist[x]
+
+    moved = 0
+    for d in range(1, m):
+        scales = _unit_scales(tw, d)
+        for tail in itertools.product(range(ring.size), repeat=d):
+            g = tail + (ring.one.val,)
+            members = _class(tw, g, scales, tables)[0]
+            assert g in members
+            for x in members:
+                assert distance(x) == distance(g), (g, x)
+            moved += len(members) - 1
+    assert moved > 0 or len(ring.units) * len(tables) == 1  # GF(2): every class is {g}
 
 
 HYPOTHESIS_TWISTS = [
