@@ -197,9 +197,9 @@ def check_isometry_k(
     (t^(m-1), t) of verify_witness_multiplicative holds exactly when
     tau(a) = N_m^(sigma^k)(alpha) * b * prod_(j=1..k-1) sigma^(jm-1)(b).
     When sigma fixes b, that is this condition, which is then necessary.  If
-    also n | m, S_h is associative and the condition is sufficient: G is the
-    ring map R -> S_h extending tau by t -> alpha t^k, which kills f exactly
-    when it holds.  When sigma does not fix b the two differ both ways, and
+    also n | m, S_h is associative, and the condition is sufficient too: that
+    pair alone then decides (the proof is in verify_witness_multiplicative's
+    docstring).  When sigma does not fix b the two differ both ways, and
     that the condition hides no witness is only measured
     (test_constacyclic_prefilter_hides_no_witness).
     """
@@ -293,6 +293,27 @@ def verify_witness_multiplicative(
     result is True exactly when D vanishes on every pair of the same fixed
     set, and the loop stops only at a pair where it does not.
 
+    The first pair, (t^(m-1), t), alone decides when sigma^k = sigma and S_h
+    is associative (B._associative, read only once that pair holds); S_f
+    need not be associative.
+    1. S_h associative means Rh is two-sided (probe_structure, step 5), so
+       S_h = R/Rh is a ring.  In it, (alpha t^k) tau(a) =
+       alpha sigma^k(tau(a)) t^k = tau(sigma(a)) (alpha t^k), as delta = 0,
+       sigma^k = sigma, tau commutes with sigma and S is commutative.  So
+       Phi(sum a_i t^i) = sum tau(a_i) (alpha t^k)^i is a ring map R -> S_h.
+    2. Phi(t^j) = (alpha t^k)^j = N_j^(sigma^k)(alpha) (t^(kj) mod_r h) =
+       images[j], and Phi, G are additive and tau-semilinear, so G = Phi
+       on every x of degree < m.
+    3. For such x, y write x*y = q_xy*f + x *_f y in R.  Then G(x *_f y) =
+       Phi(x*y) - Phi(q_xy) Phi(f) = G(x) *_h G(y) - Phi(q_xy) Phi(f), so
+       D(x, y) = -Phi(q_xy) Phi(f).
+    4. f is monic, so t^(m-1) * t = t^m = 1*f + (t^m mod_r f): q = 1 and
+       D(t^(m-1), t) = -Phi(f).  If that pair holds, Phi(f) = 0 and D
+       vanishes on every pair.
+    Otherwise the remaining pairs run, in the order above.  sigma^k = sigma
+    is checked (k = 1 mod the order of sigma) because a caller may pass any
+    k >= 1, not only 1 or a valid_isometry_degrees entry.
+
     The caller builds S_f and S_h, so one search shares them between all the
     witnesses of a pair (see _witness_map and codes.apply_isometry_to_code,
     which take built algebras the same way).
@@ -300,12 +321,22 @@ def verify_witness_multiplicative(
     _require_classifiable(A.f, B.f)
     ring = A.ring
     images, G = _witness_map(B, witness)
+    m, red = A.m, A._red
+    # the first pair, x = t^(m-1), y = t (gens[0] below, as additive_generators
+    # starts with 1): x *_f y = t^m mod_r f and G(y) = images[1]
+    xy = [0] * m
+    for l, c in red[m]:
+        xy[l] = c
+    if G(xy) != B.mul_indices(images[m - 1], images[1]):
+        return False
+    n = A.twist.sigma.order
+    if witness.k % n == 1 % n and B._associative:
+        return True
     one = [ring.one.val]
     gens = [y for y in A._generator_indices() if y != one]
-    m, red = A.m, A._red
     for i in range(m - 1, 0, -1):
         sigma_i = ring.frobenius_table(A.twist.sigma.frob_exp * i % ring.r)
-        for y in gens:
+        for y in gens[1:] if i == m - 1 else gens:
             # x = t^i, y = b t^j: x *_f y = sigma^i(b) (t^(i+j) mod_r f) for delta = 0
             j, b = len(y) - 1, y[-1]
             row = ring._mul[sigma_i[b]]

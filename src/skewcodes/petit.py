@@ -7,6 +7,7 @@ eigenring of f, on additive generators: it enumerates no element of S_f.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -43,7 +44,7 @@ class PetitAlgebra:
     to 2m - 1, comes from _reductions: 2(m-1) is every power a product of
     S_f reaches and 2m - 1 the most the structure probe reads.
     ``_reductions(n)`` extends the table on demand (the witness check reads
-    S_h's to k(m-1)).
+    S_h's to k(m-1)).  ``_associative`` is read at its first use and kept.
     """
 
     def __init__(self, f: SkewPoly):
@@ -78,6 +79,11 @@ class PetitAlgebra:
                 rem[k] = c
             red.append([(k, c) for k, c in enumerate(self.mul_indices(t, rem)) if c])
         return red
+
+    @functools.cached_property
+    def _associative(self) -> bool:
+        """Whether S_f is associative, by step 5 of probe_structure (_is_zero_map)."""
+        return _is_zero_map(_eigenring_rows(self))
 
     def basis(self):
         return [SkewPoly.t_power(i, self.twist) for i in range(self.m)]
@@ -181,6 +187,11 @@ def _eigenring_rows(A: PetitAlgebra):
     return rows
 
 
+def _is_zero_map(rows) -> bool:
+    """Whether _eigenring_rows gave only zero rows: S_f is associative (probe_structure, step 5)."""
+    return not any(map(any, rows))
+
+
 def probe_structure(A: PetitAlgebra) -> StructureReport:
     """Associativity, nucleus dimensions and two-sidedness of f, from one additive kernel.
 
@@ -208,15 +219,15 @@ def probe_structure(A: PetitAlgebra) -> StructureReport:
     N = rm, and |E(f)| = c^N / |im e|, _image_order of the digit rows e(z).
     """
     ring, m, c = A.ring, A.m, A.ring.characteristic
-    gens = [b.val for b in additive_generators(ring)]
-    digits = [[v // g % c for g in gens] for v in range(ring.size)]
-    rows = [[d for v in row for d in digits[v]] for row in _eigenring_rows(A)]
-    image = _image_order(rows, c)
-    associative = image == 1
+    erows = _eigenring_rows(A)
+    associative = _is_zero_map(erows)
     if associative:
         orders = [ring.size ** m] * 3
     else:
-        orders = [ring.size, ring.size, c ** len(rows) // image]
+        gens = [b.val for b in additive_generators(ring)]
+        digits = [[v // g % c for g in gens] for v in range(ring.size)]
+        rows = [[d for v in row for d in digits[v]] for row in erows]
+        orders = [ring.size, ring.size, c ** len(rows) // _image_order(rows, c)]
     left, middle, right = (_dim_from_count(A, n) for n in orders)
     return StructureReport(associative, left, middle, right, associative)
 

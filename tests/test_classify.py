@@ -1,5 +1,6 @@
 """Equivalence, isometry, fast filters, and class counting."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -42,6 +43,7 @@ from skewcodes.errors import (
 from skewcodes.petit import PetitAlgebra
 from skewcodes.skewpoly import SkewPoly, TwistContext, psi
 
+GF2 = make_field(2, 1)
 GF4 = make_field(2, 2)
 FROB = Automorphism(GF4, 1)
 TW = TwistContext(GF4, FROB)
@@ -261,6 +263,70 @@ def test_witness_verification_has_no_size_cap():
     f = SkewPoly.from_ints([1, 0, 1, 0, 0, 0, 0, 1], TW)
     h = SkewPoly.from_ints([2, 1, 0, 0, 1, 0, 0, 1], TW)
     assert classify_pair(f, h).relation == Relation.NOT_RELATED
+
+
+def _pairs_checked(monkeypatch, A, B, w):
+    """verify_witness_multiplicative(A, B, w) and the number of generator pairs it checks.
+
+    Each checked pair makes one product of S_h.  B's power table is first
+    extended to t^(k(m-1)), so _witness_map's _reductions makes none, and
+    only the pairs' products are counted.
+    """
+    B._reductions(w.k * (B.m - 1))
+    products = []
+    mul = B.mul_indices
+    monkeypatch.setattr(B, "mul_indices", lambda g, h: products.append(g) or mul(g, h))
+    return verify_witness_multiplicative(A, B, w), len(products)
+
+
+def test_witness_pairs_checked(monkeypatch):
+    """(t^(m-1), t) alone decides a witness into an associative S_h with sigma^k = sigma.
+
+    GF(4), sigma = id, m = 7: S_h is associative and the k = 3 witness holds
+    after 1 pair of the 6 * 13 = 78.  GF(4) with the Frobenius, t^3 - w: S_h
+    is not associative, so the k = 1 witness runs all 2 * 5 = 10 pairs.
+    """
+    ident = identity_aut(GF4)
+    tw = TwistContext(GF4, ident)
+    A, B = PetitAlgebra(consta(tw, 7, GF4.one)), PetitAlgebra(consta(tw, 7, OMEGA))
+    assert B._associative
+    assert _pairs_checked(monkeypatch, A, B, IsometryWitness(ident, GF4.one, 3)) == (True, 1)
+    f, h = consta(TW, 3, GF4.one), consta(TW, 3, OMEGA)
+    A, B = PetitAlgebra(f), PetitAlgebra(h)
+    assert not B._associative
+    assert _pairs_checked(monkeypatch, A, B, find_equivalence(f, h)) == (True, 10)
+
+
+def test_classify_pair_reads_associativity_once(monkeypatch):
+    """GF(4) with the Frobenius, m = 4: two k = 3 witnesses pass (t^(m-1), t) into a
+    nonassociative S_h, and its associativity is computed once."""
+    import skewcodes.classify as classify
+    import skewcodes.petit as petit
+
+    f = SkewPoly([GF4.from_json(c) for c in ([0, 0], [0, 0], [0, 0], [1, 1])] + [GF4.one], TW)
+    h = SkewPoly([GF4.from_json(c) for c in ([0, 0], [0, 0], [1, 0], [1, 0])] + [GF4.one], TW)
+    verified, computed = [], []
+    verify, rows = classify.verify_witness_multiplicative, petit._eigenring_rows
+
+    def counting(A, B, w):
+        verified.append((A, B, w))
+        return verify(A, B, w)
+
+    monkeypatch.setattr(classify, "verify_witness_multiplicative", counting)
+    monkeypatch.setattr(petit, "_eigenring_rows", lambda A: computed.append(A.f) or rows(A))
+    assert classify_pair(f, h).relation == Relation.NOT_RELATED
+    assert sum(_pair_holds(*v) for v in verified) == 2
+    assert computed == [h]
+
+
+def test_classify_pair_gf2_m5_all_pairs_hash():
+    """classify_pair over all 1,024 ordered pairs of monic quintics over GF(2), pinned."""
+    tw = TwistContext(GF2, identity_aut(GF2))
+    polys = monic_polys(tw, 5)
+    out = json.dumps([classify_pair(f, h).to_json() for f in polys for h in polys],
+                     sort_keys=True)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6b37b4979cdbe758d83adcfd4c4b6626e7e2ab6369cd5bfd492a2ca10d40c1e1")
 
 
 def test_classify_pair_verifies_no_witness_twice(monkeypatch):

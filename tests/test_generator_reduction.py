@@ -188,6 +188,61 @@ def test_verification_rejects_a_bad_witness():
     assert not verify_witness_multiplicative(PetitAlgebra(f), PetitAlgebra(h), bad)
 
 
+def _all_pairs_verdict(A, B, w):
+    """The full generator-pair loop, the reference for verify_witness_multiplicative's shortcut.
+
+    Every pair (t^i, b t^j) with i >= 1 and b t^j != 1, in the same order,
+    x *_f y and G(x) *_h G(y) both from mul_indices; no pair decides alone.
+    """
+    images, G = _witness_map(B, w)
+    one = A.ring.one.val
+    gens = [y for y in A._generator_indices() if y != [one]]
+    for i in range(A.m - 1, 0, -1):
+        x = [0] * i + [one]
+        for y in gens:
+            if G(A.mul_indices(x, y)) != B.mul_indices(images[i], G(y)):
+                return False
+    return True
+
+
+GF8 = make_field(2, 3)
+# (label, twist, m, polynomials): every monic of degree m by stride, or the constacyclic ones
+SHORTCUT_CONFIGS = [
+    ("GF(2) m=4", TW2, 4, monics(TW2, 4)),
+    ("Z_4 m=3", TWZ4, 3, monics(TWZ4, 3)[::2]),
+    ("GF(4) id m=3", TwistContext(GF4, identity_aut(GF4)), 3,
+     monics(TwistContext(GF4, identity_aut(GF4)), 3)[::2]),
+    ("GF(4) Frobenius m=2", TW4, 2, monics(TW4, 2)),
+    ("GF(4) Frobenius m=3", TW4, 3, monics(TW4, 3)[::2]),
+    ("GF(4) Frobenius constacyclic m=4", TW4, 4, [consta(TW4, 4, d) for d in GF4.units]),
+    ("GF(9) Frobenius m=2", TW9, 2, monics(TW9, 2)[::2]),
+    ("GF(9) Frobenius constacyclic m=4", TW9, 4, [consta(TW9, 4, d) for d in GF9.units]),
+    ("GF(8) sigma constacyclic m=3", TwistContext(GF8, Automorphism(GF8, 1)), 3,
+     [consta(TwistContext(GF8, Automorphism(GF8, 1)), 3, d) for d in GF8.units]),
+    ("GF(8) sigma^2 m=2", TwistContext(GF8, Automorphism(GF8, 2)), 2,
+     monics(TwistContext(GF8, Automorphism(GF8, 2)), 2)[::2]),
+]
+
+
+@pytest.mark.parametrize("label,tw,m,polys", SHORTCUT_CONFIGS,
+                         ids=[c[0] for c in SHORTCUT_CONFIGS])
+def test_first_pair_shortcut_matches_all_pairs(label, tw, m, polys):
+    """verify_witness_multiplicative equals the full pair loop on every (f, h, tau, alpha, k).
+
+    k runs over 2..2m-1, so it covers the degrees outside valid_isometry_degrees,
+    where sigma^k != sigma and the pair (t^(m-1), t) alone does not decide.
+    """
+    assert len(polys) <= 41
+    algebras = [PetitAlgebra(f) for f in polys]
+    verdicts = {True: 0, False: 0}
+    for A, B in itertools.product(algebras, algebras):
+        for w in _witnesses(A.f, range(2, 2 * m)):
+            want = _all_pairs_verdict(A, B, w)
+            assert verify_witness_multiplicative(A, B, w) == want, (A.f, B.f, w)
+            verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def _check_image_identity(polys, degrees):
     """_witness_map's G(x) = sum_j tau(x_j) * G(t^j) against isometry_image(x) mod_r h on
     every x."""
@@ -390,8 +445,10 @@ ORACLE_CONFIGS = [
 def test_probe_structure_matches_associator_oracle(label, tw, stride):
     """probe_structure equals the generator associator kernels on every monic f of degree 2 and 3.
 
-    GF(8) at m = 3 takes every stride-th f: the oracle's N^3 = 729
-    associators per algebra make its 512 algebras several seconds.
+    PetitAlgebra's cached associativity flag, which the witness check reads,
+    agrees with the report and with verify.is_associative.  GF(8) at m = 3
+    takes every stride-th f: the oracle's N^3 = 729 associators per algebra
+    make its 512 algebras several seconds.
     """
     seen = set()
     for m in (2, 3):
@@ -400,5 +457,7 @@ def test_probe_structure_matches_associator_oracle(label, tw, stride):
             A = PetitAlgebra(f)
             report = probe_structure(A)
             assert report == _oracle_report(A, _nucleus_orders(A)), f
+            assert A._associative == report.is_associative == report.f_two_sided \
+                == is_associative(A), f
             seen.add(report.is_associative)
     assert seen == ({True, False} if tw.sigma.frob_exp or tw.has_delta else {True})
