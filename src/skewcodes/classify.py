@@ -75,6 +75,11 @@ def _require_classifiable(f: SkewPoly, h: SkewPoly):
         raise DegreeMismatch("f and h must be monic of the same degree")
 
 
+def _require_witness_ring(ring: RingContext, tau: Automorphism, alpha: Element):
+    if tau.ctx is not ring or getattr(alpha, "ctx", None) is not ring:
+        raise ContextMismatch("tau and alpha must act on the ring of f and h")
+
+
 def _norms(ring: RingContext, e: int, a: int, n: int):
     """[N_0(a), ..., N_n(a)] as indices, under sigma: x -> x^(p^e) (0 <= e < r).
 
@@ -134,8 +139,7 @@ def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Elemen
     """
     _require_classifiable(f, h)
     ring = f.twist.ring
-    if tau.ctx is not ring or getattr(alpha, "ctx", None) is not ring:
-        raise ContextMismatch("tau and alpha must act on the ring of f and h")
+    _require_witness_ring(ring, tau, alpha)
     if not alpha.is_unit():
         raise NonUnit("alpha must be a unit")
     tt = ring.frobenius_table(tau.frob_exp)
@@ -189,21 +193,23 @@ def check_isometry_k(
 ) -> bool:
     """The degree-k condition N_m^(sigma^k)(alpha) * b^k = tau(a), for f = t^m - a, h = t^m - b.
 
-    k is 1 or a valid_isometry_degrees entry, so sigma^k = sigma.  As
-    t^m = h + b and right remainders are left S-linear, t^(qm) mod_r h is
-    N_q^(sigma^m)(b); as k(m-1) = (k-1)m + m-k, G(t^(m-1)) is
+    The closed form of Chen, Fan, Lin and Liu ("Constacyclic codes over
+    finite fields", 2012); no search calls it.  k is 1 or a
+    valid_isometry_degrees entry, so sigma^k = sigma.  As t^m = h + b and
+    right remainders are left S-linear, t^(qm) mod_r h is N_q^(sigma^m)(b);
+    as k(m-1) = (k-1)m + m-k, G(t^(m-1)) is
     N_(m-1)^(sigma^k)(alpha) * sigma^(m-k)(N_(k-1)^(sigma^m)(b)) * t^(m-k).
     With G(t) = alpha t^k and G(t^(m-1) *_f t) = G(a) = tau(a), the pair
     (t^(m-1), t) of verify_witness_multiplicative holds exactly when
     tau(a) = N_m^(sigma^k)(alpha) * b * prod_(j=1..k-1) sigma^(jm-1)(b).
-    When sigma fixes b, that is this condition, which is then necessary.  If
-    also n | m, S_h is associative, and the condition is sufficient too: that
-    pair alone then decides (the proof is in verify_witness_multiplicative's
-    docstring).  When sigma does not fix b the two differ both ways, and
-    that the condition hides no witness is only measured
-    (test_constacyclic_prefilter_hides_no_witness).
+    When sigma fixes b, that is this condition: the closed form of that
+    first pair, so necessary for a witness.  If also n | m, S_h is
+    associative, and the condition is sufficient too: that pair alone then
+    decides (the proof is in verify_witness_multiplicative's docstring).
+    When sigma does not fix b the two differ both ways.
     """
     _require_classifiable(f, h)
+    _require_witness_ring(f.twist.ring, tau, alpha)
     if not alpha.is_unit():
         raise NonUnit("alpha must be a unit")
     if not (_is_constacyclic(f.vals) and _is_constacyclic(h.vals)):
@@ -274,12 +280,9 @@ def verify_witness_multiplicative(
     G itself is read from the m images of t^j (_witness_map): by additivity
     and tau-semilinearity, G(x) = sum_j tau(x_j) * G(t^j) for x = sum x_j t^j,
     so G(t^i) = images[i] and G(b t^j) = tau(b) * images[j].  Everything runs
-    on index lists.  The S_f side needs no product: delta = 0, which
-    _require_classifiable checks first, so t^i * b t^j = sigma^i(b) t^(i+j)
-    in S[t; sigma], and by the left S-linearity of right remainders
-    t^i *_f b t^j = sigma^i(b) * (t^(i+j) mod_r f), read from S_f's power
-    table, which holds every t^n mod_r f with n <= 2(m-1).  The S_h side
-    comes from mul_indices.
+    on index lists, and both products come from mul_indices, S_f's and
+    S_h's.  The first pair reads t^(m-1) *_f t = t^m mod_r f straight off
+    S_f's power table, which is that product for every delta.
 
     The pairs with i = 0 or y = 1 (b = 1, j = 0) always hold and are
     skipped, leaving (m - 1)(rm - 1) of them.  G(1) = images[0] =
@@ -320,30 +323,25 @@ def verify_witness_multiplicative(
     """
     _require_classifiable(A.f, B.f)
     ring = A.ring
+    _require_witness_ring(ring, witness.tau, witness.alpha)
     images, G = _witness_map(B, witness)
-    m, red = A.m, A._red
+    m = A.m
     # the first pair, x = t^(m-1), y = t (gens[0] below, as additive_generators
     # starts with 1): x *_f y = t^m mod_r f and G(y) = images[1]
     xy = [0] * m
-    for l, c in red[m]:
+    for l, c in A._red[m]:
         xy[l] = c
     if G(xy) != B.mul_indices(images[m - 1], images[1]):
         return False
     n = A.twist.sigma.order
     if witness.k % n == 1 % n and B._associative:
         return True
-    one = [ring.one.val]
-    gens = [y for y in A._generator_indices() if y != one]
+    one = ring.one.val
+    gens = [y for y in A._generator_indices() if y != [one]]
     for i in range(m - 1, 0, -1):
-        sigma_i = ring.frobenius_table(A.twist.sigma.frob_exp * i % ring.r)
+        x = [0] * i + [one]
         for y in gens[1:] if i == m - 1 else gens:
-            # x = t^i, y = b t^j: x *_f y = sigma^i(b) (t^(i+j) mod_r f) for delta = 0
-            j, b = len(y) - 1, y[-1]
-            row = ring._mul[sigma_i[b]]
-            xy = [0] * m
-            for l, c in red[i + j]:
-                xy[l] = row[c]
-            if G(xy) != B.mul_indices(images[i], G(y)):
+            if G(A.mul_indices(x, y)) != B.mul_indices(images[i], G(y)):
                 return False
     return True
 
@@ -368,14 +366,11 @@ def _first_witness(f: SkewPoly, h: SkewPoly, degrees, taus):
     The rungs run in _LADDER order, strongest first; within a rung the scan
     goes by degree, then tau, then unit alpha, each in the given order.
     k = 1 is decided by check_equivalence (its docstring proves that this is
-    the multiplicativity test for m >= 2).  A k > 1 candidate of a
-    constacyclic pair must first pass check_isometry_k (necessary when sigma
-    fixes h_0), and is then decided by verify_witness_multiplicative on S_f
-    and S_h, which are built at the first such verification and shared by
-    the rest of the pass.
+    the multiplicativity test for m >= 2), and every k > 1 candidate by
+    verify_witness_multiplicative alone, on S_f and S_h, which are built at
+    the first such verification and shared by the rest of the pass.
     """
     units = f.twist.ring.units
-    constacyclic = _is_constacyclic(f.vals) and _is_constacyclic(h.vals)
     algebras = None
     for rung, relation in _LADDER.items():
         for k in degrees:
@@ -386,7 +381,7 @@ def _first_witness(f: SkewPoly, h: SkewPoly, degrees, taus):
                     if k == 1:
                         if check_equivalence(f, h, tau, alpha):
                             return relation, IsometryWitness(tau, alpha)
-                    elif not constacyclic or check_isometry_k(f, h, tau, alpha, k):
+                    else:
                         if algebras is None:
                             algebras = PetitAlgebra(f), PetitAlgebra(h)
                         w = IsometryWitness(tau, alpha, k)

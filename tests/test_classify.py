@@ -466,14 +466,23 @@ def _strongest(found, chen_only, k):
 
 
 GF7_ID = _twist(make_field(7, 1))
+GF9_FROB = _twist(make_field(3, 2), 1)
+GF16_FROB = _twist(make_field(2, 4), 1)
 # (label, polys, K, stride): every f against every stride-th h; K None where m has no
 # valid degree k > 1.  Over GF(16) the non-Chen rung has three taus: on 8 of the 768
-# pairs left, scanning alpha before tau would change its first witness
+# pairs left, scanning alpha before tau would change its first witness.  On the
+# Frobenius constacyclic configs sigma moves some constants, and 4, 50 and 100
+# NotRelated pairs reach the k > 1 rungs
 LADDER_CONFIGS = [
     ("GF(4) id m=3", monic_polys(_twist(GF4), 3), 2, 3),
     ("GF(7) constacyclic m=3", [consta(GF7_ID, 3, a) for a in GF7_ID.ring.units], 2, 1),
     ("GF(4) id constacyclic m=5", [consta(_twist(GF4), 5, a) for a in GF4.units], 3, 1),
-    ("GF(16) Frobenius m=2", monic_polys(_twist(make_field(2, 4), 1), 2), None, 88),
+    ("GF(16) Frobenius m=2", monic_polys(GF16_FROB, 2), None, 88),
+    ("GF(4) Frobenius constacyclic m=4", [consta(TW, 4, a) for a in GF4.units], 3, 1),
+    ("GF(9) Frobenius constacyclic m=4",
+     [consta(GF9_FROB, 4, a) for a in GF9_FROB.ring.units], 3, 1),
+    ("GF(16) Frobenius constacyclic m=6",
+     [consta(GF16_FROB, 6, a) for a in GF16_FROB.ring.units], 5, 1),
 ]
 
 
@@ -558,8 +567,9 @@ PREFILTER_CONFIGS = [
                          ids=[c[0] for c in PREFILTER_CONFIGS])
 def test_constacyclic_prefilter_hides_no_witness(label, tw, m, accepted):
     """Every constacyclic (tau, alpha, k > 1) that verify_witness_multiplicative accepts
-    also passes check_isometry_k, so classify_pair's prefilter on constacyclic pairs
-    never skips a witness that the verification would accept."""
+    also passes the public check_isometry_k, here also where sigma moves b: a measured
+    property of the closed form on these configs, proved only for sigma(b) = b
+    (test_check_isometry_k_is_the_pair_for_sigma_fixed_b)."""
     ring = tw.ring
     polys = [consta(tw, m, a) for a in ring.units]
     algebras = {f: PetitAlgebra(f) for f in polys}
@@ -613,6 +623,25 @@ def test_check_isometry_k_is_the_pair_for_sigma_fixed_b(label, tw, m):
                                           IsometryWitness(tau, alpha, k)), (f, h, tau, alpha, k)
                 verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_witness_of_another_ring_raises():
+    """tau and alpha of GF(8) against GF(4) algebras: ContextMismatch, as in
+    check_equivalence, not an IndexError or a verdict read off the wrong tables."""
+    GF8 = make_field(2, 3)
+    f = consta(TW, 3, GF4.one)
+    A = PetitAlgebra(f)
+    for alpha in (GF8.from_json([1, 1, 1]), GF8.from_json([0, 1, 0])):
+        w = IsometryWitness(identity_aut(GF8), alpha)
+        with pytest.raises(ContextMismatch):
+            verify_witness_multiplicative(A, A, w)
+        with pytest.raises(ContextMismatch):
+            check_isometry_k(f, f, w.tau, alpha, 1)
+    # tau alone from GF(8), alpha of the ring of f
+    with pytest.raises(ContextMismatch):
+        verify_witness_multiplicative(A, A, IsometryWitness(identity_aut(GF8), GF4.one))
+    with pytest.raises(ContextMismatch):
+        check_isometry_k(f, f, Automorphism(GF8, 1), GF4.one, 1)
 
 
 def test_check_isometry_k_necessary_condition():
