@@ -13,7 +13,6 @@ from .coeffring import (
     identity_aut,
     make_field,
     make_residue_ring,
-    norm_image,
     partial_norm,
 )
 from .skewpoly import (
@@ -25,7 +24,7 @@ from .skewpoly import (
     right_divide,
     skew_mul,
 )
-from .petit import PetitAlgebra, StructureReport, left_ideal_span, probe_structure
+from .petit import PetitAlgebra, StructureReport, probe_structure
 from .codes import (
     LinearCode,
     apply_isometry_to_code,
@@ -44,9 +43,8 @@ from .classify import (
     count_constacyclic_classes_formula,
     equivalence_class_of,
     fast_reject,
-    find_equivalence,
 )
 
-from .catalogue import partition_classes, poly_to_json, run_catalogue
+from .catalogue import partition_classes, run_catalogue
 
 __version__ = "0.1.0"

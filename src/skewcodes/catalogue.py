@@ -35,18 +35,18 @@ def _poly_text(twist: TwistContext):
     return text
 
 
-def poly_to_json(poly: SkewPoly) -> dict:
-    return json.loads(_poly_text(poly.twist)(poly.vals))
-
-
 def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
-    """Monic degree-m candidates as index tuples, in canonical order."""
+    """Monic degree-m candidates as index tuples, sorted (_partition relies on it).
+
+    The constacyclic t^m - a are sorted by -a's index: negation is not
+    monotone on indices in odd characteristic, so the unit order is not.
+    """
     ring = twist.ring
     one = ring.one.val
     if constacyclic:
         if len(ring.units) > cap:
             raise EnumerationCapExceeded("unit enumeration exceeds cap")
-        return [(ring._neg[a.val],) + (0,) * (m - 1) + (one,) for a in ring.units]
+        return sorted((ring._neg[a.val],) + (0,) * (m - 1) + (one,) for a in ring.units)
     if ring.size ** m > cap:
         raise EnumerationCapExceeded(f"{ring.size}^{m} candidate polynomials exceed cap {cap}")
     return [tail + (one,) for tail in itertools.product(range(ring.size), repeat=m)]
@@ -59,7 +59,11 @@ def _partition(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     class reading the per-unit norm scales and the tau tables built once.
     Classes are orbits (see _class), so a class found from its first pending
     candidate holds no member of an earlier class.  Candidates, members and
-    Chen subclasses are index tuples, which sort in sort_key order.
+    Chen subclasses are index tuples, which sort in sort_key order.  The
+    candidates come sorted (_candidates) and every member of a class is one,
+    so the first pending candidate is the least member of its class (a lesser
+    one would have come first, pending or in an earlier class): the classes
+    come out ordered by least member.
     """
     candidates = _candidates(twist, m, constacyclic, cap)
     scales = _unit_scales(twist, m)
@@ -72,7 +76,6 @@ def _partition(twist: TwistContext, m: int, constacyclic: bool, cap: int):
         members, chen = _class(twist, f, scales, tables)
         pending.difference_update(members)
         classes.append((members, chen))
-    classes.sort(key=lambda cls: cls[0][0])
     return classes
 
 

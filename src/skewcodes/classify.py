@@ -81,7 +81,7 @@ def _require_witness_ring(ring: RingContext, tau: Automorphism, alpha: Element):
 
 
 def _norms(ring: RingContext, e: int, a: int, n: int):
-    """[N_0(a), ..., N_n(a)] as indices, under sigma: x -> x^(p^e) (0 <= e < r).
+    """[N_0(a), ..., N_n(a)] as indices, under sigma: x -> x^(p^e) (e read mod r).
 
     N_i(a) = a * sigma(a) * ... * sigma^(i-1)(a), the empty product N_0(a) = 1;
     e = 0 gives the powers a^i.
@@ -145,12 +145,6 @@ def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Elemen
     tt = ring.frobenius_table(tau.frob_exp)
     scales = _scales(f.twist, alpha.val, int(f.degree))
     return all(tt[a] == row[b] for a, b, row in zip(f.vals, h.vals, scales))
-
-
-def find_equivalence(f: SkewPoly, h: SkewPoly, chen_only: bool = False):
-    """First witness (tau, alpha, 1) in canonical scan order, or None: the k = 1 search."""
-    found = _first_witness(f, h, [1], _taus(f.twist.ring, chen_only))
-    return None if found is None else found[1]
 
 
 def fast_reject(f: SkewPoly, h: SkewPoly):
@@ -219,7 +213,7 @@ def check_isometry_k(
     if k != 1 and k not in valid_isometry_degrees(m, f.twist.sigma.order):
         raise InvalidK(f"k={k} violates the monomial-degree constraints")
     a, b = ring._neg[f.vals[0]], ring._neg[h.vals[0]]
-    norm = _norms(ring, f.twist.sigma.frob_exp * k % ring.r, alpha.val, m)[m]
+    norm = _norms(ring, f.twist.sigma.frob_exp * k, alpha.val, m)[m]
     b_k = _norms(ring, 0, b, k)[k]
     return ring._mul[norm][b_k] == ring.frobenius_table(tau.frob_exp)[a]
 
@@ -240,8 +234,7 @@ def _witness_map(B: PetitAlgebra, witness: IsometryWitness):
     tt = ring.frobenius_table(witness.tau.frob_exp)
     red = B._reductions(k * (m - 1))
     images = []
-    for j, norm in enumerate(_norms(ring, B.twist.sigma.frob_exp * k % ring.r,
-                                    witness.alpha.val, m - 1)):
+    for j, norm in enumerate(_norms(ring, B.twist.sigma.frob_exp * k, witness.alpha.val, m - 1)):
         row = mul[norm]
         img = [0] * m
         for l, c in red[k * j]:

@@ -210,18 +210,19 @@ def _min_distance(ring, rows, cap: int):
 
 
 def apply_isometry_to_code(C: LinearCode, witness, target: PetitAlgebra) -> LinearCode:
-    """Transport C along an equivalence witness into the class of target's f (see _transport)."""
+    """Transport C along a degree-1 witness into the class of target's f.
+
+    The image is build_code(target, monic_scale(G(g))), G the witness map
+    (classify._witness_map).  g has degree < m, so G(g) = sum_j tau(g_j) G(t^j)
+    needs no reduction.  A witness of degree k != 1 or one that does not
+    certify the equivalence of the classes, and a code with no generator,
+    raise WitnessInvalid; build_code checks that the image divides target's f.
+    """
     if witness.k != 1:
         raise WitnessInvalid("code transport requires a degree-1 witness")
     if not check_equivalence(C.algebra.f, target.f, witness.tau, witness.alpha):
         raise WitnessInvalid("witness does not certify equivalence of the classes")
-    return _transport(C, _witness_map(target, witness)[1], target)
-
-
-def _transport(C: LinearCode, G, target: PetitAlgebra) -> LinearCode:
-    """apply_isometry_to_code for a checked witness with map G = _witness_map(target, witness)[1]:
-    g has degree < m, so G(g) = sum_j tau(g_j) G(t^j) needs no reduction."""
     if C.g is None:
         raise WitnessInvalid("code has no generator polynomial")
-    image = SkewPoly.from_indices(G(C.g.vals), target.twist)
-    return build_code(target, monic_scale(image))
+    image = _witness_map(target, witness)[1](C.g.vals)
+    return build_code(target, monic_scale(SkewPoly.from_indices(image, target.twist)))

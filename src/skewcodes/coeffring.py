@@ -194,11 +194,14 @@ class RingContext:
         return self.elements[k % self.characteristic * self.one.val]
 
     def frobenius_table(self, e: int):
-        """Index table of x -> x^(p^e) for 0 <= e < r, built once per exponent.
+        """Index table of x -> x^(p^e), built once per exponent e mod r.
 
-        x^p = x * x^(p-1) is read off row x of the multiplication table, and
-        x^(p^e) is x -> x^p applied to x^(p^(e-1)); e = 0 is the identity.
+        x^(p^r) = x on GF(p^r), so e is read mod r (negative e included); on
+        Z_n, r = 1 and every e gives the identity.  x^p = x * x^(p-1) is read
+        off row x of the multiplication table, and x^(p^e) is x -> x^p applied
+        to x^(p^(e-1)); e = 0 is the identity.
         """
+        e %= self.r
         table = self._frobenius.get(e)
         if table is None:
             if e == 1:
@@ -277,6 +280,8 @@ def default_modulus(p: int, r: int):
         cand = list(tail) + [1]
         if _is_irreducible(cand, p, r):
             return tuple(cand)
+    # not reached for r >= 1: the minimal polynomial over F_p of a generator of GF(p^r)*
+    # is monic and irreducible of degree r
     raise ReducibleModulus(f"no irreducible polynomial found for p={p}, r={r}")
 
 
@@ -358,13 +363,6 @@ def partial_norm(tau: Automorphism, beta: Element, i: int) -> Element:
         out = out * x
         x = tau(x)
     return out
-
-
-def norm_image(tau: Automorphism, m: int):
-    """The subgroup {N_m(beta) : beta a unit}, in canonical order."""
-    ctx = tau.ctx
-    seen = {partial_norm(tau, u, m) for u in ctx.units}
-    return sorted(seen, key=Element.sort_key)
 
 
 def additive_generators(ctx: RingContext):

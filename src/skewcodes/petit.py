@@ -242,14 +242,9 @@ def _check_generator(A: PetitAlgebra, g: SkewPoly):
         raise NotARightDivisor("g does not divide f on the right")
 
 
-def left_ideal_span(A: PetitAlgebra, g: SkewPoly):
-    """Basis [g, t*g, ..., t^(m-deg g-1)*g] of the principal left ideal of g."""
-    _check_generator(A, g)
-    return [SkewPoly.from_indices(row, A.twist) for row in _left_ideal_span(A.twist, A.m, g.vals)]
-
-
 def _left_ideal_span(tw, m: int, gv):
-    """left_ideal_span as index tuples of length m, gv the indices of a monic right divisor of f.
+    """Basis [g, t*g, ..., t^(m-deg g-1)*g] of the principal left ideal of g, as index tuples
+    of length m, gv the indices of a monic right divisor g of an f of degree m.
 
     Each row is t times the one before (_product), with no reduction, so f
     is never read: the rows t^i*g, i < m - deg g, have degree deg g + i <= m - 1,

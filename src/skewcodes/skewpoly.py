@@ -307,7 +307,7 @@ def _left_divide(tw: TwistContext, gv, fv):
     df = len(fv) - 1
     ring = tw.ring
     add, mul, neg = ring._add, ring._mul, ring._neg
-    unshift = ring.frobenius_table(-df * tw.sigma.frob_exp % ring.r)  # sigma^(-deg f)
+    unshift = ring.frobenius_table(-df * tw.sigma.frob_exp)  # sigma^(-deg f)
     lead_inv = mul[ring._inv[fv[-1]]]
     f_terms = [(mul[neg[fj]], tw.t_times(j)) for j, fj in enumerate(fv) if fj]
     rem = list(gv)
@@ -489,4 +489,4 @@ def psi(g: SkewPoly) -> SkewPoly:
 
 def _psi(ring: RingContext, e: int, vals):
     """psi on index lists, sigma: x -> x^(p^e); sigma^(-k) is read from the Frobenius tables."""
-    return [ring.frobenius_table(-e * k % ring.r)[c] for k, c in enumerate(vals)]
+    return [ring.frobenius_table(-e * k)[c] for k, c in enumerate(vals)]

@@ -14,16 +14,15 @@ import json
 from .catalogue import partition_classes, run_catalogue
 from .classify import (
     IsometryWitness,
-    _witness_map,
     check_equivalence,
+    classify_pair,
     count_constacyclic_classes,
     count_constacyclic_classes_formula,
     fast_reject,
-    find_equivalence,
     verify_witness_multiplicative,
 )
 from .codes import (
-    _transport,
+    apply_isometry_to_code,
     build_code,
     code_class_codes,
     min_hamming_distance,
@@ -191,7 +190,7 @@ def check_witness_soundness() -> dict:
     cubics = {f: PetitAlgebra(f) for f in _monic_polys(tw, 3)}
     for f, A in cubics.items():
         for h, B in cubics.items():
-            w = find_equivalence(f, h)
+            w = classify_pair(f, h, k=1).witness
             if w is None:
                 continue
             checked += 1
@@ -259,8 +258,9 @@ def check_parameter_preservation() -> dict:
     their minimum distances are computed once, from one
     monic_right_divisor_lists call per class.  A transported code D with
     generator g in S_h takes its minimum distance from h's code of g, the
-    same span of the rows t^i*g.  Each pair's witness is checked, and its
-    map G built, once for all of f's codes.
+    same span of the rows t^i*g.  Each pair's witness is checked once here,
+    where a failure is reported, and each code goes through
+    apply_isometry_to_code.
     """
     K, tw = _gf4_frobenius()
     omega = K.from_json([0, 1])
@@ -284,15 +284,14 @@ def check_parameter_preservation() -> dict:
             built = [build_code(A, g) for g in divisors if g.degree < A.m]
             codes[f] = {C.g: (C, (C.length, C.dimension, min_hamming_distance(C))) for C in built}
         for f, h in pairs:
-            w = find_equivalence(f, h)
+            w = classify_pair(f, h, k=1).witness
             if w is None or not check_equivalence(f, h, w.tau, w.alpha):
                 failures.append({"pair": (repr(f), repr(h)),
                                  "error": "no witness" if w is None else "witness not certified"})
                 continue
-            G = _witness_map(algebras[h], w)[1]
             images = set()
             for C, before in codes[f].values():
-                D = _transport(C, G, algebras[h])
+                D = apply_isometry_to_code(C, w, algebras[h])
                 images.add(D.g)
                 checked += 1
                 known = codes[h].get(D.g)  # None only if D.g does not divide h
@@ -320,7 +319,7 @@ def check_filter_soundness() -> dict:
             for h in _monic_polys(tw, degree):
                 checked += 1
                 reason = fast_reject(f, h)
-                if reason is not None and find_equivalence(f, h) is not None:
+                if reason is not None and classify_pair(f, h, k=1).witness is not None:
                     failures.append(
                         {"f": [c.to_json() for c in f.coeffs],
                          "h": [c.to_json() for c in h.coeffs],

@@ -20,7 +20,6 @@ from skewcodes.classify import (
     _norms,
     _witness_map,
     fast_reject,
-    find_equivalence,
     valid_isometry_degrees,
     verify_witness_multiplicative,
 )
@@ -78,8 +77,8 @@ def test_frobenius_merges_conjugate_constants():
     f = consta(TW, 2, OMEGA)
     h = consta(TW, 2, OMEGA2)
     assert check_equivalence(f, h, FROB, GF4.one)
-    assert find_equivalence(f, h, chen_only=True) is None
-    w = find_equivalence(f, h)
+    assert classify_pair(f, h, chen_only=True, k=1).witness is None
+    w = classify_pair(f, h, k=1).witness
     assert w is not None and w.tau == FROB
 
 
@@ -87,7 +86,7 @@ def test_chen_witness_for_cyclic_pair():
     """t^3 - 1 ~ t^3 - w via alpha with N_3(alpha) = w."""
     f = consta(TW, 3, GF4.one)
     h = consta(TW, 3, OMEGA)
-    w = find_equivalence(f, h, chen_only=True)
+    w = classify_pair(f, h, chen_only=True, k=1).witness
     assert w is not None
     assert w.tau.is_identity
     # N_3(alpha) * b = a reads N_3(alpha) * w = 1
@@ -132,7 +131,7 @@ def test_equivalence_class_partition():
         for f in polys:
             for h in polys:
                 assert (h in classes[f]) == \
-                    (find_equivalence(f, h, chen_only=chen) is not None)
+                    (classify_pair(f, h, chen_only=chen, k=1).witness is not None)
 
 
 def _twist(ring, e=0):
@@ -148,12 +147,13 @@ ORBIT_CONFIGS = [
 
 @pytest.mark.parametrize("label,tw,m", ORBIT_CONFIGS, ids=[c[0] for c in ORBIT_CONFIGS])
 def test_class_orbit_matches_witness_search(label, tw, m):
-    """equivalence_class_of(f) is {h : find_equivalence(f, h) is not None} over
-    every monic h, sorted, for every monic f; the same with chen_only=True."""
+    """equivalence_class_of(f) is {h : classify_pair(f, h, k=1).witness is not None}
+    over every monic h, sorted, for every monic f; the same with chen_only=True."""
     polys = monic_polys(tw, m)
     for chen in (False, True):
         for f in polys:
-            expected = [h for h in polys if find_equivalence(f, h, chen_only=chen) is not None]
+            expected = [h for h in polys
+                        if classify_pair(f, h, chen_only=chen, k=1).witness is not None]
             assert equivalence_class_of(f, chen_only=chen) == expected, (f, chen)
 
 
@@ -233,7 +233,7 @@ def test_fast_reject_invertibility_pattern_z6():
     h = SkewPoly.from_ints([-1, 0, 1], tw)  # t^2 - 1
     reason = fast_reject(f, h)
     assert reason is not None and "invertibility" in reason
-    assert find_equivalence(f, h) is None
+    assert classify_pair(f, h, k=1).witness is None
 
 
 def test_fast_reject_sound_on_quadratics():
@@ -241,13 +241,13 @@ def test_fast_reject_sound_on_quadratics():
     for f in polys:
         for h in polys:
             if fast_reject(f, h) is not None:
-                assert find_equivalence(f, h) is None
+                assert classify_pair(f, h, k=1).witness is None
 
 
 def test_witness_multiplicative():
     f = consta(TW, 3, GF4.one)
     h = consta(TW, 3, OMEGA)
-    w = find_equivalence(f, h)
+    w = classify_pair(f, h, k=1).witness
     assert verify_witness_multiplicative(PetitAlgebra(f), PetitAlgebra(h), w)
 
 
@@ -294,7 +294,7 @@ def test_witness_pairs_checked(monkeypatch):
     f, h = consta(TW, 3, GF4.one), consta(TW, 3, OMEGA)
     A, B = PetitAlgebra(f), PetitAlgebra(h)
     assert not B._associative
-    assert _pairs_checked(monkeypatch, A, B, find_equivalence(f, h)) == (True, 10)
+    assert _pairs_checked(monkeypatch, A, B, classify_pair(f, h, k=1).witness) == (True, 10)
 
 
 def test_classify_pair_reads_associativity_once(monkeypatch):

@@ -324,6 +324,8 @@ def test_missing_ring_spec(capsys):
 @pytest.mark.parametrize("ring, message", [
     (["--field", "2,2", "--ring", "4"], "--field and --ring are mutually exclusive"),
     (["--field", "2"], "--field needs at least p,r"),
+    (["--field", "2,0"], "extension degree must be >= 1"),
+    (["--ring", "1"], "modulus must be >= 2"),
 ])
 def test_invalid_ring_spec(capsys, ring, message):
     code = main(["algebra-info", *ring, "--f", "1,0"])

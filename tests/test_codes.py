@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcodes.catalogue import partition_classes, poly_to_json, run_catalogue
+from skewcodes.catalogue import partition_classes, run_catalogue
 from skewcodes.classify import (
     IsometryWitness,
     _class,
     _tau_tables,
     _unit_scales,
     check_equivalence,
-    find_equivalence,
+    classify_pair,
 )
 from skewcodes.codes import (
     LinearCode,
@@ -206,7 +206,7 @@ def test_catalogue_codes_match_each_representative(label, tw, m, constacyclic):
         A = PetitAlgebra(cls["members"][0])
         codes = code_class_codes(A)
         assert json.loads(line)["codes"] == [
-            {"g": poly_to_json(C.g), "length": C.length, "dim": C.dimension,
+            {"g": _form(C.g), "length": C.length, "dim": C.dimension,
              "min_dist": min_hamming_distance(C)}
             for C in codes
         ]
@@ -223,15 +223,16 @@ def test_catalogue_codes_match_each_representative(label, tw, m, constacyclic):
 
 
 def _related(f, polys, chen_only=False):
-    """(the g in polys with find_equivalence(f, g, chen_only), the other g), in order."""
-    found = [find_equivalence(f, g, chen_only=chen_only) is not None for g in polys]
+    """(the g in polys with classify_pair(f, g, chen_only, k=1).witness, the other g), in
+    order."""
+    found = [classify_pair(f, g, chen_only=chen_only, k=1).witness is not None for g in polys]
     return ([g for g, x in zip(polys, found) if x], [g for g, x in zip(polys, found) if not x])
 
 
 def _witness_partition(tw, m, constacyclic):
     """The classes from the witness search: the members of a class are the candidates g
-    with find_equivalence(f, g) for its first candidate f, and the Chen subclass of a member
-    g is the members x with find_equivalence(g, x, chen_only=True)."""
+    with classify_pair(f, g, k=1).witness for its first candidate f, and the Chen subclass
+    of a member g is the members x with classify_pair(g, x, chen_only=True, k=1).witness."""
     ring = tw.ring
     zero, one = ring.zero, ring.one
     if constacyclic:
@@ -383,7 +384,7 @@ def test_transport_preserves_parameters():
     """Moving a code along an equivalence witness keeps (m, k, d)."""
     f = F_CYCLIC3
     h = SkewPoly([OMEGA, GF4.zero, GF4.zero, GF4.one], TW)  # t^3 - w
-    w = find_equivalence(f, h)
+    w = classify_pair(f, h, k=1).witness
     assert w is not None
     for g in all_monic_right_divisors(f):
         if g.degree >= 3:
@@ -399,9 +400,15 @@ def test_transport_rejects_bad_witness():
     f = F_CYCLIC3
     h = SkewPoly([OMEGA, GF4.zero, GF4.zero, GF4.one], TW)
     C = build_code(PetitAlgebra(f), SkewPoly.from_ints([1, 1], TW))
+    B = PetitAlgebra(h)
     bogus = IsometryWitness(identity_aut(GF4), GF4.one, 1)
-    with pytest.raises(WitnessInvalid):
-        apply_isometry_to_code(C, bogus, PetitAlgebra(h))
+    with pytest.raises(WitnessInvalid, match="certify"):
+        apply_isometry_to_code(C, bogus, B)
+    with pytest.raises(WitnessInvalid, match="degree-1"):
+        apply_isometry_to_code(C, IsometryWitness(identity_aut(GF4), GF4.one, 2), B)
+    w = classify_pair(f, h, k=1).witness
+    with pytest.raises(WitnessInvalid, match="no generator"):
+        apply_isometry_to_code(LinearCode(C.algebra, None, C.rows), w, B)
 
 
 def _image_oracle(g, w):

@@ -11,7 +11,6 @@ from skewcodes.coeffring import (
     identity_aut,
     make_field,
     make_residue_ring,
-    norm_image,
     partial_norm,
 )
 from skewcodes.errors import (
@@ -54,6 +53,15 @@ def test_gf256_builds_within_a_tenth_of_a_second():
 def test_nonprime_p_rejected():
     with pytest.raises(NonPrime):
         make_field(4, 1)
+    with pytest.raises(NonPrime):
+        make_field(1, 1)
+
+
+def test_degenerate_sizes_rejected():
+    with pytest.raises(ValueError, match="extension degree"):
+        make_field(2, 0)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        make_residue_ring(1)
 
 
 def test_reducible_modulus_rejected():
@@ -121,6 +129,11 @@ def test_z6_units():
 def test_context_mismatch():
     with pytest.raises(ContextMismatch):
         GF4.one + GF8.one
+    frob = Automorphism(GF4, 1)
+    with pytest.raises(ContextMismatch):
+        frob(GF8.one)
+    with pytest.raises(ContextMismatch):
+        partial_norm(frob, GF8.one, 2)
 
 
 def test_from_json_roundtrip():
@@ -156,6 +169,16 @@ def test_automorphism_is_ring_hom():
                     assert tau(a * b) == tau(a) * tau(b)
 
 
+def test_frobenius_table_reads_exponent_mod_r():
+    """On GF(8), e = -1 is e = 2 and e = 3 is the identity, kept once; on Z_6 every e
+    gives the identity."""
+    assert GF8.frobenius_table(-1) == GF8.frobenius_table(2)
+    assert GF8.frobenius_table(3) is GF8.frobenius_table(0)
+    assert GF8.frobenius_table(0) == list(range(8))
+    for e in (-1, 0, 1, 2):
+        assert Z6.frobenius_table(e) == list(range(6))
+
+
 def test_frobenius_on_omega():
     frob = Automorphism(GF4, 1)
     assert frob(OMEGA) == OMEGA * OMEGA
@@ -169,15 +192,20 @@ def test_partial_norm_gf4():
     assert partial_norm(frob, OMEGA, 3) == OMEGA
 
 
+def _norm_image(sigma, m):
+    """The subgroup {N_m(beta) : beta a unit}, as a set."""
+    return {partial_norm(sigma, u, m) for u in sigma.ctx.units}
+
+
 def test_norm_image_gf4():
     frob = Automorphism(GF4, 1)
-    assert norm_image(frob, 2) == [GF4.one]
-    assert set(norm_image(frob, 3)) == set(GF4.units)
+    assert _norm_image(frob, 2) == {GF4.one}
+    assert _norm_image(frob, 3) == set(GF4.units)
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_norm_image_size_identity(p, r):
-    """|norm_image(sigma, m)| * gcd([m]_s, p^r - 1) == p^r - 1."""
+    """|{N_m(beta)}| * gcd([m]_s, p^r - 1) == p^r - 1 under sigma = x -> x^(p^s)."""
     from math import gcd
 
     ctx = make_field(p, r)
@@ -185,7 +213,7 @@ def test_norm_image_size_identity(p, r):
         sigma = Automorphism(ctx, s % r)
         for m in range(1, 7):
             bracket = (p ** (s * m) - 1) // (p ** s - 1)
-            assert len(norm_image(sigma, m)) * gcd(bracket, p ** r - 1) == p ** r - 1
+            assert len(_norm_image(sigma, m)) * gcd(bracket, p ** r - 1) == p ** r - 1
 
 
 def test_norm_of_order_is_fixed():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from skewcodes.codes import build_code
 from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
 from skewcodes.errors import NonMonic, NotARightDivisor
 from skewcodes.petit import (
@@ -12,7 +13,6 @@ from skewcodes.petit import (
     _eigenring_rows,
     _image_order,
     _left_ideal_span,
-    left_ideal_span,
     probe_structure,
 )
 from skewcodes.skewpoly import (
@@ -361,10 +361,11 @@ def test_irreducible_f_has_no_proper_divisors():
 
 
 def test_left_ideal_span():
+    """build_code's rows are g and t o g, for g = t + 1 dividing t^3 - 1."""
     f = SkewPoly.from_ints([1, 0, 0, 1], TW)  # t^3 - 1
     A = PetitAlgebra(f)
     g = SkewPoly.from_ints([1, 1], TW)
-    span = left_ideal_span(A, g)
+    span = [SkewPoly.from_indices(row, TW) for row in build_code(A, g).rows]
     assert len(span) == 2
     assert span[0] == g
     assert span[1] == A.mul(SkewPoly.t_power(1, TW), g)
@@ -374,7 +375,7 @@ def test_left_ideal_span_rejects_nondivisor():
     f = SkewPoly.from_ints([1, 0, 0, 1], TW)
     A = PetitAlgebra(f)
     with pytest.raises(NotARightDivisor):
-        left_ideal_span(A, SkewPoly.from_ints([0, 1], TW))
+        build_code(A, SkewPoly.from_ints([0, 1], TW))
 
 
 def test_left_distributivity_and_linearity():

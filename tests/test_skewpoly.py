@@ -497,6 +497,11 @@ def test_monic_scale():
     h = monic_scale(g)
     assert h.is_monic
     assert h == g.scale_left(OMEGA.inverse())
+    zero = SkewPoly([], TW)
+    assert monic_scale(zero) is zero
+    Z4 = make_residue_ring(4)
+    with pytest.raises(NonInvertibleLeadingCoefficient):  # 2t + 1: 2 is not a unit of Z_4
+        monic_scale(SkewPoly.from_ints([1, 2], TwistContext(Z4, identity_aut(Z4))))
 
 
 def test_psi_example():
@@ -558,6 +563,16 @@ def test_foreign_coefficients_rejected():
         SkewPoly([GF3.one, GF3.one], TW)
     with pytest.raises(ContextMismatch):
         SkewPoly.monomial(GF3.one, 2, TW)
+    with pytest.raises(ContextMismatch):
+        P(1, 1).scale_left(GF3.one)
+
+
+def test_twist_rejects_foreign_sigma_and_beta():
+    GF8 = make_field(2, 3)
+    with pytest.raises(ContextMismatch):
+        TwistContext(GF4, Automorphism(GF8, 1))
+    with pytest.raises(ContextMismatch):
+        TwistContext(GF4, FROB, delta_beta=GF8.one)
 
 
 def test_stores_only_indices():
