@@ -226,7 +226,8 @@ def _witness_map(B: PetitAlgebra, witness: IsometryWitness):
     (PetitAlgebra._reductions), extended to k(m-1) as needed; scaling one by
     the norm is exact because right remainders are left S-linear (see
     verify_witness_multiplicative).  G(x) = sum_j tau(x_j) * images[j], as G
-    is additive and tau-semilinear.
+    is additive and tau-semilinear.  verify_witness_multiplicative builds it
+    only for its pair loop; its first pair reads the same rows directly.
     """
     ring = B.ring
     m, k = B.m, witness.k
@@ -274,8 +275,14 @@ def verify_witness_multiplicative(
     and tau-semilinearity, G(x) = sum_j tau(x_j) * G(t^j) for x = sum x_j t^j,
     so G(t^i) = images[i] and G(b t^j) = tau(b) * images[j].  Everything runs
     on index lists, and both products come from mul_indices, S_f's and
-    S_h's.  The first pair reads t^(m-1) *_f t = t^m mod_r f straight off
-    S_f's power table, which is that product for every delta.
+    S_h's.  The first pair, (t^(m-1), t), needs no image list and no
+    product of S_f: t^(m-1) *_f t = t^m mod_r f = -f_(<m) is row m of
+    S_f's power table, which set-up holds for every delta, so
+    G(t^m mod_r f) = sum_j tau(-f_j) * N_j^(sigma^k)(alpha) * (t^(kj) mod_r h)
+    over the nonzero f_j, while G(t^(m-1)) = N_(m-1)^(sigma^k)(alpha) *
+    (t^(k(m-1)) mod_r h) and G(t) = alpha * (t^k mod_r h) are scaled rows of
+    S_h's table; one product of S_h compares them.  _witness_map is built
+    only when the remaining pairs run.
 
     The pairs with i = 0 or y = 1 (b = 1, j = 0) always hold and are
     skipped, leaving (m - 1)(rm - 1) of them.  G(1) = images[0] =
@@ -317,19 +324,29 @@ def verify_witness_multiplicative(
     _require_classifiable(A.f, B.f)
     ring = A.ring
     _require_witness_ring(ring, witness.tau, witness.alpha)
-    images, G = _witness_map(B, witness)
-    m = A.m
+    m, k, one = A.m, witness.k, ring.one.val
+    add, mul = ring._add, ring._mul
+    tt = ring.frobenius_table(witness.tau.frob_exp)
+    norms = _norms(ring, B.twist.sigma.frob_exp * k, witness.alpha.val, m - 1)
+    red = B._reductions(k * (m - 1))
+
+    def image(terms):
+        """G(sum c t^j) over the index terms (j, c), from S_h's rows."""
+        acc = [0] * m
+        for j, c in terms:
+            row = mul[mul[tt[c]][norms[j]]]
+            for l, v in red[k * j]:
+                acc[l] = add[acc[l]][row[v]]
+        return acc
+
     # the first pair, x = t^(m-1), y = t (gens[0] below, as additive_generators
-    # starts with 1): x *_f y = t^m mod_r f and G(y) = images[1]
-    xy = [0] * m
-    for l, c in A._red[m]:
-        xy[l] = c
-    if G(xy) != B.mul_indices(images[m - 1], images[1]):
+    # starts with 1): x *_f y = t^m mod_r f, row m of S_f's table
+    if image(A._red[m]) != B.mul_indices(image([(m - 1, one)]), image([(1, one)])):
         return False
     n = A.twist.sigma.order
-    if witness.k % n == 1 % n and B._associative:
+    if k % n == 1 % n and B._associative:
         return True
-    one = ring.one.val
+    images, G = _witness_map(B, witness)
     gens = [y for y in A._generator_indices() if y != [one]]
     for i in range(m - 1, 0, -1):
         x = [0] * i + [one]

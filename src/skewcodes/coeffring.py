@@ -85,9 +85,6 @@ class Element:
     def __repr__(self):
         return f"Element({self.to_json()!r})"
 
-    def sort_key(self):
-        return self.val
-
     def _check(self, other: "Element"):
         if not isinstance(other, Element) or other.ctx is not self.ctx:
             raise ContextMismatch("elements belong to different ring contexts")

@@ -38,13 +38,14 @@ class StructureReport(namedtuple(
 class PetitAlgebra:
     """S_f for a monic f of degree m >= 2: residues of degree < m under *.
 
-    ``_red[n]`` holds the nonzero index terms (k, c) of t^n mod_r f.  For
-    n < m that is t^n itself, and t^m mod_r f = -(f_0 + ... + f_(m-1) t^(m-1)),
-    as t^m minus it is 1*f (f is monic, so no delta is involved).  The rest,
-    to 2m - 1, comes from _reductions: 2(m-1) is every power a product of
-    S_f reaches and 2m - 1 the most the structure probe reads.
-    ``_reductions(n)`` extends the table on demand (the witness check reads
-    S_h's to k(m-1)).  ``_associative`` is read at its first use and kept.
+    ``_red[n]`` holds the nonzero index terms (k, c) of t^n mod_r f.  Set-up
+    holds n <= m and takes no product: for n < m that is t^n itself, and
+    t^m mod_r f = -(f_0 + ... + f_(m-1) t^(m-1)), as t^m minus it is 1*f (f
+    is monic, so no delta is involved).  ``_reductions(n)`` extends the
+    table in place, one step per power, when a reader needs more:
+    mul_indices to the highest power its inputs reach (at most 2(m-1)),
+    _eigenring_rows to 2m - 1 and the witness map to k(m-1).
+    ``_associative`` is read at its first use and kept.
     """
 
     def __init__(self, f: SkewPoly):
@@ -61,7 +62,6 @@ class PetitAlgebra:
         one, neg = self.ring.one.val, self.ring._neg
         self._red = [[(n, one)] for n in range(m)]
         self._red.append([(k, neg[c]) for k, c in enumerate(f.vals[:m]) if c])
-        self._reductions(2 * m - 1)
 
     def _reductions(self, n: int):
         """The table _red, extended to hold t^j mod_r f for every j <= n.
@@ -69,7 +69,8 @@ class PetitAlgebra:
         One product of S_f per power: t^j mod_r f = t o (t^(j-1) mod_r f).
         If g = q*f + r with deg r < m, then t*g = (t*q)*f + t*r, and (t*q)*f
         lies in the left ideal Rf, so t*g and t*r have the same remainder.
-        mul_indices(t, r) reads the table only to t^m, which it holds.
+        mul_indices(t, r) reads the table only to t^m, which set-up holds,
+        so its guard never extends the table from inside a step.
         """
         red, m = self._red, self.m
         t = (0, self.ring.one.val)
@@ -115,9 +116,17 @@ class PetitAlgebra:
         delta = 0, t^i * b = sigma^i(b) * t^i.  With gv = t = (0, one) this is
         the twisted shift t*r mod_r f, which _reductions and
         codes.shift_closure_check take.
+
+        The table is extended first when it is too short for the inputs.
+        t^i * b has no term above t^i (each t_times level adds one degree),
+        so l <= i and the highest power read is
+        (len(gv) - 1) + (len(hv) - 1): the table needs len(gv) + len(hv) - 1
+        rows.  The step t*r reads to t^m, which set-up holds.
         """
         add, mul = self.ring._add, self.ring._mul
         red = self._red
+        if len(red) < len(gv) + len(hv) - 1:
+            red = self._reductions(len(gv) + len(hv) - 2)
         acc = [0] * self.m
         for i, gi in enumerate(gv):
             if not gi:
@@ -171,9 +180,9 @@ def _eigenring_rows(A: PetitAlgebra):
     f*(b*t^j) = (f*b)*t^j in the associative ring R, and right remainders are
     left S-linear, so with f*b = sum_(l<=m) P_l t^l (_product, delta
     included), e(b*t^j) = sum_l P_l * (t^(l+j) mod_r f), l + j <= 2m - 1,
-    which S_f's table holds from its set-up.
+    read off S_f's table once it is extended to t^(2m-1).
     """
-    m, add, mul, red = A.m, A.ring._add, A.ring._mul, A._red
+    m, add, mul, red = A.m, A.ring._add, A.ring._mul, A._reductions(2 * A.m - 1)
     rows = []
     for b in additive_generators(A.ring):
         fb = _product(A.twist, A.f.vals, (b.val,))
@@ -198,7 +207,8 @@ def probe_structure(A: PetitAlgebra) -> StructureReport:
     Petit's theorem reads all three off the eigenring E(f) = {z : deg z < m,
     f*z in Rf}, the kernel of e(z) = (f*z) mod_r f on the additive generators
     z = b*t^j (_eigenring_rows: r products f*b, then r*m*(m+1) row
-    combinations, and no product of S_f).  Write x*y = q_xy*f + x o y.
+    combinations; of S_f's products only the m - 1 table steps to t^(2m-1),
+    made once per algebra).  Write x*y = q_xy*f + x o y.
     1. [x, y, z] = -(q_xy*f*z) mod_r f = -(q_xy*e(z)) mod_r f, as
        x*(y o z) = x*y*z - x*q_yz*f and f*z = q'*f + e(z).
     2. So E(f) lies in the right nucleus, and x = t^(m-1), y = t give

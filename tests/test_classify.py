@@ -367,6 +367,36 @@ def test_classify_pair_builds_each_algebra_once(monkeypatch):
     assert sorted(built, key=SkewPoly.sort_key) == sorted([f, h], key=SkewPoly.sort_key)
 
 
+def test_classify_pair_first_pairs_make_no_product_of_s_f(monkeypatch):
+    """NotRelated over GF(2), sigma = id, m = 5: the k = 2, 3, 4 verifications each stop at
+    (t^(m-1), t), which reads row t^m of S_f's table and rows of S_h's.
+
+    S_f makes no product and _witness_map never runs; S_h makes the 3
+    first-pair products and 11 table steps, to t^16 = t^(4(m-1)).
+    """
+    import skewcodes.classify as classify
+
+    tw = TwistContext(GF2, identity_aut(GF2))
+    f = SkewPoly.from_ints([1, 0, 1, 0, 0, 1], tw)
+    h = SkewPoly.from_ints([1, 1, 0, 0, 0, 1], tw)
+    products, maps, verified = [], [], []
+    mul, witness_map = PetitAlgebra.mul_indices, classify._witness_map
+    verify = classify.verify_witness_multiplicative
+
+    def counting_mul(self, gv, hv):
+        products.append(self.f)
+        return mul(self, gv, hv)
+
+    monkeypatch.setattr(PetitAlgebra, "mul_indices", counting_mul)
+    monkeypatch.setattr(classify, "_witness_map", lambda B, w: maps.append(w) or witness_map(B, w))
+    monkeypatch.setattr(classify, "verify_witness_multiplicative",
+                        lambda A, B, w: verified.append(w.k) or verify(A, B, w))
+    assert classify_pair(f, h).relation == Relation.NOT_RELATED
+    assert verified == [2, 3, 4]
+    assert maps == []
+    assert products == [h] * 14
+
+
 @pytest.mark.parametrize("f, h, relation", [
     (consta(TW, 2, OMEGA), consta(TW, 2, OMEGA2), Relation.EQUIVALENT),
     (consta(TW, 3, GF4.one), consta(TW, 3, OMEGA), Relation.CHEN_EQUIVALENT),

@@ -243,6 +243,29 @@ def test_first_pair_shortcut_matches_all_pairs(label, tw, m, polys):
     assert verdicts[True] and verdicts[False]
 
 
+@pytest.mark.parametrize("label,tw,m,polys", SHORTCUT_CONFIGS,
+                         ids=[c[0] for c in SHORTCUT_CONFIGS])
+def test_first_pair_on_fresh_tables_matches_all_pairs(label, tw, m, polys):
+    """verify_witness_multiplicative on algebras nothing has multiplied in yet equals the full
+    pair loop on separate copies, on every (f, h, tau, alpha, k = 2..2m-1).
+
+    A fresh S_f holds its power table to t^m only, so the pair loop's first
+    products extend it through mul_indices's guard; k >= m makes G(t) a
+    reduced row of S_h's table.  The reference copies are shared and have
+    long since been extended.
+    """
+    reference = {f: PetitAlgebra(f) for f in polys}
+    verdicts = {True: 0, False: 0}
+    for f, h in itertools.product(polys, polys):
+        for w in _witnesses(f, range(2, 2 * m)):
+            want = _all_pairs_verdict(reference[f], reference[h], w)
+            A, B = PetitAlgebra(f), PetitAlgebra(h)
+            assert len(A._red) == len(B._red) == m + 1
+            assert verify_witness_multiplicative(A, B, w) == want, (f, h, w)
+            verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def _check_image_identity(polys, degrees):
     """_witness_map's G(x) = sum_j tau(x_j) * G(t^j) against isometry_image(x) mod_r h on
     every x."""

@@ -131,7 +131,7 @@ REDUCTION_CASES = [
 def test_reductions_match_right_divide(label, tw, m):
     """_red[n] is the remainder of right_divide(t^n, f) for n <= (m-1)^2, every monic f of degree m.
 
-    The table holds n <= 2m - 1 once S_f is built; _reductions extends it in place.
+    The table holds n <= m once S_f is built; _reductions extends it in place.
     The rows of _left_ideal_span, for every monic right divisor g of f of degree
     < m, start at g and follow t*row mod_r f, and t_step of the last row, of
     degree m before it is reduced, is right_divide(t*row, f)'s remainder too.
@@ -141,7 +141,7 @@ def test_reductions_match_right_divide(label, tw, m):
     for tail in itertools.product(ring.elements, repeat=m):
         f = SkewPoly(list(tail) + [ring.one], tw)
         A = PetitAlgebra(f)
-        assert len(A._red) == 2 * m
+        assert len(A._red) == m + 1
         red = A._reductions((m - 1) ** 2)
         assert red is A._red and len(red) == (m - 1) ** 2 + 1
         for n, terms in enumerate(red):
@@ -157,6 +157,28 @@ def test_reductions_match_right_divide(label, tw, m):
                 assert len(after) == m
                 expected = right_divide(skew_mul(t, SkewPoly.from_indices(row, tw)), f)[1]
                 assert SkewPoly.from_indices(after, tw) == expected, (f, g, row)
+
+
+@pytest.mark.parametrize("label,tw,m", REDUCTION_CASES, ids=[c[0] for c in REDUCTION_CASES])
+def test_mul_indices_on_a_fresh_table(label, tw, m):
+    """mul_indices on an algebra that has made no product yet equals right_divide(skew_mul(g, h), f).
+
+    Each generator pair (b t^i, c t^j) gets its own fresh S_f, whose table
+    holds t^0 ... t^m only, so every product first extends it through the
+    guard, to t^(i+j) when i + j > m.  Every 7th monic f of degree m.
+    """
+    ring = tw.ring
+    fs = [SkewPoly(list(tail) + [ring.one], tw)
+          for tail in itertools.product(ring.elements, repeat=m)][::7]
+    for f in fs:
+        gens = PetitAlgebra(f)._generator_indices()
+        for gv, hv in itertools.product(gens, gens):
+            A = PetitAlgebra(f)
+            got = A.mul_indices(gv, hv)
+            assert len(A._red) == max(m + 1, len(gv) + len(hv) - 1), (f, gv, hv)
+            want = right_divide(skew_mul(SkewPoly.from_indices(gv, tw),
+                                         SkewPoly.from_indices(hv, tw)), f)[1]
+            assert SkewPoly.from_indices(got, tw) == want, (f, gv, hv)
 
 
 def test_requires_monic_degree_two():
@@ -210,24 +232,29 @@ def test_two_sided_agrees_with_associative():
 
 
 def test_probe_structure_work_bound(monkeypatch):
-    """One probe of GF(4), t^9 + 1 makes no product of S_f and leaves the power table as is.
+    """The first probe of GF(4), t^9 + 1 makes m - 1 = 8 products of S_f, all table steps.
 
-    Its rows read the table, which S_f's set-up holds to t^17 = t^(2m-1).
+    Its rows read the table to t^17 = t^(2m-1); set-up holds it to t^9, so
+    the probe extends it once, one step t*r per power, and a second probe
+    makes no product and leaves the 18 rows as they are.
     """
     A = PetitAlgebra(consta(TW, 9, GF4.one))
-    size = len(A._red)
-    calls = 0
+    assert len(A._red) == 9 + 1
+    calls = []
     method = PetitAlgebra.mul_indices
 
-    def counted(self, *args):
-        nonlocal calls
-        calls += 1
-        return method(self, *args)
+    def counted(self, gv, hv):
+        calls.append(gv)
+        return method(self, gv, hv)
 
     monkeypatch.setattr(PetitAlgebra, "mul_indices", counted)
-    probe_structure(A)
-    assert calls == 0
-    assert len(A._red) == size == 2 * 9
+    first = probe_structure(A)
+    assert calls == [(0, GF4.one.val)] * 8
+    assert len(A._red) == 2 * 9
+    calls.clear()
+    assert probe_structure(A) == first
+    assert calls == []
+    assert len(A._red) == 2 * 9
 
 
 def _horner_rows(A: PetitAlgebra):
