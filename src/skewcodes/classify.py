@@ -219,38 +219,35 @@ def check_isometry_k(
 
 
 def _witness_map(B: PetitAlgebra, witness: IsometryWitness):
-    """The witness map G: S_f -> S_h as (images, G), on index lists; B is S_h.
+    """The witness map G: S_f -> S_h on index terms; B is S_h.
 
-    images[j] = G(t^j) = N_j^(sigma^k)(alpha) * (t^(k j) mod_r h) for j < m,
-    each of length m.  The remainders come from B's power table
-    (PetitAlgebra._reductions), extended to k(m-1) as needed; scaling one by
-    the norm is exact because right remainders are left S-linear (see
-    verify_witness_multiplicative).  G(x) = sum_j tau(x_j) * images[j], as G
-    is additive and tau-semilinear.  verify_witness_multiplicative builds it
-    only for its pair loop; its first pair reads the same rows directly.
+    G(terms) is G(sum c t^j) over the index terms (j, c), j < m: a row of
+    PetitAlgebra._red, or enumerate() of an index list.  It returns an index
+    list of length m.  G is additive and tau-semilinear (see
+    verify_witness_multiplicative), so G(sum c t^j) = sum tau(c) * G(t^j),
+    and G(t^j) = N_j^(sigma^k)(alpha) * (t^(kj) mod_r h): each remainder is a
+    row of B's power table (PetitAlgebra._reductions), extended here to
+    k(m-1), and scaling it by the norm is exact because right remainders are
+    left S-linear.  So each nonzero term adds its scaled row, with no image
+    list built first.
     """
     ring = B.ring
     m, k = B.m, witness.k
     add, mul = ring._add, ring._mul
     tt = ring.frobenius_table(witness.tau.frob_exp)
+    norms = _norms(ring, B.twist.sigma.frob_exp * k, witness.alpha.val, m - 1)
     red = B._reductions(k * (m - 1))
-    images = []
-    for j, norm in enumerate(_norms(ring, B.twist.sigma.frob_exp * k, witness.alpha.val, m - 1)):
-        row = mul[norm]
-        img = [0] * m
-        for l, c in red[k * j]:
-            img[l] = row[c]
-        images.append(img)
 
-    def G(xv):
+    def G(terms):
         acc = [0] * m
-        for xj, img in zip(xv, images):
-            if xj:
-                row = mul[tt[xj]]
-                acc = [add[a][row[v]] for a, v in zip(acc, img)]
+        for j, c in terms:
+            if c:
+                row = mul[mul[tt[c]][norms[j]]]
+                for l, v in red[k * j]:
+                    acc[l] = add[acc[l]][row[v]]
         return acc
 
-    return images, G
+    return G
 
 
 def verify_witness_multiplicative(
@@ -271,21 +268,20 @@ def verify_witness_multiplicative(
     D(x, y) = sum tau(a_i) * D(t^i, y), a sum of copies of the D(t^i, b t^j),
     so D vanishes everywhere exactly when it vanishes on those pairs.
 
-    G itself is read from the m images of t^j (_witness_map): by additivity
-    and tau-semilinearity, G(x) = sum_j tau(x_j) * G(t^j) for x = sum x_j t^j,
-    so G(t^i) = images[i] and G(b t^j) = tau(b) * images[j].  Everything runs
-    on index lists, and both products come from mul_indices, S_f's and
-    S_h's.  The first pair, (t^(m-1), t), needs no image list and no
-    product of S_f: t^(m-1) *_f t = t^m mod_r f = -f_(<m) is row m of
-    S_f's power table, which set-up holds for every delta, so
+    G itself (_witness_map) is read term by term: by additivity and
+    tau-semilinearity, G(x) = sum_j tau(x_j) * G(t^j) for x = sum x_j t^j,
+    and G(t^j) = N_j^(sigma^k)(alpha) * (t^(kj) mod_r h) is a scaled row of
+    S_h's power table.  Everything runs on index lists, and both products
+    come from mul_indices, S_f's and S_h's.  The first pair, (t^(m-1), t),
+    needs no product of S_f: t^(m-1) *_f t = t^m mod_r f = -f_(<m) is row m
+    of S_f's power table, which set-up holds for every delta, so
     G(t^m mod_r f) = sum_j tau(-f_j) * N_j^(sigma^k)(alpha) * (t^(kj) mod_r h)
     over the nonzero f_j, while G(t^(m-1)) = N_(m-1)^(sigma^k)(alpha) *
-    (t^(k(m-1)) mod_r h) and G(t) = alpha * (t^k mod_r h) are scaled rows of
-    S_h's table; one product of S_h compares them.  _witness_map is built
-    only when the remaining pairs run.
+    (t^(k(m-1)) mod_r h) and G(t) = alpha * (t^k mod_r h) are single scaled
+    rows; one product of S_h compares them.
 
     The pairs with i = 0 or y = 1 (b = 1, j = 0) always hold and are
-    skipped, leaving (m - 1)(rm - 1) of them.  G(1) = images[0] =
+    skipped, leaving (m - 1)(rm - 1) of them.  G(1) =
     N_0(alpha) * (t^0 mod_r h) = 1, the identity of S_h, and 1 is the
     identity of S_f, so D(1, y) = G(y) - 1 *_h G(y) = 0 and
     D(x, 1) = G(x) - G(x) *_h 1 = 0.
@@ -305,7 +301,7 @@ def verify_witness_multiplicative(
        sigma^k = sigma, tau commutes with sigma and S is commutative.  So
        Phi(sum a_i t^i) = sum tau(a_i) (alpha t^k)^i is a ring map R -> S_h.
     2. Phi(t^j) = (alpha t^k)^j = N_j^(sigma^k)(alpha) (t^(kj) mod_r h) =
-       images[j], and Phi, G are additive and tau-semilinear, so G = Phi
+       G(t^j), and Phi, G are additive and tau-semilinear, so G = Phi
        on every x of degree < m.
     3. For such x, y write x*y = q_xy*f + x *_f y in R.  Then G(x *_f y) =
        Phi(x*y) - Phi(q_xy) Phi(f) = G(x) *_h G(y) - Phi(q_xy) Phi(f), so
@@ -322,36 +318,21 @@ def verify_witness_multiplicative(
     which take built algebras the same way).
     """
     _require_classifiable(A.f, B.f)
-    ring = A.ring
-    _require_witness_ring(ring, witness.tau, witness.alpha)
-    m, k, one = A.m, witness.k, ring.one.val
-    add, mul = ring._add, ring._mul
-    tt = ring.frobenius_table(witness.tau.frob_exp)
-    norms = _norms(ring, B.twist.sigma.frob_exp * k, witness.alpha.val, m - 1)
-    red = B._reductions(k * (m - 1))
-
-    def image(terms):
-        """G(sum c t^j) over the index terms (j, c), from S_h's rows."""
-        acc = [0] * m
-        for j, c in terms:
-            row = mul[mul[tt[c]][norms[j]]]
-            for l, v in red[k * j]:
-                acc[l] = add[acc[l]][row[v]]
-        return acc
-
+    _require_witness_ring(A.ring, witness.tau, witness.alpha)
+    m, k, one = A.m, witness.k, A.ring.one.val
+    G = _witness_map(B, witness)
     # the first pair, x = t^(m-1), y = t (gens[0] below, as additive_generators
     # starts with 1): x *_f y = t^m mod_r f, row m of S_f's table
-    if image(A._red[m]) != B.mul_indices(image([(m - 1, one)]), image([(1, one)])):
+    if G(A._red[m]) != B.mul_indices(G([(m - 1, one)]), G([(1, one)])):
         return False
     n = A.twist.sigma.order
     if k % n == 1 % n and B._associative:
         return True
-    images, G = _witness_map(B, witness)
     gens = [y for y in A._generator_indices() if y != [one]]
     for i in range(m - 1, 0, -1):
-        x = [0] * i + [one]
+        x, gx = [0] * i + [one], G([(i, one)])
         for y in gens[1:] if i == m - 1 else gens:
-            if G(A.mul_indices(x, y)) != B.mul_indices(images[i], G(y)):
+            if G(enumerate(A.mul_indices(x, y))) != B.mul_indices(gx, G(enumerate(y))):
                 return False
     return True
 

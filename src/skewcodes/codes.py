@@ -224,5 +224,5 @@ def apply_isometry_to_code(C: LinearCode, witness, target: PetitAlgebra) -> Line
         raise WitnessInvalid("witness does not certify equivalence of the classes")
     if C.g is None:
         raise WitnessInvalid("code has no generator polynomial")
-    image = _witness_map(target, witness)[1](C.g.vals)
+    image = _witness_map(target, witness)(enumerate(C.g.vals))
     return build_code(target, monic_scale(SkewPoly.from_indices(image, target.twist)))

@@ -269,10 +269,12 @@ def _pairs_checked(monkeypatch, A, B, w):
     """verify_witness_multiplicative(A, B, w) and the number of generator pairs it checks.
 
     Each checked pair makes one product of S_h.  B's power table is first
-    extended to t^(k(m-1)), so _witness_map's _reductions makes none, and
-    only the pairs' products are counted.
+    extended to t^(k(m-1)), the most _witness_map reads, and to t^(2m-1),
+    the most a product of S_h (2m - 2) or B._associative reads, so no table
+    step is made inside the check, whatever the caller read before, and only
+    the pairs' products are counted.
     """
-    B._reductions(w.k * (B.m - 1))
+    B._reductions(max(w.k * (B.m - 1), 2 * B.m - 1))
     products = []
     mul = B.mul_indices
     monkeypatch.setattr(B, "mul_indices", lambda g, h: products.append(g) or mul(g, h))
@@ -371,8 +373,9 @@ def test_classify_pair_first_pairs_make_no_product_of_s_f(monkeypatch):
     """NotRelated over GF(2), sigma = id, m = 5: the k = 2, 3, 4 verifications each stop at
     (t^(m-1), t), which reads row t^m of S_f's table and rows of S_h's.
 
-    S_f makes no product and _witness_map never runs; S_h makes the 3
-    first-pair products and 11 table steps, to t^16 = t^(4(m-1)).
+    S_f makes no product, so the pair loop never runs, and G is built once
+    per verification; S_h makes the 3 first-pair products and 11 table
+    steps, to t^16 = t^(4(m-1)).
     """
     import skewcodes.classify as classify
 
@@ -393,7 +396,7 @@ def test_classify_pair_first_pairs_make_no_product_of_s_f(monkeypatch):
                         lambda A, B, w: verified.append(w.k) or verify(A, B, w))
     assert classify_pair(f, h).relation == Relation.NOT_RELATED
     assert verified == [2, 3, 4]
-    assert maps == []
+    assert [w.k for w in maps] == [2, 3, 4]
     assert products == [h] * 14
 
 
@@ -618,10 +621,10 @@ def test_constacyclic_prefilter_hides_no_witness(label, tw, m, accepted):
 
 def _pair_holds(A, B, w):
     """G(t^(m-1) *_f t) == G(t^(m-1)) *_h G(t) for G = _witness_map(B, w), on index lists."""
-    images, G = _witness_map(B, w)
+    G = _witness_map(B, w)
     m, one = A.m, A.ring.one.val
-    return G(A.mul_indices([0] * (m - 1) + [one], [0, one])) == \
-        B.mul_indices(images[m - 1], images[1])
+    return G(enumerate(A.mul_indices([0] * (m - 1) + [one], [0, one]))) == \
+        B.mul_indices(G([(m - 1, one)]), G([(1, one)]))
 
 
 GF7 = make_field(7, 1)
