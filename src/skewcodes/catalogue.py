@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .classify import _class, _tau_tables, _unit_scales
+from .classify import _Orbits
 from .codes import _min_distance
 from .errors import EnumerationCapExceeded, InvalidConfig
 from .petit import _left_ideal_span
@@ -55,25 +55,24 @@ def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
 def _partition(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     """Full-equivalence classes as (members, Chen subclasses) of index tuples, canonically ordered.
 
-    Each class is classify._class of its first pending candidate, every
-    class reading the per-unit norm scales and the tau tables built once.
-    Classes are orbits (see _class), so a class found from its first pending
-    candidate holds no member of an earlier class.  Candidates, members and
-    Chen subclasses are index tuples, which sort in sort_key order.  The
-    candidates come sorted (_candidates) and every member of a class is one,
-    so the first pending candidate is the least member of its class (a lesser
-    one would have come first, pending or in an earlier class): the classes
-    come out ordered by least member.
+    Each class is the orbit of its first pending candidate under one _Orbits
+    of degree m, built once _candidates has checked the cap.  Classes are
+    orbits, so one found from its first pending candidate holds no member of
+    an earlier class.  Candidates, members and Chen subclasses are index
+    tuples, which sort in sort_key order.  The candidates come sorted
+    (_candidates) and every member of a class is one, so the first pending
+    candidate is the least member of its class (a lesser one would have come
+    first, pending or in an earlier class): the classes come out ordered by
+    least member.
     """
     candidates = _candidates(twist, m, constacyclic, cap)
-    scales = _unit_scales(twist, m)
-    tables = _tau_tables(twist.ring, False)
+    orbits = _Orbits(twist, m)
     pending = set(candidates)
     classes = []
     for f in candidates:
         if f not in pending:
             continue
-        members, chen = _class(twist, f, scales, tables)
+        members, chen = orbits.orbit(f)
         pending.difference_update(members)
         classes.append((members, chen))
     return classes
@@ -81,6 +80,8 @@ def _partition(twist: TwistContext, m: int, constacyclic: bool, cap: int):
 
 def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     """_partition's classes as {"members": [...], "chen": [[...], ...]} of SkewPolys."""
+    if m < 1:
+        raise InvalidConfig(f"class partitions need degree m >= 1, got {m}")
     poly = SkewPoly.from_indices
     return [{"members": [poly(g, twist) for g in members],
              "chen": [[poly(g, twist) for g in sub] for sub in chen]}
@@ -94,26 +95,19 @@ def _codes_for(twist: TwistContext, m: int, cap: int, text):
     The code of g, of degree d, is the span of the rows t^i*g for i < m - d,
     none of which is reduced by f (_left_ideal_span), so f is never read: the
     rows, their number m - d and the minimum distance depend only on
-    (twist, m, g).  The minimum distance is computed once per class of g
-    (classify._class at degree d) and read for every member of it, by the
-    isometry H(sum x_j t^j) = sum tau(x_j) N_j(alpha) t^j, for tau an
-    automorphism of S and alpha a unit:
+    (twist, m, g).  The minimum distance is computed once per class of g, its
+    orbit under the _Orbits of degree d built when d is first met, and read
+    for every member.  The members are the monic(H(g)) over the maps
+    H(sum x_j t^j) = sum tau(x_j) N_j(alpha) t^j (_Orbits), and H carries
+    the code of g onto that of monic(H(g)), keeping dimension and distance:
     - H is multiplicative on S[t; sigma] (check_equivalence proves it).
     - H applies tau and then scales each coordinate by the unit N_j(alpha),
       so it is a bijection on S^m that preserves Hamming weight.
     - H(t^i g) = N_i(alpha) t^i H(g), and H is tau-semilinear, so H maps the
-      span of the rows t^i g (i < m - d) onto the span of the rows t^i H(g),
-      which is the span for g' = monic(H(g)) = N_d(alpha)^-1 H(g), of the same
-      dimension m - d and the same minimum distance.
-    - g' has at t^j the coefficient N_j(alpha) N_d(alpha)^-1 tau(g_j) =
-      tau(N_(d-j)(sigma^j(beta)) g_j) with beta = tau^-1(alpha)^-1, as
-      N_j(beta) N_(d-j)(sigma^j(beta)) = N_d(beta) and tau commutes with
-      sigma.  That is _class's formula for the member (tau, beta); beta runs
-      over the units as alpha does, so the g' are exactly _class's members.
+      span of the rows t^i g (i < m - d) onto that of the rows t^i H(g),
+      the span for monic(H(g)) = N_d(alpha)^-1 H(g).
     """
-    ring = twist.ring
-    scales = [_unit_scales(twist, d) for d in range(m)]
-    tables = _tau_tables(ring, False)
+    orbits = {}  # generator degree -> its _Orbits
     texts = {}  # generator index tuple -> its code's text
     dists = {}  # generator index tuple -> its code's minimum distance, filled a class at a time
 
@@ -127,8 +121,10 @@ def _codes_for(twist: TwistContext, m: int, cap: int, text):
             if known is None:
                 dist = dists.get(g)
                 if dist is None:
-                    dist = _min_distance(ring, _left_ideal_span(twist, m, g), cap)
-                    dists.update(dict.fromkeys(_class(twist, g, scales[d], tables)[0], dist))
+                    dist = _min_distance(twist.ring, _left_ideal_span(twist, m, g), cap)
+                    if d not in orbits:
+                        orbits[d] = _Orbits(twist, d)
+                    dists.update(dict.fromkeys(orbits[d].orbit(g)[0], dist))
                 known = texts[g] = '{"dim": %d, "g": %s, "length": %d, "min_dist": %d}' % (
                     m - d, text(g), m, dist)
             out.append(known)

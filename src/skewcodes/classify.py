@@ -19,6 +19,7 @@ from .errors import (
     DeltaNotZero,
     InvalidConfig,
     InvalidK,
+    NonMonic,
     NonUnit,
     NotConstacyclic,
 )
@@ -127,10 +128,10 @@ def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Elemen
     multiplicative by the norm cocycle N_(i+j)(alpha) = N_i(alpha)
     sigma^i(N_j(alpha)) and tau sigma = sigma tau, so the products with
     i + j < m, which neither f nor h reduces, always agree.  Those that reach
-    t^m agree exactly when the closed form holds.  If it holds, H(f) =
-    N_m(alpha) h, as N_m(alpha) = N_i(alpha) N_(m-i)(sigma^i(alpha)); so
-    p = q f + r with deg r < m gives H(p) = (H(q) N_m(alpha)) h + H(r), hence
-    H(p) mod_r h = H(p mod_r f) and G(x *_f y) = G(x) *_h G(y).  Conversely,
+    t^m agree exactly when the closed form holds.  It says h = monic(H(f)),
+    f's class member (tau, tau^-1(alpha)^-1) (_Orbits), so H(f) = N_m(alpha) h
+    and p = q f + r with deg r < m gives H(p) = (H(q) N_m(alpha)) h + H(r),
+    hence H(p) mod_r h = H(p mod_r f) and G(x *_f y) = G(x) *_h G(y).  Conversely,
     the pair t^(m-1), t gives -sum tau(f_i) N_i(alpha) t^i = N_m(alpha)
     (t^m mod_r h) = -sum N_m(alpha) h_i t^i (right remainders are left
     S-linear), and dividing by the unit N_i(alpha) gives the closed form.
@@ -166,7 +167,7 @@ def fast_reject(f: SkewPoly, h: SkewPoly):
     # norm coset test: N_(S/S0)(tau(a_i) / b_i) must be an (m-i)-th power of a
     # value of the full norm for some tau
     full_norms = {_norms(ring, e, u.val, n)[n] for u in ring.units}
-    taus = _tau_tables(ring, False)
+    taus = [ring.frobenius_table(tau.frob_exp) for tau in all_automorphisms(ring)]
     for i in range(m):
         if inv[a[i]] is None or inv[b[i]] is None:
             continue
@@ -346,11 +347,6 @@ _LADDER = {
 }
 
 
-def _taus(ring: RingContext, chen_only: bool):
-    taus = all_automorphisms(ring)
-    return taus[:1] if chen_only else taus
-
-
 def _first_witness(f: SkewPoly, h: SkewPoly, degrees, taus):
     """The first (relation, witness) of the ladder over degrees and taus, or None.
 
@@ -402,38 +398,26 @@ def classify_pair(
         if k not in degrees:
             raise InvalidK(f"k={k} violates the monomial-degree constraints")
         degrees = [k]
-    found = _first_witness(f, h, degrees, _taus(f.twist.ring, chen_only))
+    taus = all_automorphisms(f.twist.ring)
+    found = _first_witness(f, h, degrees, taus[:1] if chen_only else taus)
     if found is None:
         return ClassificationResult(Relation.NOT_RELATED, None, fast_reject(f, h))
     return ClassificationResult(*found)
 
 
 def equivalence_class_of(h: SkewPoly, chen_only: bool = False):
-    """All h_(tau, alpha), deduplicated and canonically ordered."""
-    tw = h.twist
-    members, _ = _class(tw, h.vals, _unit_scales(tw, int(h.degree)),
-                        _tau_tables(tw.ring, chen_only))
+    """All h_(tau, alpha), deduplicated and canonically ordered; h must be monic."""
+    if not h.is_monic:
+        raise NonMonic("equivalence classes are of monic polynomials")
+    members, _ = _Orbits(h.twist, int(h.degree)).orbit(h.vals, chen_only)
     # all members have degree m, so index tuple order is sort_key order
-    return [SkewPoly.from_indices(v, tw) for v in members]
+    return [SkewPoly.from_indices(v, h.twist) for v in members]
 
 
-def _unit_scales(tw, m: int):
-    """_scales(tw, alpha, m) for every unit alpha, in unit order: what classes of degree m read."""
-    return [_scales(tw, alpha.val, m) for alpha in tw.ring.units]
-
-
-def _tau_tables(ring: RingContext, chen_only: bool):
-    return [ring.frobenius_table(tau.frob_exp) for tau in _taus(ring, chen_only)]
-
-
-def _class(tw, hv, scales, tables):
-    """The class of h (index sequence hv, degree m) as (members, Chen subclasses).
-
-    Members and subclasses are sorted index tuples of length m + 1, the
-    subclasses ordered by their least members.  scales is _unit_scales(tw, m),
-    which depends on h only through m; tables are tau tables, the identity
-    first (_tau_tables): all of them give the full class, the identity alone
-    the Chen class.
+class _Orbits:
+    """The action of units x| Aut(S) on the monic h of degree m under twist:
+    DeltaNotZero for delta != 0, else built once per (twist, m), each unit's
+    _scales rows in unit order and the tau tables, the identity first.
 
     h_(tau, alpha) = t^m - sum N_(m-i)(sigma^i(tau(alpha))) * tau(b_i) t^i,
     with b_i = -h_i, has at t^i the coefficient
@@ -450,17 +434,31 @@ def _class(tw, hv, scales, tables):
     subclasses are the distinct images, and two images, being orbits,
     coincide or are disjoint, so each is identified by its least member.
     Classes are orbits too, so two classes coincide or are disjoint.
+
+    Equivalently, the class is the monic(H(h)) = N_m(gamma)^-1 H(h) over the
+    maps H(sum x_j t^j) = sum tau(x_j) N_j(gamma) t^j, gamma a unit: at t^i,
+    N_i(gamma) N_m(gamma)^-1 tau(h_i) = N_(m-i)(sigma^i(gamma^-1)) tau(h_i)
+    (_scales) is the coefficient of h_(tau, alpha), alpha = tau^-1(gamma)^-1,
+    and alpha runs over the units as gamma does.
     """
-    if tw.has_delta:
-        raise DeltaNotZero("classification predicates require delta = 0")
-    one = (tw.ring.one.val,)
-    chen = {tuple([row[c] for row, c in zip(rows, hv)]) + one for rows in scales}
-    subs = {}
-    for tt in tables:
-        sub = sorted(tuple([tt[c] for c in g]) for g in chen)
-        subs.setdefault(sub[0], sub)
-    subclasses = [subs[least] for least in sorted(subs)]
-    return sorted(g for sub in subclasses for g in sub), subclasses
+
+    def __init__(self, twist, m: int):
+        if twist.has_delta:
+            raise DeltaNotZero("classification predicates require delta = 0")
+        ring = twist.ring
+        self.scales = [_scales(twist, alpha.val, m) for alpha in ring.units]
+        self.taus = [ring.frobenius_table(tau.frob_exp) for tau in all_automorphisms(ring)]
+
+    def orbit(self, hv, chen_only: bool = False):
+        """h's class (monic index tuple hv) as (members, Chen subclasses), all sorted,
+        the subclasses by least member; chen_only keeps tau = id, the Chen class."""
+        chen = {tuple([row[c] for row, c in zip(rows, hv)]) + hv[-1:] for rows in self.scales}
+        subs = {}
+        for tt in self.taus[:1] if chen_only else self.taus:
+            sub = sorted(tuple([tt[c] for c in g]) for g in chen)
+            subs.setdefault(sub[0], sub)
+        subclasses = [subs[least] for least in sorted(subs)]
+        return sorted(g for sub in subclasses for g in sub), subclasses
 
 
 def count_constacyclic_classes(ctx: RingContext, sigma: Automorphism, m: int):

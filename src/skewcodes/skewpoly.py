@@ -323,6 +323,12 @@ def _left_divide(tw: TwistContext, gv, fv):
     return q, rem[:df]
 
 
+def _divisor_cap(ring, degree: int, cap: int):
+    """Raise EnumerationCapExceeded when the |S|^degree candidate divisors exceed cap."""
+    if ring.size ** degree > cap:
+        raise EnumerationCapExceeded(f"{ring.size}^{degree} candidate divisors exceed cap {cap}")
+
+
 def monic_right_divisor_table(tw: TwistContext, degree: int, high, lows,
                               cap: int = DEFAULT_ENUM_CAP):
     """The monic right divisors of the given degree of every f = low + high with low in lows.
@@ -343,10 +349,7 @@ def monic_right_divisor_table(tw: TwistContext, degree: int, high, lows,
     rem[top] with no inverse, so only the tail terms g_j, j < d, are applied.
     """
     ring = tw.ring
-    if ring.size ** degree > cap:
-        raise EnumerationCapExceeded(
-            f"{ring.size}^{degree} candidate divisors exceed cap {cap}"
-        )
+    _divisor_cap(ring, degree, cap)
     add, mul, neg = ring._add, ring._mul, ring._neg
     wanted = {tuple([neg[c] for c in low]): low for low in lows}  # -(H mod_r g) -> low
     high = (0,) * degree + tuple(high)
@@ -402,6 +405,8 @@ def _divisor_tuples(tw: TwistContext, fs, cap: int):
         for twist, d, g, _ in plan:
             need.setdefault((twist.sigma.frob_exp, d, g[d:]), (twist, set()))[1].add(g[:d])
         plans.append((f, top, plan))
+    for degree in sorted({d for _, d, _ in need}):  # every cap before any scan
+        _divisor_cap(ring, degree, cap)
     tables = {key: monic_right_divisor_table(twist, key[1], key[2], lows, cap)
               for key, (twist, lows) in need.items()}
     lists = []

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from skewcodes.catalogue import run_catalogue
+from skewcodes.catalogue import partition_classes, run_catalogue
 from skewcodes.classify import (
     IsometryWitness,
     Relation,
@@ -35,7 +35,9 @@ from skewcodes.errors import (
     ContextMismatch,
     DegreeMismatch,
     DeltaNotZero,
+    InvalidConfig,
     InvalidK,
+    NonMonic,
     NonUnit,
     NotConstacyclic,
 )
@@ -103,6 +105,13 @@ def test_check_equivalence_guards():
                           FROB, GF4.one)
     with pytest.raises(DeltaNotZero):
         equivalence_class_of(consta(tw_d, 2, GF4.one))
+    # omega t^2 + 1 is not monic, and neither is 0 (whose degree is -inf)
+    with pytest.raises(NonMonic):
+        equivalence_class_of(SkewPoly([GF4.one, GF4.zero, OMEGA], TW))
+    with pytest.raises(NonMonic):
+        equivalence_class_of(SkewPoly([], TW))
+    with pytest.raises(InvalidConfig):
+        partition_classes(TW, -1, False, 2 ** 20)
     tw4 = _twist(Z4)
     with pytest.raises(NonUnit):  # 2 is a nonzero non-unit of Z_4
         check_equivalence(consta(tw4, 2, Z4.one), consta(tw4, 2, Z4.one),

@@ -469,6 +469,34 @@ def test_catalogue_divisor_cap_exceeded(capsys):
     assert err == "error: 4^1 candidate divisors exceed cap 3\n"
 
 
+CAP_BEFORE_SCAN = [
+    (("--field", "2,2", "--sigma", "1", "--m", "6", "--cap", "16"),
+     "4^3 candidate divisors exceed cap 16"),
+    (("--field", "2,8", "--m", "400"), "256^3 candidate divisors exceed cap 1048576"),
+]
+
+
+@pytest.mark.parametrize("argv,message", CAP_BEFORE_SCAN, ids=["GF(4) m=6", "GF(256) m=400"])
+def test_catalogue_divisor_caps_checked_before_any_scan(capsys, monkeypatch, argv, message):
+    """Constacyclic: the candidates fit, and so do the divisor scans of degrees
+    1 and 2, but not those of degree 3.  The batch checks every degree against
+    the cap before its first scan, so it exits 2 with no scan run, naming the
+    least degree over the cap."""
+    import skewcodes.skewpoly as skewpoly
+
+    scans = []
+    table = skewpoly.monic_right_divisor_table
+
+    def counted_table(tw, degree, high, lows, cap):
+        scans.append(degree)
+        return table(tw, degree, high, lows, cap)
+
+    monkeypatch.setattr(skewpoly, "monic_right_divisor_table", counted_table)
+    code = main(["catalogue", *argv, "--constacyclic"])
+    assert (code, scans) == (2, [])
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_catalogue_gf8_sigma2_m3_bytes(capsys):
     """GF(8), sigma = x -> x^4, m = 3, all 512 monic candidates: |Aut| = 3, so the
     tau-images of a Chen class can coincide; 32 lines with the two-pass orbits' bytes."""
@@ -503,10 +531,10 @@ def test_catalogue_bench_config_bytes(capsys, argv, count, digest):
 
 def test_catalogue_computes_each_generator_once(capsys, monkeypatch):
     """Z_4, m = 4: 656 codes over 160 classes, 81 distinct generators but 56
-    classes of generators (classify._class at each generator's degree), so the
-    minimum distance runs 56 times: the isometry t -> alpha*t twisted by tau maps
-    the code of g onto the code of each member of g's class, preserving
-    Hamming weight (catalogue._codes_for).  The code spans never read f, so no
+    classes of generators (orbits under the classify._Orbits of each
+    generator's degree), so the minimum distance runs 56 times: the isometry
+    t -> alpha*t twisted by tau maps the code of g onto the code of each
+    member of g's class, preserving Hamming weight (catalogue._codes_for).  The code spans never read f, so no
     PetitAlgebra is built."""
     import skewcodes.catalogue as catalogue
     from skewcodes.petit import PetitAlgebra

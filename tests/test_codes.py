@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from skewcodes.catalogue import partition_classes, run_catalogue
 from skewcodes.classify import (
     IsometryWitness,
-    _class,
-    _tau_tables,
-    _unit_scales,
+    _Orbits,
     check_equivalence,
     classify_pair,
 )
@@ -289,11 +287,11 @@ ORBIT_TWISTS = [
 
 @pytest.mark.parametrize("label,tw,m", ORBIT_TWISTS, ids=[c[0] for c in ORBIT_TWISTS])
 def test_min_distance_constant_on_generator_orbits(label, tw, m):
-    """For every monic g of degree 1..m-1, each member x of g's class (_class at
-    degree deg g) spans a code of length m with g's minimum distance, each
-    distance computed from x's own rows: the catalogue computes one per class."""
+    """For every monic g of degree 1..m-1, each member x of g's class (the orbit
+    of an _Orbits of degree deg g) spans a code of length m with g's minimum
+    distance, each distance computed from x's own rows: the catalogue computes
+    one per class."""
     ring = tw.ring
-    tables = _tau_tables(ring, False)
     dist = {}
 
     def distance(x):
@@ -303,15 +301,60 @@ def test_min_distance_constant_on_generator_orbits(label, tw, m):
 
     moved = 0
     for d in range(1, m):
-        scales = _unit_scales(tw, d)
+        orbits = _Orbits(tw, d)
         for tail in itertools.product(range(ring.size), repeat=d):
             g = tail + (ring.one.val,)
-            members = _class(tw, g, scales, tables)[0]
+            members = orbits.orbit(g)[0]
             assert g in members
             for x in members:
                 assert distance(x) == distance(g), (g, x)
             moved += len(members) - 1
-    assert moved > 0 or len(ring.units) * len(tables) == 1  # GF(2): every class is {g}
+    assert moved > 0 or len(ring.units) * len(orbits.taus) == 1  # GF(2): every class is {g}
+
+
+def test_catalogue_cap_checked_before_any_norm_row(monkeypatch):
+    """GF(256), m = 400: the 256^400 candidates exceed the cap, and run_catalogue
+    raises before any norm row is built, so classify._scales never runs (it
+    does run for a catalogue within the cap)."""
+    import skewcodes.classify as classify
+
+    calls = []
+    scales = classify._scales
+
+    def counted_scales(*args):
+        calls.append(args)
+        return scales(*args)
+
+    monkeypatch.setattr(classify, "_scales", counted_scales)
+    with pytest.raises(EnumerationCapExceeded):
+        run_catalogue(_twist(make_field(2, 8)), 400)
+    assert calls == []
+    run_catalogue(_twist(make_field(2, 1)), 2)
+    assert calls
+
+
+@pytest.mark.parametrize("tw,m,constacyclic", [(_twist(GF4, 1), 7, True),
+                                               (_twist(make_residue_ring(4)), 4, False)],
+                         ids=["GF(4) m=7 constacyclic", "Z_4 m=4"])
+def test_codes_for_builds_one_orbit_object_per_generator_degree(monkeypatch, tw, m,
+                                                                constacyclic):
+    """run_catalogue builds one _Orbits of degree m for the partition and one per
+    generator degree its codes meet, and none for a degree they do not meet
+    (GF(4), m = 7, constacyclic: no generator of degree 2 or 5)."""
+    import skewcodes.catalogue as catalogue
+
+    built = []
+
+    class CountedOrbits(_Orbits):
+        def __init__(self, twist, d):
+            built.append(d)
+            super().__init__(twist, d)
+
+    monkeypatch.setattr(catalogue, "_Orbits", CountedOrbits)
+    lines = run_catalogue(tw, m, constacyclic)
+    met = {len(code["g"]["coeffs"]) - 1 for line in lines for code in json.loads(line)["codes"]}
+    assert sorted(built) == sorted(met) + [m]
+    assert constacyclic == (len(met) < m)
 
 
 HYPOTHESIS_TWISTS = [

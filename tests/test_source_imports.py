@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses, every
-private function and method is used somewhere in the package, and importing the
-package leaves out the code that only `skewcodes verify` runs."""
+private function and method is used somewhere in the package, the private names
+modules take from each other are pinned, and importing the package leaves out
+the code that only `skewcodes verify` runs."""
 
 import ast
 import os
@@ -101,6 +102,34 @@ def test_no_unreferenced_private_defs():
     assert unreferenced_private_defs(sample) == [("a", "_orphan"), ("a", "_recursive")]
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_defs(sources) == []
+
+
+def private_imports(source: str):
+    """{sibling module: sorted private names} that ``source`` imports by relative imports."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [alias.name for alias in node.names if _is_private(alias.name)]
+            if names:
+                found.setdefault(node.module, []).extend(names)
+    return {module: sorted(names) for module, names in found.items()}
+
+
+# every private name a module takes from a sibling: a new cross-module
+# dependency on a private name shows up as a change here
+PRIVATE_IMPORTS = {
+    "catalogue": {"classify": ["_Orbits"], "codes": ["_min_distance"],
+                  "petit": ["_left_ideal_span"], "skewpoly": ["_divisor_tuples"]},
+    "codes": {"classify": ["_witness_map"], "petit": ["_check_generator", "_left_ideal_span"]},
+    "petit": {"skewpoly": ["_product"]},
+}
+
+
+def test_private_imports_pinned():
+    sample = "from .a import _x, y, __version__\nfrom os import _exit\nfrom .b import _z\n"
+    assert private_imports(sample) == {"a": ["_x"], "b": ["_z"]}
+    found = {p.stem: private_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {module: hits for module, hits in found.items() if hits} == PRIVATE_IMPORTS
 
 
 def test_import_leaves_verify_unloaded():
