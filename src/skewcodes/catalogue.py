@@ -9,7 +9,7 @@ from .classify import _Orbits
 from .codes import _min_distance
 from .errors import EnumerationCapExceeded, InvalidConfig
 from .petit import _left_ideal_span
-from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext, _divisor_tuples
+from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext, _divisor_cap, _divisor_tuples
 
 SCHEMA_VERSION = 1
 
@@ -52,11 +52,11 @@ def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     return [tail + (one,) for tail in itertools.product(range(ring.size), repeat=m)]
 
 
-def _partition(twist: TwistContext, m: int, constacyclic: bool, cap: int):
+def _partition(twist: TwistContext, m: int, candidates):
     """Full-equivalence classes as (members, Chen subclasses) of index tuples, canonically ordered.
 
     Each class is the orbit of its first pending candidate under one _Orbits
-    of degree m, built once _candidates has checked the cap.  Classes are
+    of degree m, the candidates as _candidates returns them.  Classes are
     orbits, so one found from its first pending candidate holds no member of
     an earlier class.  Candidates, members and Chen subclasses are index
     tuples, which sort in sort_key order.  The candidates come sorted
@@ -65,7 +65,6 @@ def _partition(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     first, pending or in an earlier class): the classes come out ordered by
     least member.
     """
-    candidates = _candidates(twist, m, constacyclic, cap)
     orbits = _Orbits(twist, m)
     pending = set(candidates)
     classes = []
@@ -85,7 +84,7 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
     poly = SkewPoly.from_indices
     return [{"members": [poly(g, twist) for g in members],
              "chen": [[poly(g, twist) for g in sub] for sub in chen]}
-            for members, chen in _partition(twist, m, constacyclic, cap)]
+            for members, chen in _partition(twist, m, _candidates(twist, m, constacyclic, cap))]
 
 
 def _codes_for(twist: TwistContext, m: int, cap: int, text):
@@ -148,13 +147,17 @@ def run_catalogue(twist: TwistContext, m: int, constacyclic: bool = False,
 
     The monic right divisors of every class representative come from one
     _divisor_tuples call, as index tuples, so representatives that share a
-    high part share each divisor scan.
+    high part share each divisor scan.  It scans degrees 1..m // 2 (monic f,
+    delta = 0), checked against the cap, least first, before any _Orbits.
     """
     if m < 2:
         raise InvalidConfig("catalogue needs degree m > 1")
     text = _poly_text(twist)
     codes = _codes_for(twist, m, cap, text)
-    classes = _partition(twist, m, constacyclic, cap)
+    candidates = _candidates(twist, m, constacyclic, cap)
+    if not twist.has_delta:  # else _Orbits raises DeltaNotZero first
+        _divisor_cap(twist.ring, range(1, m // 2 + 1), cap)
+    classes = _partition(twist, m, candidates)
     lists = _divisor_tuples(twist, [members[0] for members, _ in classes], cap)
     return [
         '{"chen_classes": [%s], "codes": [%s], "full_class": [%s], "representative": %s, '

@@ -323,10 +323,11 @@ def _left_divide(tw: TwistContext, gv, fv):
     return q, rem[:df]
 
 
-def _divisor_cap(ring, degree: int, cap: int):
-    """Raise EnumerationCapExceeded when the |S|^degree candidate divisors exceed cap."""
-    if ring.size ** degree > cap:
-        raise EnumerationCapExceeded(f"{ring.size}^{degree} candidate divisors exceed cap {cap}")
+def _divisor_cap(ring, degrees, cap: int):
+    """Raise EnumerationCapExceeded for the least degree whose |S|^degree candidates exceed cap."""
+    for d in sorted(degrees):
+        if ring.size ** d > cap:
+            raise EnumerationCapExceeded(f"{ring.size}^{d} candidate divisors exceed cap {cap}")
 
 
 def monic_right_divisor_table(tw: TwistContext, degree: int, high, lows,
@@ -334,22 +335,25 @@ def monic_right_divisor_table(tw: TwistContext, degree: int, high, lows,
     """The monic right divisors of the given degree of every f = low + high with low in lows.
 
     high is the index tuple of f_d..f_n and each low one of f_0..f_(d-1),
-    d = degree.  The result maps each low with a divisor to the sorted index
-    tails of its divisors.  Exact: split f = L + H, L the terms below t^d.
-    Right remainders by a monic g of degree d are left S-linear and
-    deg L < d, so f mod_r g = L + (H mod_r g), and g |_r f exactly when
-    L = -(H mod_r g).  So one pass over the |S|^d candidates, keyed by
-    -(H mod_r g), serves every f with high part H; only the tails of the
-    lows asked for are kept.
+    d = degree.  The result maps each low with a divisor to {tail: quotient}
+    over its divisors g = tail + t^d, sorted, with f = quotient*g.  Exact:
+    split f = L + H, L the terms below t^d.  Right remainders by a monic g of
+    degree d are left S-linear and deg L < d, so f mod_r g = L + (H mod_r g),
+    and g |_r f exactly when L = -(H mod_r g).  So one pass over the |S|^d
+    candidates, keyed by -(H mod_r g), serves every f with high part H; only
+    the divisors of the lows asked for are kept.
 
     Candidates run in itertools.product order, which is sort_key order.
     H mod_r g takes the steps of right_divide for a monic g: the step at
     t^top subtracts (c t^e)*g, c = rem[top], e = top - d, whose term
     c * (t^e * 1) * t^d = c t^top (sigma(1) = 1, delta(1) = 0) cancels
     rem[top] with no inverse, so only the tail terms g_j, j < d, are applied.
+    They write rem[l + j], l <= e and j < d, below top, so rem[top] = c is
+    final when read: rem[d:] ends as the quotient q of H by g, and f = q*g
+    when g divides f, as then L + (H mod_r g) = 0.
     """
     ring = tw.ring
-    _divisor_cap(ring, degree, cap)
+    _divisor_cap(ring, [degree], cap)
     add, mul, neg = ring._add, ring._mul, ring._neg
     wanted = {tuple([neg[c] for c in low]): low for low in lows}  # -(H mod_r g) -> low
     high = (0,) * degree + tuple(high)
@@ -366,7 +370,7 @@ def monic_right_divisor_table(tw: TwistContext, degree: int, high, lows,
                     rem[l + j] = add[rem[l + j]][row[e]]
         low = wanted.get(tuple(rem[:degree]))
         if low is not None:
-            table.setdefault(low, []).append(tail)
+            table.setdefault(low, {})[tail] = tuple(rem[degree:])
     return table
 
 
@@ -382,15 +386,16 @@ def _divisor_tuples(tw: TwistContext, fs, cap: int):
 
     Every (sigma's exponent, degree, high part) asked for is scanned once,
     keeping the low parts its polynomials need (monic_right_divisor_table).
-    For a monic f under delta = 0 the degrees above m // 2 are the left
-    quotients of f by psi^-1(p), p over the divisors of psi(f), under
-    sigma^-1: sigma's exponent in a table's key tells the two twists apart
-    (psi needs delta = 0, so they differ in sigma only), and when
-    sigma^-1 = sigma they share tables too.  Within a degree, index tuple
-    order is sort_key order.
+    For a monic f under delta = 0 the degrees above m // 2 are the psi^-1(Q)
+    over the quotients Q that the table of psi(f) keeps, under sigma^-1
+    (all_monic_right_divisors): sigma's exponent in a table's key tells the
+    two twists apart (psi needs delta = 0, so they differ in sigma only),
+    and when sigma^-1 = sigma they share tables too.  Within a degree, index
+    tuple order is sort_key order.
     """
-    ring, e = tw.ring, tw.sigma.frob_exp
+    ring = tw.ring
     one = (ring.one.val,)
+    to_psi, from_psi = _psi(tw.sigma), _psi(tw.sigma.inverse())
     plans, need = [], {}
     for f in fs:
         m = len(f) - 1
@@ -398,27 +403,28 @@ def _divisor_tuples(tw: TwistContext, fs, cap: int):
         top = m // 2 if halved else m - 1
         plan = [(tw, d, f, False) for d in range(1, top + 1)]
         if halved:
-            f_psi = tuple(_psi(ring, e, f))
+            f_psi = to_psi(f)
             plan += [(tw.opposite(), m - d, f_psi, True) for d in range(top + 1, m)]
         if f[-1:] != one:
             plan.append((tw, m, f, False))
         for twist, d, g, _ in plan:
-            need.setdefault((twist.sigma.frob_exp, d, g[d:]), (twist, set()))[1].add(g[:d])
+            key = (twist.sigma.frob_exp, d, g[d:])
+            if key not in need:
+                need[key] = (twist, set())
+            need[key][1].add(g[:d])
         plans.append((f, top, plan))
-    for degree in sorted({d for _, d, _ in need}):  # every cap before any scan
-        _divisor_cap(ring, degree, cap)
+    _divisor_cap(ring, {d for _, d, _ in need}, cap)  # every cap before any scan
     tables = {key: monic_right_divisor_table(twist, key[1], key[2], lows, cap)
               for key, (twist, lows) in need.items()}
     lists = []
     for f, top, plan in plans:
         out = [one] if top >= 0 and f != one else []  # f = 1 is appended below
         for twist, d, g, via_psi in plan:
-            tails = tables[twist.sigma.frob_exp, d, g[d:]].get(g[:d], ())
+            divisors = tables[twist.sigma.frob_exp, d, g[d:]].get(g[:d], {})
             if via_psi:
-                q = [tuple(_left_divide(tw, f, _psi(ring, -e, tail + one))[0]) for tail in tails]
-                out.extend(sorted(q))
+                out.extend(sorted([from_psi(q) for q in divisors.values()]))
             else:
-                out.extend([tail + one for tail in tails])
+                out.extend([tail + one for tail in divisors])
         if f[-1:] == one:
             out.append(f)
         lists.append(out)
@@ -451,18 +457,19 @@ def all_monic_right_divisors(f: SkewPoly, cap: int = DEFAULT_ENUM_CAP):
       degree d onto the monic left divisors of degree m - d.  Right division
       by a monic g is exact and unique, and lc(f) = lc(q)*sigma^(m-d)(lc(g))
       = lc(q), so q is monic.  Conversely f = q*g with q monic of degree m - d
-      gives lc(f) = sigma^(m-d)(lc(g)), so g is monic of degree d and is the
-      quotient of left_divide(f, q), which is unique.
+      gives lc(f) = sigma^(m-d)(lc(g)), so g is monic of degree d, and it is
+      unique, as q's unit leading coefficient makes left division by q exact.
     * q |_l f  <=>  psi(q) |_r psi(f).  psi is a bijection of S[t; sigma] onto
       S[t; sigma^-1] that fixes degrees and monicity, and it is
       anti-multiplicative: psi(a t^i * b t^j) = sigma^(-i-j)(a) sigma^(-j)(b)
       t^(i+j) = psi(b t^j) * psi(a t^i) under sigma^-1.  So f = q*g exactly
       when psi(f) = psi(g)*psi(q).
 
-    Hence the monic right divisors of f of degree d > m // 2 are the left
-    quotients of f by psi^-1(p), for p over the monic right divisors of psi(f)
-    of degree m - d < m - m // 2, a degree the lower half already scans.
-    psi^-1 is psi under sigma^-1: sum b_k t^k -> sum sigma^k(b_k) t^k.
+    Hence the monic right divisors of f of degree d > m // 2 are the psi^-1(Q)
+    with psi(f) = Q*p under sigma^-1, p over the monic right divisors of psi(f)
+    of degree m - d < m - m // 2, a degree the lower half already scans: then
+    f = psi^-1(p)*psi^-1(Q), and the scan for p keeps Q.  psi^-1 is psi under
+    sigma^-1: sum b_k t^k -> sum sigma^k(b_k) t^k.
     Under delta != 0 degrees 1..m - 1 are scanned, and for a non-monic f
     degrees 1..m.
     """
@@ -489,9 +496,11 @@ def psi(g: SkewPoly) -> SkewPoly:
     tw = g.twist
     if tw.has_delta:
         raise DeltaNotZero("psi is only implemented for delta = 0")
-    return SkewPoly.from_indices(_psi(tw.ring, tw.sigma.frob_exp, g.vals), tw.opposite())
+    return SkewPoly.from_indices(_psi(tw.sigma)(g.vals), tw.opposite())
 
 
-def _psi(ring: RingContext, e: int, vals):
-    """psi on index lists, sigma: x -> x^(p^e); sigma^(-k) is read from the Frobenius tables."""
-    return [ring.frobenius_table(-e * k)[c] for k, c in enumerate(vals)]
+def _psi(sigma: Automorphism):
+    """psi on index tuples, as a function; sigma^(-k) depends on k mod sigma's order only."""
+    ring, e = sigma.ctx, sigma.frob_exp
+    tables = [ring.frobenius_table(-e * k) for k in range(sigma.order)]
+    return lambda vals: tuple([table[c] for table, c in zip(itertools.cycle(tables), vals)])

@@ -459,6 +459,24 @@ def test_catalogue_scans_each_high_part_once(capsys, monkeypatch):
     assert (len(scans), sum(scans)) == (56, 416)
 
 
+def test_catalogue_reads_upper_divisors_off_the_scans(capsys, monkeypatch):
+    """Z_4, m = 4: every degree-3 divisor is psi^-1 of a quotient that a degree-1
+    table of psi(f) keeps (the 56 tables of test_catalogue_scans_each_high_part_once),
+    so the catalogue makes no left division; it made 160, one per upper-half divisor."""
+    import skewcodes.skewpoly as skewpoly
+
+    divisions = []
+    left_divide = skewpoly._left_divide
+
+    def counted_left_divide(*args):
+        divisions.append(args)
+        return left_divide(*args)
+
+    monkeypatch.setattr(skewpoly, "_left_divide", counted_left_divide)
+    code, _ = run(capsys, "catalogue", "--ring", "4", "--sigma", "0", "--m", "4")
+    assert (code, len(divisions)) == (0, 0)
+
+
 def test_catalogue_divisor_cap_exceeded(capsys):
     """GF(4), m = 4, constacyclic, --cap 3: the 3 candidates fit, the 4 degree-1
     divisor candidates do not, so the batch divisor scan exits 2."""
@@ -495,6 +513,25 @@ def test_catalogue_divisor_caps_checked_before_any_scan(capsys, monkeypatch, arg
     code = main(["catalogue", *argv, "--constacyclic"])
     assert (code, scans) == (2, [])
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_catalogue_divisor_cap_checked_before_any_norm_row(capsys, monkeypatch):
+    """GF(256), m = 400, constacyclic: the 255 candidates fit but the degree-3
+    divisor scans do not, and the catalogue exits 2 before it builds the
+    partition's _Orbits, so classify._scales never runs."""
+    import skewcodes.classify as classify
+
+    calls = []
+    scales = classify._scales
+
+    def counted_scales(*args):
+        calls.append(args)
+        return scales(*args)
+
+    monkeypatch.setattr(classify, "_scales", counted_scales)
+    code = main(["catalogue", "--field", "2,8", "--m", "400", "--constacyclic"])
+    assert (code, calls) == (2, [])
+    assert capsys.readouterr().err == "error: 256^3 candidate divisors exceed cap 1048576\n"
 
 
 def test_catalogue_gf8_sigma2_m3_bytes(capsys):

@@ -414,7 +414,8 @@ def test_divisor_lists_mix_monic_and_non_monic():
 def test_divisor_table_keys_low_parts():
     """Asked for every low part, the table of one high part holds every candidate
     once, keyed by the low part of the one f with that high part it divides, as
-    right_divide finds; asked for some, it keeps only theirs."""
+    right_divide finds, and keeps right_divide's quotient next to it; asked for
+    some, it keeps only theirs."""
     high = P(1, 0, 1, 1).vals[2:]
     lows = list(itertools.product(range(4), repeat=2))
     table = monic_right_divisor_table(TW, 2, high, lows)
@@ -424,6 +425,8 @@ def test_divisor_table_keys_low_parts():
         h = SkewPoly.from_indices(low + high, TW)
         expected = [g for g in _monics(TW, 2, False) if right_divide(h, g)[1].is_zero]
         assert [SkewPoly.from_indices(t + one, TW) for t in tails] == expected
+        for tail, quotient in tails.items():
+            assert quotient == right_divide(h, SkewPoly.from_indices(tail + one, TW))[0].vals
     some = list(table)[::2]
     assert monic_right_divisor_table(TW, 2, high, some) == {low: table[low] for low in some}
 
@@ -531,10 +534,11 @@ LEFT_QUOTIENT_CONFIGS = [
 @pytest.mark.parametrize("label,tw,m,stride", LEFT_QUOTIENT_CONFIGS,
                          ids=[c[0] for c in LEFT_QUOTIENT_CONFIGS])
 def test_index_left_quotient_matches_left_divide(label, tw, m, stride):
-    """The index-level left division that the psi-halved divisor lists read,
-    over every stride-th monic f of degree m and every monic q of degree
-    1..m-1, returns left_divide's quotient and remainder, the quotient already
-    trimmed (monic of degree m - deg q), and f = q*quotient + remainder."""
+    """The index-level left division behind left_divide (no divisor list reads
+    it: the upper half comes off the scans' quotients), over every stride-th
+    monic f of degree m and every monic q of degree 1..m-1, returns
+    left_divide's quotient and remainder, the quotient already trimmed (monic
+    of degree m - deg q), and f = q*quotient + remainder."""
     qs = [q for d in range(1, m) for q in _monics(tw, d, False)]
     for f in _monics(tw, m, False)[::stride]:
         for q in qs:

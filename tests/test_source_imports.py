@@ -119,7 +119,8 @@ def private_imports(source: str):
 # dependency on a private name shows up as a change here
 PRIVATE_IMPORTS = {
     "catalogue": {"classify": ["_Orbits"], "codes": ["_min_distance"],
-                  "petit": ["_left_ideal_span"], "skewpoly": ["_divisor_tuples"]},
+                  "petit": ["_left_ideal_span"],
+                  "skewpoly": ["_divisor_cap", "_divisor_tuples"]},
     "codes": {"classify": ["_witness_map"], "petit": ["_check_generator", "_left_ideal_span"]},
     "petit": {"skewpoly": ["_product"]},
 }
