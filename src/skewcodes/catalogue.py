@@ -35,7 +35,16 @@ def _poly_text(twist: TwistContext):
     return text
 
 
-def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
+def _candidate_cap(ring, m: int, constacyclic: bool, cap: int):
+    """EnumerationCapExceeded if _candidates would exceed cap; |S|^m is read as in _divisor_cap."""
+    if constacyclic:
+        if len(ring.units) > cap:
+            raise EnumerationCapExceeded("unit enumeration exceeds cap")
+    elif ring.size ** min(m, cap.bit_length()) > cap:
+        raise EnumerationCapExceeded(f"{ring.size}^{m} candidate polynomials exceed cap {cap}")
+
+
+def _candidates(twist: TwistContext, m: int, constacyclic: bool):
     """Monic degree-m candidates as index tuples, sorted (_partition relies on it).
 
     The constacyclic t^m - a are sorted by -a's index: negation is not
@@ -44,19 +53,15 @@ def _candidates(twist: TwistContext, m: int, constacyclic: bool, cap: int):
     ring = twist.ring
     one = ring.one.val
     if constacyclic:
-        if len(ring.units) > cap:
-            raise EnumerationCapExceeded("unit enumeration exceeds cap")
         return sorted((ring._neg[a.val],) + (0,) * (m - 1) + (one,) for a in ring.units)
-    if ring.size ** m > cap:
-        raise EnumerationCapExceeded(f"{ring.size}^{m} candidate polynomials exceed cap {cap}")
     return [tail + (one,) for tail in itertools.product(range(ring.size), repeat=m)]
 
 
-def _partition(twist: TwistContext, m: int, candidates):
+def _partition(orbits: _Orbits, candidates):
     """Full-equivalence classes as (members, Chen subclasses) of index tuples, canonically ordered.
 
-    Each class is the orbit of its first pending candidate under one _Orbits
-    of degree m, the candidates as _candidates returns them.  Classes are
+    Each class is the orbit of its first pending candidate under orbits, the
+    _Orbits of degree m, the candidates as _candidates returns them.  Classes are
     orbits, so one found from its first pending candidate holds no member of
     an earlier class.  Candidates, members and Chen subclasses are index
     tuples, which sort in sort_key order.  The candidates come sorted
@@ -65,7 +70,6 @@ def _partition(twist: TwistContext, m: int, candidates):
     first, pending or in an earlier class): the classes come out ordered by
     least member.
     """
-    orbits = _Orbits(twist, m)
     pending = set(candidates)
     classes = []
     for f in candidates:
@@ -81,10 +85,11 @@ def partition_classes(twist: TwistContext, m: int, constacyclic: bool, cap: int)
     """_partition's classes as {"members": [...], "chen": [[...], ...]} of SkewPolys."""
     if m < 1:
         raise InvalidConfig(f"class partitions need degree m >= 1, got {m}")
+    _candidate_cap(twist.ring, m, constacyclic, cap)
     poly = SkewPoly.from_indices
     return [{"members": [poly(g, twist) for g in members],
              "chen": [[poly(g, twist) for g in sub] for sub in chen]}
-            for members, chen in _partition(twist, m, _candidates(twist, m, constacyclic, cap))]
+            for members, chen in _partition(_Orbits(twist, m), _candidates(twist, m, constacyclic))]
 
 
 def _codes_for(twist: TwistContext, m: int, cap: int, text):
@@ -148,16 +153,17 @@ def run_catalogue(twist: TwistContext, m: int, constacyclic: bool = False,
     The monic right divisors of every class representative come from one
     _divisor_tuples call, as index tuples, so representatives that share a
     high part share each divisor scan.  It scans degrees 1..m // 2 (monic f,
-    delta = 0), checked against the cap, least first, before any _Orbits.
+    delta = 0).  The candidates' and those degrees' caps are checked, in that
+    order, before anything of size m is built.
     """
     if m < 2:
         raise InvalidConfig("catalogue needs degree m > 1")
-    text = _poly_text(twist)
-    codes = _codes_for(twist, m, cap, text)
-    candidates = _candidates(twist, m, constacyclic, cap)
+    _candidate_cap(twist.ring, m, constacyclic, cap)
     if not twist.has_delta:  # else _Orbits raises DeltaNotZero first
         _divisor_cap(twist.ring, range(1, m // 2 + 1), cap)
-    classes = _partition(twist, m, candidates)
+    classes = _partition(_Orbits(twist, m), _candidates(twist, m, constacyclic))
+    text = _poly_text(twist)
+    codes = _codes_for(twist, m, cap, text)
     lists = _divisor_tuples(twist, [members[0] for members, _ in classes], cap)
     return [
         '{"chen_classes": [%s], "codes": [%s], "full_class": [%s], "representative": %s, '

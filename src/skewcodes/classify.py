@@ -136,7 +136,8 @@ def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Elemen
     (t^m mod_r h) = -sum N_m(alpha) h_i t^i (right remainders are left
     S-linear), and dividing by the unit N_i(alpha) gives the closed form.
     For m = 1 no product reaches t, so every such G is multiplicative while
-    this test still compares the constants.
+    this test still compares the constants.  It holds exactly when tau(f) =
+    h_alpha (_Orbits.chen_class), the lookup by which classify_pair decides k = 1.
     """
     _require_classifiable(f, h)
     ring = f.twist.ring
@@ -338,42 +339,38 @@ def verify_witness_multiplicative(
     return True
 
 
-# the ladder, strongest relation first; a witness's rung is (k == 1, tau is the identity)
-_LADDER = {
-    (True, True): Relation.CHEN_EQUIVALENT,
-    (True, False): Relation.EQUIVALENT,
-    (False, True): Relation.CHEN_ISOMETRIC,
-    (False, False): Relation.ISOMETRIC,
-}
-
-
 def _first_witness(f: SkewPoly, h: SkewPoly, degrees, taus):
-    """The first (relation, witness) of the ladder over degrees and taus, or None.
+    """The first (relation, witness) of the ladder over degrees and taus (identity first), or None.
 
-    The rungs run in _LADDER order, strongest first; within a rung the scan
-    goes by degree, then tau, then unit alpha, each in the given order.
-    k = 1 is decided by check_equivalence (its docstring proves that this is
-    the multiplicativity test for m >= 2), and every k > 1 candidate by
-    verify_witness_multiplicative alone, on S_f and S_h, which are built at
-    the first such verification and shared by the rest of the pass.
+    Rungs, strongest first: ChenEquivalent (k = 1, tau = id), Equivalent (k = 1),
+    ChenIsometric (k > 1, tau = id), Isometric (k > 1), each scanned by degree, tau, alpha.
+    check_equivalence(f, h, tau, alpha) holds exactly when tau(f) = h_alpha, so k = 1
+    looks tau(f) up, tau by tau, in a map from each h_alpha of one _Orbits of degree m
+    to its first alpha in unit order.  verify_witness_multiplicative alone decides k > 1,
+    on S_f and S_h, built at the first verification and shared after it.
     """
     units = f.twist.ring.units
+    if 1 in degrees:
+        chen = _Orbits(f.twist, int(f.degree)).chen_class(h.vals)
+        first = dict(zip(chen[::-1], units[::-1]))  # the last value set is the first alpha
+        for tau in taus:
+            tt = f.twist.ring.frobenius_table(tau.frob_exp)
+            alpha = first.get(tuple([tt[c] for c in f.vals]))
+            if alpha is not None:
+                relation = Relation.CHEN_EQUIVALENT if tau.is_identity else Relation.EQUIVALENT
+                return relation, IsometryWitness(tau, alpha)
     algebras = None
-    for rung, relation in _LADDER.items():
+    for relation, chen in ((Relation.CHEN_ISOMETRIC, True), (Relation.ISOMETRIC, False)):
         for k in degrees:
             for tau in taus:
-                if (k == 1, tau.is_identity) != rung:
+                if k == 1 or tau.is_identity != chen:
                     continue
                 for alpha in units:
-                    if k == 1:
-                        if check_equivalence(f, h, tau, alpha):
-                            return relation, IsometryWitness(tau, alpha)
-                    else:
-                        if algebras is None:
-                            algebras = PetitAlgebra(f), PetitAlgebra(h)
-                        w = IsometryWitness(tau, alpha, k)
-                        if verify_witness_multiplicative(*algebras, w):
-                            return relation, w
+                    if algebras is None:
+                        algebras = PetitAlgebra(f), PetitAlgebra(h)
+                    w = IsometryWitness(tau, alpha, k)
+                    if verify_witness_multiplicative(*algebras, w):
+                        return relation, w
     return None
 
 
@@ -387,10 +384,10 @@ def classify_pair(
     its (k == 1, tau is the identity).  One _first_witness pass finds the
     first rung with a witness, searched by degree, then tau, then alpha.
     chen_only keeps tau = id; k keeps that one degree, which must be 1 or a
-    valid_isometry_degrees entry (InvalidK if not).  The rungs are disjoint:
-    each (tau, alpha) is checked and each (tau, alpha, k) verified at most
-    once, and S_f and S_h are built at most once.  NotRelated carries
-    fast_reject's reason.
+    valid_isometry_degrees entry (InvalidK if not).  k = 1 reads one _Orbits
+    of degree m and makes no check_equivalence call; each (tau, alpha, k > 1)
+    is verified at most once, and S_f and S_h are built at most once.
+    NotRelated carries fast_reject's reason.
     """
     _require_classifiable(f, h)
     degrees = [1] + valid_isometry_degrees(int(f.degree), f.twist.sigma.order)
@@ -425,7 +422,7 @@ class _Orbits:
     tau is a ring automorphism that commutes with sigma (both are powers of
     the Frobenius, or the identity over Z_n).  So the Chen class C of h, the
     h_alpha over the units alpha, is the scaled coefficients
-    scales[alpha][i][h_i], and the class is the union of the images tau(C).
+    scales[alpha][i][h_i] (chen_class), and the class is the union of the images tau(C).
     The units act by a group action, h -> h_alpha: norms are multiplicative
     in the commutative S, so (h_alpha)_beta = h_(alpha*beta).  And
     tau(h_alpha) = tau(h)_(tau(alpha)), where tau(alpha) runs over the units
@@ -449,10 +446,14 @@ class _Orbits:
         self.scales = [_scales(twist, alpha.val, m) for alpha in ring.units]
         self.taus = [ring.frobenius_table(tau.frob_exp) for tau in all_automorphisms(ring)]
 
+    def chen_class(self, hv):
+        """h's Chen class, h_alpha for each unit alpha in unit order (repeats kept)."""
+        return [tuple([row[c] for row, c in zip(rows, hv)]) + hv[-1:] for rows in self.scales]
+
     def orbit(self, hv, chen_only: bool = False):
         """h's class (monic index tuple hv) as (members, Chen subclasses), all sorted,
         the subclasses by least member; chen_only keeps tau = id, the Chen class."""
-        chen = {tuple([row[c] for row, c in zip(rows, hv)]) + hv[-1:] for rows in self.scales}
+        chen = set(self.chen_class(hv))
         subs = {}
         for tt in self.taus[:1] if chen_only else self.taus:
             sub = sorted(tuple([tt[c] for c in g]) for g in chen)

@@ -66,7 +66,7 @@ def build_code(A: PetitAlgebra, g: SkewPoly) -> LinearCode:
     return LinearCode(A, g, _left_ideal_span(A.twist, A.m, g.vals))
 
 
-def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
+def code_class_codes(A: PetitAlgebra):
     """One code per monic right divisor of f of degree 0..m-1.
 
     The divisors come from all_monic_right_divisors (the one-polynomial
@@ -78,21 +78,21 @@ def code_class_codes(A: PetitAlgebra, cap: int = DEFAULT_ENUM_CAP):
     """
     return [
         LinearCode(A, g, _left_ideal_span(A.twist, A.m, g.vals))
-        for g in all_monic_right_divisors(A.f, cap=cap)
+        for g in all_monic_right_divisors(A.f)
         if g.degree < A.m
     ]
 
 
-def shift_closure_check(C: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def shift_closure_check(C: LinearCode) -> bool:
     """Whether the twisted shift defined by f maps every codeword back into C.
 
     The shift of c is t*c mod_r f, the product t o c of S_f (mul_indices):
     sigma(c_(i-1)) + sigma(c_(m-1))*a_i + delta(c_i) at column i, with
-    f = t^m - sum a_i t^i.
+    f = t^m - sum a_i t^i.  Its codewords are enumerated under DEFAULT_ENUM_CAP.
     """
     A = C.algebra
     t = (0, A.ring.one.val)
-    words = C._words(cap)
+    words = C._words(DEFAULT_ENUM_CAP)
     return all(tuple(A.mul_indices(t, w)) in words for w in words)
 
 

@@ -83,8 +83,8 @@ class PetitAlgebra:
 
     @functools.cached_property
     def _associative(self) -> bool:
-        """Whether S_f is associative, by step 5 of probe_structure (_is_zero_map)."""
-        return _is_zero_map(_eigenring_rows(self))
+        """Whether S_f is associative: _eigenring_rows are all zero (probe_structure, step 5)."""
+        return not any(map(any, _eigenring_rows(self)))
 
     def basis(self):
         return [SkewPoly.t_power(i, self.twist) for i in range(self.m)]
@@ -196,11 +196,6 @@ def _eigenring_rows(A: PetitAlgebra):
     return rows
 
 
-def _is_zero_map(rows) -> bool:
-    """Whether _eigenring_rows gave only zero rows: S_f is associative (probe_structure, step 5)."""
-    return not any(map(any, rows))
-
-
 def probe_structure(A: PetitAlgebra) -> StructureReport:
     """Associativity, nucleus dimensions and two-sidedness of f, from one additive kernel.
 
@@ -230,7 +225,7 @@ def probe_structure(A: PetitAlgebra) -> StructureReport:
     """
     ring, m, c = A.ring, A.m, A.ring.characteristic
     erows = _eigenring_rows(A)
-    associative = _is_zero_map(erows)
+    associative = not any(map(any, erows))
     if associative:
         orders = [ring.size ** m] * 3
     else:

@@ -292,25 +292,20 @@ def right_divide(g: SkewPoly, f: SkewPoly):
 
 
 def left_divide(g: SkewPoly, f: SkewPoly):
-    """q, rem with g = f*q + rem and deg(rem) < deg(f), as SkewPolys: the view of _left_divide."""
-    _divisor_degree(g, f)
-    q, rem = _left_divide(g.twist, g.vals, f.vals)
-    return SkewPoly.from_indices(q, g.twist), SkewPoly.from_indices(rem, g.twist)
+    """q, rem with g = f*q + rem and deg(rem) < deg(f), on index lists.
 
-
-def _left_divide(tw: TwistContext, gv, fv):
-    """left_divide on index lists, for an fv whose top coefficient is a unit.
-
-    Each step cancels the leading term of rem with f*(c t^d), which is
-    sum_j f_j * (t^j * c) * t^d and has leading coefficient lc(f) * sigma^deg(f)(c).
+    f must have a unit leading coefficient.  Each step cancels the leading
+    term of rem with f*(c t^d), which is sum_j f_j * (t^j * c) * t^d and has
+    leading coefficient lc(f) * sigma^deg(f)(c).
     """
-    df = len(fv) - 1
+    df = _divisor_degree(g, f)
+    tw = g.twist
     ring = tw.ring
     add, mul, neg = ring._add, ring._mul, ring._neg
     unshift = ring.frobenius_table(-df * tw.sigma.frob_exp)  # sigma^(-deg f)
-    lead_inv = mul[ring._inv[fv[-1]]]
-    f_terms = [(mul[neg[fj]], tw.t_times(j)) for j, fj in enumerate(fv) if fj]
-    rem = list(gv)
+    lead_inv = mul[ring._inv[f.vals[-1]]]
+    f_terms = [(mul[neg[fj]], tw.t_times(j)) for j, fj in enumerate(f.vals) if fj]
+    rem = list(g.vals)
     q = [0] * max(len(rem) - df, 0)
     for top in range(len(rem) - 1, df - 1, -1):
         if not rem[top]:
@@ -320,13 +315,15 @@ def _left_divide(tw: TwistContext, gv, fv):
         for row, tb in f_terms:
             for l, e in tb[c]:
                 rem[l + d] = add[rem[l + d]][row[e]]
-    return q, rem[:df]
+    return SkewPoly.from_indices(q, tw), SkewPoly.from_indices(rem[:df], tw)
 
 
 def _divisor_cap(ring, degrees, cap: int):
-    """Raise EnumerationCapExceeded for the least degree whose |S|^degree candidates exceed cap."""
-    for d in sorted(degrees):
-        if ring.size ** d > cap:
+    """Raise EnumerationCapExceeded for the least of the ascending degrees whose |S|^degree
+    candidates exceed cap.  |S| >= 2 and 2^b > cap for b = cap.bit_length(), so |S|^min(d, b)
+    exceeds cap exactly when |S|^d does, and the loop stops by degree b."""
+    for d in degrees:
+        if ring.size ** min(d, cap.bit_length()) > cap:
             raise EnumerationCapExceeded(f"{ring.size}^{d} candidate divisors exceed cap {cap}")
 
 
@@ -413,7 +410,7 @@ def _divisor_tuples(tw: TwistContext, fs, cap: int):
                 need[key] = (twist, set())
             need[key][1].add(g[:d])
         plans.append((f, top, plan))
-    _divisor_cap(ring, {d for _, d, _ in need}, cap)  # every cap before any scan
+    _divisor_cap(ring, sorted({d for _, d, _ in need}), cap)  # every cap before any scan
     tables = {key: monic_right_divisor_table(twist, key[1], key[2], lows, cap)
               for key, (twist, lows) in need.items()}
     lists = []

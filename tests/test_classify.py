@@ -417,20 +417,25 @@ def test_classify_pair_first_pairs_make_no_product_of_s_f(monkeypatch):
      Relation.NOT_RELATED),
 ])
 def test_classify_pair_checks_no_equivalence_twice(monkeypatch, f, h, relation):
-    """One equivalence scan: each (tau, alpha) is checked at most once per call."""
+    """The k = 1 rungs are read off one _Orbits of degree m: no check_equivalence call
+    per (tau, alpha), and no second set of norm rows."""
     import skewcodes.classify as classify
 
-    seen = []
-    check = classify.check_equivalence
+    checked, built = [], []
+    check, orbits = classify.check_equivalence, classify._Orbits
 
-    def counting(f, h, tau, alpha):
-        seen.append((tau.frob_exp, alpha.val))
-        return check(f, h, tau, alpha)
+    def counting_check(*args):
+        checked.append(args)
+        return check(*args)
 
-    monkeypatch.setattr(classify, "check_equivalence", counting)
+    def counting_orbits(twist, m):
+        built.append(m)
+        return orbits(twist, m)
+
+    monkeypatch.setattr(classify, "check_equivalence", counting_check)
+    monkeypatch.setattr(classify, "_Orbits", counting_orbits)
     assert classify_pair(f, h).relation == relation
-    assert seen
-    assert len(set(seen)) == len(seen)
+    assert (checked, built) == ([], [int(f.degree)])
 
 
 def test_classify_pair_single_degree():
@@ -514,7 +519,8 @@ GF16_FROB = _twist(make_field(2, 4), 1)
 # valid degree k > 1.  Over GF(16) the non-Chen rung has three taus: on 8 of the 768
 # pairs left, scanning alpha before tau would change its first witness.  On the
 # Frobenius constacyclic configs sigma moves some constants, and 4, 50 and 100
-# NotRelated pairs reach the k > 1 rungs
+# NotRelated pairs reach the k > 1 rungs.  Over Z_4 and Z_9 zero divisors make
+# several alpha share one h_alpha, so the k = 1 witness is the first of them
 LADDER_CONFIGS = [
     ("GF(4) id m=3", monic_polys(_twist(GF4), 3), 2, 3),
     ("GF(7) constacyclic m=3", [consta(GF7_ID, 3, a) for a in GF7_ID.ring.units], 2, 1),
@@ -525,6 +531,8 @@ LADDER_CONFIGS = [
      [consta(GF9_FROB, 4, a) for a in GF9_FROB.ring.units], 3, 1),
     ("GF(16) Frobenius constacyclic m=6",
      [consta(GF16_FROB, 6, a) for a in GF16_FROB.ring.units], 5, 1),
+    ("Z_4 m=3", monic_polys(_twist(Z4), 3), 2, 1),
+    ("Z_9 m=2", monic_polys(_twist(make_residue_ring(9)), 2), None, 1),
 ]
 
 
@@ -552,6 +560,35 @@ def test_classify_pair_ladder_oracle(label, polys, K, stride):
                         (f, h, chen_only, k)
                     if relation == Relation.NOT_RELATED:
                         assert got.filter_reason == reason
+
+
+DEGREE_ONE_CONFIGS = [
+    ("GF(4) Frobenius", TW),
+    ("Z_4", _twist(Z4)),
+    ("GF(9) Frobenius", GF9_FROB),
+]
+
+
+@pytest.mark.parametrize("label,tw", DEGREE_ONE_CONFIGS, ids=[c[0] for c in DEGREE_ONE_CONFIGS])
+def test_classify_pair_degree_one_matches_equivalence_scan(label, tw):
+    """m = 1, where PetitAlgebra (and so the ladder oracle) is not defined: classify_pair
+    in both chen_only modes against a check_equivalence scan by tau, then alpha, on every
+    pair of monic t - a.  k = 1 is the only degree, so the first (tau, alpha) that holds
+    is the witness, and its rung is ChenEquivalent for the identity, else Equivalent."""
+    polys = monic_polys(tw, 1)
+    taus = all_automorphisms(tw.ring)
+    for f, h in itertools.product(polys, repeat=2):
+        for chen_only in (False, True):
+            expected = next(
+                ((Relation.CHEN_EQUIVALENT if tau.is_identity else Relation.EQUIVALENT,
+                  IsometryWitness(tau, alpha))
+                 for tau in (taus[:1] if chen_only else taus) for alpha in tw.ring.units
+                 if check_equivalence(f, h, tau, alpha)),
+                (Relation.NOT_RELATED, None))
+            got = classify_pair(f, h, chen_only=chen_only)
+            assert (got.relation, got.witness) == expected, (f, h, chen_only)
+            if got.witness is None:
+                assert got.filter_reason == fast_reject(f, h)
 
 
 NORM_RINGS = [

@@ -466,13 +466,13 @@ def test_catalogue_reads_upper_divisors_off_the_scans(capsys, monkeypatch):
     import skewcodes.skewpoly as skewpoly
 
     divisions = []
-    left_divide = skewpoly._left_divide
+    left_divide = skewpoly.left_divide
 
     def counted_left_divide(*args):
         divisions.append(args)
         return left_divide(*args)
 
-    monkeypatch.setattr(skewpoly, "_left_divide", counted_left_divide)
+    monkeypatch.setattr(skewpoly, "left_divide", counted_left_divide)
     code, _ = run(capsys, "catalogue", "--ring", "4", "--sigma", "0", "--m", "4")
     assert (code, len(divisions)) == (0, 0)
 
@@ -532,6 +532,31 @@ def test_catalogue_divisor_cap_checked_before_any_norm_row(capsys, monkeypatch):
     code = main(["catalogue", "--field", "2,8", "--m", "400", "--constacyclic"])
     assert (code, calls) == (2, [])
     assert capsys.readouterr().err == "error: 256^3 candidate divisors exceed cap 1048576\n"
+
+
+def test_over_cap_catalogue_raises_before_building_anything_of_size_m():
+    """GF(256) Frobenius, m = 200,000, constacyclic: the 255 candidates fit but the
+    degree-3 divisor scans do not.  Both caps are checked before the candidates (255
+    tuples of length m + 1) are built, and the degree check walks neither the
+    100,000 degrees nor a sorted copy of them, so the traced peak stays under 1 MiB."""
+    import tracemalloc
+
+    from skewcodes.catalogue import run_catalogue
+    from skewcodes.coeffring import Automorphism, make_field
+    from skewcodes.errors import EnumerationCapExceeded
+    from skewcodes.skewpoly import TwistContext
+
+    ring = make_field(2, 8)
+    twist = TwistContext(ring, Automorphism(ring, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded,
+                           match=r"^256\^3 candidate divisors exceed cap 1048576$"):
+            run_catalogue(twist, 200_000, constacyclic=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_catalogue_gf8_sigma2_m3_bytes(capsys):

@@ -16,7 +16,6 @@ from skewcodes.errors import (
 from skewcodes.skewpoly import (
     SkewPoly,
     TwistContext,
-    _left_divide,
     all_monic_right_divisors,
     enumerate_monic_right_divisors,
     left_divide,
@@ -534,18 +533,17 @@ LEFT_QUOTIENT_CONFIGS = [
 @pytest.mark.parametrize("label,tw,m,stride", LEFT_QUOTIENT_CONFIGS,
                          ids=[c[0] for c in LEFT_QUOTIENT_CONFIGS])
 def test_index_left_quotient_matches_left_divide(label, tw, m, stride):
-    """The index-level left division behind left_divide (no divisor list reads
-    it: the upper half comes off the scans' quotients), over every stride-th
-    monic f of degree m and every monic q of degree 1..m-1, returns
-    left_divide's quotient and remainder, the quotient already trimmed (monic
-    of degree m - deg q), and f = q*quotient + remainder."""
+    """left_divide on index lists (no divisor list reads it: the upper half comes
+    off the scans' quotients), over every stride-th monic f of degree m and every
+    monic q of degree 1..m-1, returns its quotient already trimmed (monic of degree
+    m - deg q) and f = q*quotient + remainder."""
     qs = [q for d in range(1, m) for q in _monics(tw, d, False)]
     for f in _monics(tw, m, False)[::stride]:
         for q in qs:
-            quot, rem = _left_divide(tw, f.vals, q.vals)
-            expected = left_divide(f, q)
-            assert (tuple(quot), SkewPoly.from_indices(rem, tw)) == (expected[0].vals, expected[1])
-            assert skew_mul(q, expected[0]) + expected[1] == f, (f, q)
+            quot, rem = left_divide(f, q)
+            assert (quot.degree, quot.is_monic) == (m - q.degree, True), (f, q)
+            assert rem.is_zero or rem.degree < q.degree, (f, q)
+            assert skew_mul(q, quot) + rem == f, (f, q)
 
 
 def test_psi_rejects_delta():
