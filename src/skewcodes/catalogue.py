@@ -150,11 +150,9 @@ def run_catalogue(twist: TwistContext, m: int, constacyclic: bool = False,
     from json.dumps of the leaves (the element forms of _poly_text) and ints
     written by %d, as json.dumps writes them, therefore has the same bytes.
 
-    The monic right divisors of every class representative come from one
-    _divisor_tuples call, as index tuples, so representatives that share a
-    high part share each divisor scan.  It scans degrees 1..m // 2 (monic f,
-    delta = 0).  The candidates' and those degrees' caps are checked, in that
-    order, before anything of size m is built.
+    One _divisor_tuples call gives every representative's monic right divisors,
+    one pass per degree 1..m // 2 for all of them.  The candidates' and those
+    degrees' caps are checked, in that order, before anything of size m is built.
     """
     if m < 2:
         raise InvalidConfig("catalogue needs degree m > 1")

@@ -102,24 +102,24 @@ def _is_constacyclic(vals) -> bool:
 
 
 def _scales(tw, alpha: int, m: int):
-    """The rows mul[N_(m-i)(sigma^i(alpha))] for i < m: multiplying by N_(m-i)(sigma^i(alpha)).
+    """The rows mul[N_(m-i)(sigma^i(alpha))] for i <= m: multiplying by N_(m-i)(sigma^i(alpha)).
 
     N_m(alpha) = N_i(alpha) * N_(m-i)(sigma^i(alpha)), as both sides are
     alpha * sigma(alpha) * ... * sigma^(m-1)(alpha) (S is commutative), so for a
     unit alpha N_(m-i)(sigma^i(alpha)) = N_m(alpha) / N_i(alpha): every norm
-    comes from the one list N_0(alpha), ..., N_m(alpha).
+    comes from the one list N_0(alpha), ..., N_m(alpha).  Row m is mul[1].
     """
     ring = tw.ring
     mul, inv = ring._mul, ring._inv
     norms = _norms(ring, tw.sigma.frob_exp, alpha, m)
     top = mul[norms[m]]
-    return [mul[top[inv[n]]] for n in norms[:m]]
+    return [mul[top[inv[n]]] for n in norms]
 
 
 def check_equivalence(f: SkewPoly, h: SkewPoly, tau: Automorphism, alpha: Element) -> bool:
     """Test tau(a_i) = N_(m-i)(sigma^i(alpha)) * b_i for all i.
 
-    As a_i = -f_i and b_i = -h_i, this is tau(f_i) = _scales(alpha, m)[i][h_i].
+    As a_i = -f_i and b_i = -h_i, this is tau(f_i) = _scales(alpha, m)[i][h_i], 1 = 1 at i = m.
 
     For m >= 2 this is verify_witness_multiplicative on the witness
     (tau, alpha, 1), so k = 1 needs no multiplicativity check.  Extend G to
@@ -414,22 +414,22 @@ def equivalence_class_of(h: SkewPoly, chen_only: bool = False):
 class _Orbits:
     """The action of units x| Aut(S) on the monic h of degree m under twist:
     DeltaNotZero for delta != 0, else built once per (twist, m), each unit's
-    _scales rows in unit order and the tau tables, the identity first.
+    m + 1 _scales rows in unit order and the tau tables, the identity first.
 
     h_(tau, alpha) = t^m - sum N_(m-i)(sigma^i(tau(alpha))) * tau(b_i) t^i,
     with b_i = -h_i, has at t^i the coefficient
     N_(m-i)(sigma^i(tau(alpha))) * tau(h_i) = tau(N_(m-i)(sigma^i(alpha)) * h_i):
     tau is a ring automorphism that commutes with sigma (both are powers of
     the Frobenius, or the identity over Z_n).  So the Chen class C of h, the
-    h_alpha over the units alpha, is the scaled coefficients
-    scales[alpha][i][h_i] (chen_class), and the class is the union of the images tau(C).
-    The units act by a group action, h -> h_alpha: norms are multiplicative
-    in the commutative S, so (h_alpha)_beta = h_(alpha*beta).  And
-    tau(h_alpha) = tau(h)_(tau(alpha)), where tau(alpha) runs over the units
-    as alpha does, so tau(C) is the Chen class of tau(h).  Every member x of
-    the class lies in some tau(C), which is then the Chen class of x: the
-    subclasses are the distinct images, and two images, being orbits,
-    coincide or are disjoint, so each is identified by its least member.
+    h_alpha over the units alpha, is scales[alpha][i][h_i] (chen_class), and the
+    class is the union of the images tau(C).  The units act by a group
+    action, h -> h_alpha: norms are multiplicative in the commutative S, so
+    (h_alpha)_beta = h_(alpha*beta).  And tau(h_alpha) = tau(h)_(tau(alpha)),
+    where tau(alpha) runs over the units as alpha does, so tau(C) is the Chen
+    class of tau(h).  Every member x lies in some tau(C), the Chen class of x:
+    the subclasses are the distinct images, the identity's C itself, and two
+    images, being orbits, coincide or are disjoint: each is named by its least
+    member, and the members are their disjoint union.
     Classes are orbits too, so two classes coincide or are disjoint.
 
     Equivalently, the class is the monic(H(h)) = N_m(gamma)^-1 H(h) over the
@@ -448,18 +448,18 @@ class _Orbits:
 
     def chen_class(self, hv):
         """h's Chen class, h_alpha for each unit alpha in unit order (repeats kept)."""
-        return [tuple([row[c] for row, c in zip(rows, hv)]) + hv[-1:] for rows in self.scales]
+        return [tuple(map(list.__getitem__, rows, hv)) for rows in self.scales]
 
     def orbit(self, hv, chen_only: bool = False):
         """h's class (monic index tuple hv) as (members, Chen subclasses), all sorted,
         the subclasses by least member; chen_only keeps tau = id, the Chen class."""
-        chen = set(self.chen_class(hv))
-        subs = {}
-        for tt in self.taus[:1] if chen_only else self.taus:
-            sub = sorted(tuple([tt[c] for c in g]) for g in chen)
+        chen = sorted(set(self.chen_class(hv)))
+        subs = {chen[0]: chen}
+        for tt in [] if chen_only else self.taus[1:]:
+            sub = sorted([tuple(map(tt.__getitem__, g)) for g in chen])
             subs.setdefault(sub[0], sub)
         subclasses = [subs[least] for least in sorted(subs)]
-        return sorted(g for sub in subclasses for g in sub), subclasses
+        return (chen if len(subs) == 1 else sorted([g for s in subclasses for g in s])), subclasses
 
 
 def count_constacyclic_classes(ctx: RingContext, sigma: Automorphism, m: int):

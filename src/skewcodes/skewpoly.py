@@ -12,12 +12,14 @@ and in its coeffs view.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 from .coeffring import Automorphism, Element, RingContext
 from .errors import (
     ContextMismatch,
     DeltaNotZero,
     EnumerationCapExceeded,
+    InvalidConfig,
     NonInvertibleLeadingCoefficient,
 )
 
@@ -327,101 +329,102 @@ def _divisor_cap(ring, degrees, cap: int):
             raise EnumerationCapExceeded(f"{ring.size}^{d} candidate divisors exceed cap {cap}")
 
 
-def monic_right_divisor_table(tw: TwistContext, degree: int, high, lows,
-                              cap: int = DEFAULT_ENUM_CAP):
-    """The monic right divisors of the given degree of every f = low + high with low in lows.
+def monic_right_divisor_table(tw: TwistContext, degree: int, highs, cap: int = DEFAULT_ENUM_CAP):
+    """The monic right divisors of the given degree of every f = low + high, over
+    highs = {high: lows}, from one pass over the candidates.
 
-    high is the index tuple of f_d..f_n and each low one of f_0..f_(d-1),
-    d = degree.  The result maps each low with a divisor to {tail: quotient}
-    over its divisors g = tail + t^d, sorted, with f = quotient*g.  Exact:
-    split f = L + H, L the terms below t^d.  Right remainders by a monic g of
-    degree d are left S-linear and deg L < d, so f mod_r g = L + (H mod_r g),
-    and g |_r f exactly when L = -(H mod_r g).  So one pass over the |S|^d
-    candidates, keyed by -(H mod_r g), serves every f with high part H; only
-    the divisors of the lows asked for are kept.
+    high is f_d..f_n (d = degree; highs may differ in length), low f_0..f_(d-1),
+    as index tuples.  Each high maps to {low: {tail: quotient}} over its lows
+    with a divisor g = tail + t^d, sorted, with f = quotient*g.  Exact: split
+    f = L + H, L the terms below t^d.  Right remainders by a monic g of degree
+    d are left S-linear and deg L < d, so f mod_r g = L + (H mod_r g), and
+    g |_r f exactly when L = -(H mod_r g): one reduction of H per candidate,
+    keyed by -(H mod_r g), serves every f with high part H.
 
-    Candidates run in itertools.product order, which is sort_key order.
     H mod_r g takes the steps of right_divide for a monic g: the step at
     t^top subtracts (c t^e)*g, c = rem[top], e = top - d, whose term
     c * (t^e * 1) * t^d = c t^top (sigma(1) = 1, delta(1) = 0) cancels
     rem[top] with no inverse, so only the tail terms g_j, j < d, are applied.
     They write rem[l + j], l <= e and j < d, below top, so rem[top] = c is
     final when read: rem[d:] ends as the quotient q of H by g, and f = q*g
-    when g divides f, as then L + (H mod_r g) = 0.
+    when g divides f.  Candidates run once, in itertools.product (sort_key)
+    order, each reducing every high part by steps that read only that H, the
+    tail and the t_times levels, so each table, in order and with its
+    quotients, is that of a pass over its high part alone.
     """
     ring = tw.ring
     _divisor_cap(ring, [degree], cap)
     add, mul, neg = ring._add, ring._mul, ring._neg
-    wanted = {tuple([neg[c] for c in low]): low for low in lows}  # -(H mod_r g) -> low
-    high = (0,) * degree + tuple(high)
-    steps = [(e + degree, tw.t_times(e)) for e in range(len(high) - degree - 1, -1, -1)]
-    table = {}
+    tables = {high: {} for high in highs}
+    scans = [((0,) * degree + high,
+              [(e + degree, tw.t_times(e)) for e in range(len(high) - 1, -1, -1)],
+              {tuple([neg[c] for c in low]): low for low in lows},  # -(H mod_r g) -> low
+              tables[high])
+             for high, lows in highs.items()]
     for tail in itertools.product(range(ring.size), repeat=degree):
-        rem = list(high)
-        for top, tb in steps:
-            if not rem[top]:
-                continue
-            row = mul[neg[rem[top]]]
-            for j, gj in enumerate(tail):
-                for l, e in tb[gj]:
-                    rem[l + j] = add[rem[l + j]][row[e]]
-        low = wanted.get(tuple(rem[:degree]))
-        if low is not None:
-            table.setdefault(low, {})[tail] = tuple(rem[degree:])
-    return table
+        for high, steps, wanted, table in scans:
+            rem = list(high)
+            for top, tb in steps:
+                if not rem[top]:
+                    continue
+                row = mul[neg[rem[top]]]
+                for j, gj in enumerate(tail):
+                    for l, e in tb[gj]:
+                        rem[l + j] = add[rem[l + j]][row[e]]
+            low = wanted.get(tuple(rem[:degree]))
+            if low is not None:
+                table.setdefault(low, {})[tail] = tuple(rem[degree:])
+    return tables
 
 
 def enumerate_monic_right_divisors(f: SkewPoly, degree: int, cap: int = DEFAULT_ENUM_CAP):
     """All monic right divisors of f of the given degree, sorted: f's entry in its table."""
-    low = f.vals[:degree] + (0,) * (degree - len(f.vals))  # every candidate divides 0
-    tails = monic_right_divisor_table(f.twist, degree, f.vals[degree:], [low], cap).get(low, ())
+    high, low = f.vals[degree:], f.vals[:degree] + (0,) * (degree - len(f.vals))  # all divide 0
+    tails = monic_right_divisor_table(f.twist, degree, {high: [low]}, cap)[high].get(low, ())
     return [SkewPoly.from_indices(tail + (f.twist.ring.one.val,), f.twist) for tail in tails]
 
 
 def _divisor_tuples(tw: TwistContext, fs, cap: int):
-    """monic_right_divisor_lists on index tuples: fs are trimmed index tuples under tw.
+    """monic_right_divisor_lists on nonzero trimmed index tuples fs under tw.
 
-    Every (sigma's exponent, degree, high part) asked for is scanned once,
-    keeping the low parts its polynomials need (monic_right_divisor_table).
-    For a monic f under delta = 0 the degrees above m // 2 are the psi^-1(Q)
-    over the quotients Q that the table of psi(f) keeps, under sigma^-1
-    (all_monic_right_divisors): sigma's exponent in a table's key tells the
-    two twists apart (psi needs delta = 0, so they differ in sigma only),
-    and when sigma^-1 = sigma they share tables too.  Within a degree, index
-    tuple order is sort_key order.
+    f of degree m is scanned at degrees 1..top: m // 2 for a monic f under
+    delta = 0, whose degrees d > top are the psi^-1(Q) over the quotients Q
+    the degree-(m - d) table of psi(f) keeps, under sigma^-1; m - 1 for
+    another monic f; m else (all_monic_right_divisors).  Each (sigma's
+    exponent, degree) is one monic_right_divisor_table pass, whose tables are
+    those of one pass per high part, so grouping changes no list; psi needs
+    delta = 0, so the exponent tells the twists apart, and sigma^-1 = sigma
+    shares passes.  Every degree meets the cap before the first pass.
     """
-    ring = tw.ring
-    one = (ring.one.val,)
-    to_psi, from_psi = _psi(tw.sigma), _psi(tw.sigma.inverse())
-    plans, need = [], {}
+    one = (tw.ring.one.val,)
+    opp = tw.opposite()
+    to_psi, from_psi = _psi(tw.sigma), _psi(opp.sigma)
+    e, e_psi = tw.sigma.frob_exp, opp.sigma.frob_exp
+    requests = defaultdict(lambda: defaultdict(set))  # (sigma's exponent, degree) -> high -> lows
+    halves = []  # (top, psi(f) or None) for each f
     for f in fs:
-        m = len(f) - 1
-        halved = f[-1:] == one and not tw.has_delta
-        top = m // 2 if halved else m - 1
-        plan = [(tw, d, f, False) for d in range(1, top + 1)]
-        if halved:
-            f_psi = to_psi(f)
-            plan += [(tw.opposite(), m - d, f_psi, True) for d in range(top + 1, m)]
-        if f[-1:] != one:
-            plan.append((tw, m, f, False))
-        for twist, d, g, _ in plan:
-            key = (twist.sigma.frob_exp, d, g[d:])
-            if key not in need:
-                need[key] = (twist, set())
-            need[key][1].add(g[:d])
-        plans.append((f, top, plan))
-    _divisor_cap(ring, sorted({d for _, d, _ in need}), cap)  # every cap before any scan
-    tables = {key: monic_right_divisor_table(twist, key[1], key[2], lows, cap)
-              for key, (twist, lows) in need.items()}
+        m, monic = len(f) - 1, f[-1:] == one
+        if monic and not tw.has_delta:
+            top, f_psi = m // 2, to_psi(f)
+            for d in range(1, m - top):
+                requests[e_psi, d][f_psi[d:]].add(f_psi[:d])
+        else:
+            top, f_psi = m - monic, None
+        for d in range(1, top + 1):
+            requests[e, d][f[d:]].add(f[:d])
+        halves.append((top, f_psi))
+    _divisor_cap(tw.ring, sorted({d for _, d in requests}), cap)  # every cap before any pass
+    twists = {e_psi: opp, e: tw}
+    tables = {key: monic_right_divisor_table(twists[key[0]], key[1], highs, cap)
+              for key, highs in requests.items()}
     lists = []
-    for f, top, plan in plans:
-        out = [one] if top >= 0 and f != one else []  # f = 1 is appended below
-        for twist, d, g, via_psi in plan:
-            divisors = tables[twist.sigma.frob_exp, d, g[d:]].get(g[:d], {})
-            if via_psi:
-                out.extend(sorted([from_psi(q) for q in divisors.values()]))
-            else:
-                out.extend([tail + one for tail in divisors])
+    for f, (top, f_psi) in zip(fs, halves):
+        out = [one] if f != one else []
+        for d in range(1, top + 1):
+            out.extend([tail + one for tail in tables[e, d][f[d:]].get(f[:d], ())])
+        for d in range(len(f) - top - 2, 0, -1):  # divisor degree m - d, ascending
+            quotients = tables[e_psi, d][f_psi[d:]].get(f_psi[:d], {}).values()
+            out.extend(sorted([from_psi(q) for q in quotients]))
         if f[-1:] == one:
             out.append(f)
         lists.append(out)
@@ -431,9 +434,10 @@ def _divisor_tuples(tw: TwistContext, fs, cap: int):
 def monic_right_divisor_lists(fs, cap: int = DEFAULT_ENUM_CAP):
     """all_monic_right_divisors of each of fs, polynomials under one twist: _divisor_tuples' view.
 
-    Polynomials that share a high part share each scan, and with none
-    shared the candidates are those of one scan per polynomial and degree.
+    Every monic g right-divides 0, so the zero polynomial raises InvalidConfig.
     """
+    if any(f.is_zero for f in fs):
+        raise InvalidConfig("the zero polynomial has a monic right divisor of every degree")
     lists = _divisor_tuples(fs[0].twist, [f.vals for f in fs], cap) if fs else []
     return [[SkewPoly.from_indices(v, f.twist) for v in vals] for f, vals in zip(fs, lists)]
 
@@ -467,8 +471,6 @@ def all_monic_right_divisors(f: SkewPoly, cap: int = DEFAULT_ENUM_CAP):
     of degree m - d < m - m // 2, a degree the lower half already scans: then
     f = psi^-1(p)*psi^-1(Q), and the scan for p keeps Q.  psi^-1 is psi under
     sigma^-1: sum b_k t^k -> sum sigma^k(b_k) t^k.
-    Under delta != 0 degrees 1..m - 1 are scanned, and for a non-monic f
-    degrees 1..m.
     """
     return monic_right_divisor_lists([f], cap)[0]
 

@@ -18,6 +18,7 @@ from skewcodes.classify import (
     count_constacyclic_classes_formula,
     equivalence_class_of,
     _norms,
+    _Orbits,
     _witness_map,
     fast_reject,
     valid_isometry_degrees,
@@ -151,19 +152,35 @@ ORBIT_CONFIGS = [
     ("GF(4) Frobenius m=3", TW, 3),
     ("Z_4 m=3", _twist(make_residue_ring(4)), 3),
     ("GF(9) Frobenius m=2", _twist(make_field(3, 2), 1), 2),
+    ("Z_9 m=2", _twist(make_residue_ring(9)), 2),
 ]
 
 
 @pytest.mark.parametrize("label,tw,m", ORBIT_CONFIGS, ids=[c[0] for c in ORBIT_CONFIGS])
 def test_class_orbit_matches_witness_search(label, tw, m):
-    """equivalence_class_of(f) is {h : classify_pair(f, h, k=1).witness is not None}
-    over every monic h, sorted, for every monic f; the same with chen_only=True."""
+    """_Orbits.orbit(f) against a brute force over every witness (tau, alpha),
+    for every monic f and both chen_only modes.  h is in f's class when
+    _equivalence_reference(f, h, tau, alpha), which is tau(f) = h_alpha on
+    Elements with partial_norm, holds for some (tau, alpha), and in its Chen
+    class when it holds for some alpha with tau = id; the Chen subclasses are
+    the distinct Chen classes of the members.  Over Z_9 several alpha share
+    one h_alpha: alpha and 8*alpha do when h_1 = 0, as N_2(alpha) = alpha^2."""
+    ring = tw.ring
     polys = monic_polys(tw, m)
-    for chen in (False, True):
-        for f in polys:
-            expected = [h for h in polys
-                        if classify_pair(f, h, chen_only=chen, k=1).witness is not None]
-            assert equivalence_class_of(f, chen_only=chen) == expected, (f, chen)
+    taus = all_automorphisms(ring)
+
+    def related(f, witness_taus):
+        return {h.vals for h in polys if any(_equivalence_reference(f, h, tau, alpha)
+                                             for tau in witness_taus for alpha in ring.units)}
+
+    chen = {f.vals: related(f, taus[:1]) for f in polys}
+    orbits = _Orbits(tw, m)
+    for f in polys:
+        full = chen[f.vals] | related(f, taus[1:])
+        for chen_only, members in ((True, chen[f.vals]), (False, full)):
+            subclasses = sorted(sorted(sub) for sub in {frozenset(chen[x]) for x in members})
+            assert orbits.orbit(f.vals, chen_only) == (sorted(members), subclasses), (f, chen_only)
+            assert [h.vals for h in equivalence_class_of(f, chen_only)] == sorted(members)
 
 
 def _equivalence_reference(f, h, tau, alpha):

@@ -438,25 +438,27 @@ def test_catalogue_z4_m5_bytes(capsys):
 
 
 def test_catalogue_scans_each_high_part_once(capsys, monkeypatch):
-    """Z_4, m = 4: the 160 representatives' divisors come from 56 tables of 416
-    candidates in all, against 4,000 candidates in one scan per representative
-    and degree.  The 56 tables are those of degrees 1 and 2; the degree-1
-    tables of psi(f) that degree 3 reads are among them, as sigma = id makes
-    psi(f) = f under an equal twist (kept apart, they would add 40 tables of
-    160 candidates)."""
+    """Z_4, m = 4: the 160 representatives' divisors come from 2 passes, one per
+    (twist, degree), over 56 high parts that make 416 (high part, candidate)
+    reductions in all, against 4,000 candidates in one scan per representative
+    and degree.  The 56 high parts are those of degrees 1 and 2; the degree-1
+    high parts of psi(f) that degree 3 reads are among them, as sigma = id
+    makes psi(f) = f under an equal twist (kept apart, they would add 40 high
+    parts of 160 reductions)."""
     import skewcodes.skewpoly as skewpoly
 
     scans = []
     table = skewpoly.monic_right_divisor_table
 
-    def counted_table(tw, degree, high, lows, cap):
-        scans.append(tw.ring.size ** degree)
-        return table(tw, degree, high, lows, cap)
+    def counted_table(tw, degree, highs, cap):
+        scans.append((len(highs), tw.ring.size ** degree))
+        return table(tw, degree, highs, cap)
 
     monkeypatch.setattr(skewpoly, "monic_right_divisor_table", counted_table)
     code, _ = run(capsys, "catalogue", "--ring", "4", "--sigma", "0", "--m", "4")
     assert code == 0
-    assert (len(scans), sum(scans)) == (56, 416)
+    assert len(scans) == 2
+    assert (sum(h for h, _ in scans), sum(h * c for h, c in scans)) == (56, 416)
 
 
 def test_catalogue_reads_upper_divisors_off_the_scans(capsys, monkeypatch):
@@ -505,9 +507,9 @@ def test_catalogue_divisor_caps_checked_before_any_scan(capsys, monkeypatch, arg
     scans = []
     table = skewpoly.monic_right_divisor_table
 
-    def counted_table(tw, degree, high, lows, cap):
+    def counted_table(tw, degree, highs, cap):
         scans.append(degree)
-        return table(tw, degree, high, lows, cap)
+        return table(tw, degree, highs, cap)
 
     monkeypatch.setattr(skewpoly, "monic_right_divisor_table", counted_table)
     code = main(["catalogue", *argv, "--constacyclic"])

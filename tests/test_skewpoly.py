@@ -11,6 +11,7 @@ from skewcodes.errors import (
     ContextMismatch,
     DeltaNotZero,
     EnumerationCapExceeded,
+    InvalidConfig,
     NonInvertibleLeadingCoefficient,
 )
 from skewcodes.skewpoly import (
@@ -417,7 +418,7 @@ def test_divisor_table_keys_low_parts():
     some, it keeps only theirs."""
     high = P(1, 0, 1, 1).vals[2:]
     lows = list(itertools.product(range(4), repeat=2))
-    table = monic_right_divisor_table(TW, 2, high, lows)
+    table = monic_right_divisor_table(TW, 2, {high: lows})[high]
     assert sum(len(tails) for tails in table.values()) == 16
     one = (GF4.one.val,)
     for low, tails in table.items():
@@ -427,7 +428,7 @@ def test_divisor_table_keys_low_parts():
         for tail, quotient in tails.items():
             assert quotient == right_divide(h, SkewPoly.from_indices(tail + one, TW))[0].vals
     some = list(table)[::2]
-    assert monic_right_divisor_table(TW, 2, high, some) == {low: table[low] for low in some}
+    assert monic_right_divisor_table(TW, 2, {high: some})[high] == {low: table[low] for low in some}
 
 
 def test_divisor_table_memory_keeps_only_asked_lows():
@@ -439,16 +440,68 @@ def test_divisor_table_memory_keeps_only_asked_lows():
     one = (field.one.val,)
     g = SkewPoly.from_indices((3, 5, 7) + one, tw)
     f = skew_mul(SkewPoly.from_indices((2, 9, 11) + one, tw), g)
-    args = (tw, 3, f.vals[3:], [f.vals[:3]])
+    args = (tw, 3, {f.vals[3:]: [f.vals[:3]]})
     table = monic_right_divisor_table(*args)  # builds the t_times levels it reads
     tracemalloc.start()
     try:
-        table = monic_right_divisor_table(*args)
+        table = monic_right_divisor_table(*args)[f.vals[3:]]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert list(table) == [f.vals[:3]] and g.vals[:3] in table[f.vals[:3]]
     assert peak < 64 * 1024, peak
+
+
+MIXED_HIGH_CONFIGS = [
+    ("GF(4) Frobenius", _tw(GF4, 1)),
+    ("Z_4", _tw(make_residue_ring(4))),
+    ("GF(9) Frobenius", _tw(make_field(3, 2), 1)),
+    ("GF(4) inner delta", TwistContext(GF4, FROB, delta_beta=OMEGA)),
+]
+
+
+@pytest.mark.parametrize("label,tw", MIXED_HIGH_CONFIGS, ids=[c[0] for c in MIXED_HIGH_CONFIGS])
+def test_divisor_table_one_pass_over_high_parts_of_different_lengths(label, tw):
+    """One degree-2 pass over high parts of lengths 1 to 4, from f = q*g with q of
+    degree 0 to 3 (a constant q != 1 makes f non-monic), each asked for f's low
+    part and five random ones: for every (high, low), the table's entries are,
+    in candidate order, the monic g that right_divide leaves no remainder for,
+    each with right_divide's quotient."""
+    ring, rng = tw.ring, random.Random(34)
+    units = [u.val for u in ring.units]
+    candidates = [t + (ring.one.val,) for t in itertools.product(range(ring.size), repeat=2)]
+
+    def random_low():
+        return tuple(rng.randrange(ring.size) for _ in range(2))
+
+    highs = {}
+    for degree in (0, 1, 1, 2, 3, 3):
+        q = tuple(rng.randrange(ring.size) for _ in range(degree)) + (rng.choice(units),)
+        f = skew_mul(SkewPoly.from_indices(q, tw), SkewPoly.from_indices(rng.choice(candidates), tw))
+        highs.setdefault(f.vals[2:], set()).update([f.vals[:2]] + [random_low() for _ in range(5)])
+    assert {len(high) for high in highs} == {1, 2, 3, 4}
+    tables = monic_right_divisor_table(tw, 2, highs)
+    assert list(tables) == list(highs)
+    for high, lows in highs.items():
+        for low in lows:
+            f = SkewPoly.from_indices(low + high, tw)
+            expected = []
+            for g in candidates:
+                q, rem = right_divide(f, SkewPoly.from_indices(g, tw))
+                if rem.is_zero:
+                    expected.append((g[:2], q.vals))
+            assert list(tables[high].get(low, {}).items()) == expected, (f, low)
+        assert all(tables[high][low] for low in tables[high])  # only lows with a divisor
+
+
+def test_divisors_of_zero_raise_invalid_config():
+    """Every monic g right-divides 0, so its divisor list has no end: InvalidConfig,
+    not the bare ValueError of a negative-degree scan."""
+    zero = SkewPoly([], TW)
+    with pytest.raises(InvalidConfig, match="zero polynomial"):
+        all_monic_right_divisors(zero)
+    with pytest.raises(InvalidConfig, match="zero polynomial"):
+        monic_right_divisor_lists([P(1, 1), zero])
 
 
 def test_divisor_lists_cap():
