@@ -6,9 +6,8 @@ import itertools
 import json
 
 from .classify import _Orbits
-from .codes import _min_distance
+from .codes import _orbit_distances
 from .errors import EnumerationCapExceeded, InvalidConfig
-from .petit import _left_ideal_span
 from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, TwistContext, _divisor_cap, _divisor_tuples
 
 SCHEMA_VERSION = 1
@@ -96,42 +95,21 @@ def _codes_for(twist: TwistContext, m: int, cap: int, text):
     """A function from f's monic right divisors (index tuples) to the JSON text of the
     code of each one of degree < m, for one run_catalogue call.
 
-    The code of g, of degree d, is the span of the rows t^i*g for i < m - d,
-    none of which is reduced by f (_left_ideal_span), so f is never read: the
-    rows, their number m - d and the minimum distance depend only on
-    (twist, m, g).  The minimum distance is computed once per class of g, its
-    orbit under the _Orbits of degree d built when d is first met, and read
-    for every member.  The members are the monic(H(g)) over the maps
-    H(sum x_j t^j) = sum tau(x_j) N_j(alpha) t^j (_Orbits), and H carries
-    the code of g onto that of monic(H(g)), keeping dimension and distance:
-    - H is multiplicative on S[t; sigma] (check_equivalence proves it).
-    - H applies tau and then scales each coordinate by the unit N_j(alpha),
-      so it is a bijection on S^m that preserves Hamming weight.
-    - H(t^i g) = N_i(alpha) t^i H(g), and H is tau-semilinear, so H maps the
-      span of the rows t^i g (i < m - d) onto that of the rows t^i H(g),
-      the span for monic(H(g)) = N_d(alpha)^-1 H(g).
+    The code of g, of degree d, has m - d rows and never reads f, so its text,
+    with the minimum distance of codes._orbit_distances, is built once per g.
     """
-    orbits = {}  # generator degree -> its _Orbits
+    distance = _orbit_distances(twist, m, cap)
     texts = {}  # generator index tuple -> its code's text
-    dists = {}  # generator index tuple -> its code's minimum distance, filled a class at a time
 
     def codes(divisors):
         out = []
         for g in divisors:
-            d = len(g) - 1
-            if d >= m:
+            if len(g) > m:
                 continue
-            known = texts.get(g)
-            if known is None:
-                dist = dists.get(g)
-                if dist is None:
-                    dist = _min_distance(twist.ring, _left_ideal_span(twist, m, g), cap)
-                    if d not in orbits:
-                        orbits[d] = _Orbits(twist, d)
-                    dists.update(dict.fromkeys(orbits[d].orbit(g)[0], dist))
-                known = texts[g] = '{"dim": %d, "g": %s, "length": %d, "min_dist": %d}' % (
-                    m - d, text(g), m, dist)
-            out.append(known)
+            if g not in texts:
+                texts[g] = '{"dim": %d, "g": %s, "length": %d, "min_dist": %d}' % (
+                    m + 1 - len(g), text(g), m, distance(g))
+            out.append(texts[g])
         return out
 
     return codes

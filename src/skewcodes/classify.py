@@ -96,6 +96,22 @@ def _norms(ring: RingContext, e: int, a: int, n: int):
     return out
 
 
+def _norm(ring: RingContext, sigma: Automorphism, a: int, m: int) -> int:
+    """N_m(a) as an index, read as N_n(a)^(m // n) * N_(m mod n)(a) with n the order of sigma.
+
+    sigma^n = id, so the factors sigma^i(a) of N_m(a) repeat with period n, and
+    S is commutative; the power is taken by squaring, in O(n + log m) products.
+    """
+    n, mul = sigma.order, ring._mul
+    norms = _norms(ring, sigma.frob_exp, a, n)
+    out, base, k = norms[m % n], norms[n], m // n
+    while k:
+        if k & 1:
+            out = mul[out][base]
+        base, k = mul[base][base], k >> 1
+    return out
+
+
 def _is_constacyclic(vals) -> bool:
     """Whether the monic polynomial with index sequence vals is t^m - a with a != 0."""
     return bool(vals[0]) and not any(vals[1:-1])
@@ -473,7 +489,7 @@ def count_constacyclic_classes(ctx: RingContext, sigma: Automorphism, m: int):
         raise InvalidConfig(f"class counts need degree m >= 1, got {m}")
     if sigma.ctx is not ctx:
         raise ContextMismatch("sigma acts on a different ring")
-    image = {_norms(ctx, sigma.frob_exp, u.val, m)[m] for u in ctx.units}
+    image = {_norm(ctx, sigma, u.val, m) for u in ctx.units}
     total = len(ctx.units) // len(image)
     if m % sigma.order != 0:
         return total, 0
@@ -487,12 +503,14 @@ def count_constacyclic_classes_formula(p: int, r: int, s: int, m: int):
 
     Use s = r for the identity.  Returns (nonassociative, associative) counts
     as gcd([m]_s, p^r - 1) split by the [n]_s factor when n divides m.
+    [m]_s = (p^(sm) - 1) / (p^s - 1) is read mod N = p^r - 1, as gcd(x, N) =
+    gcd(x mod N, N): p^s - 1 divides p^(sm) - 1, so with M = (p^s - 1) N,
+    ((p^(sm) - 1) mod M) / (p^s - 1) = [m]_s mod N.
     """
     if s < 1 or r % s != 0:
         raise ValueError("the closed formulas assume s divides r")
-    n = r // s
-    bracket_m = (p ** (s * m) - 1) // (p ** s - 1)
-    w = gcd(bracket_m, p ** r - 1)
+    n, M = r // s, (p ** s - 1) * (p ** r - 1)
+    w = gcd((pow(p, s * m, M) - 1) % M // (p ** s - 1), p ** r - 1)
     if m % n != 0:
         return w, 0
     bracket_n = (p ** (s * n) - 1) // (p ** s - 1)

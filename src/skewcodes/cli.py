@@ -60,6 +60,14 @@ def _parse_poly(ctx, tw, text: str) -> SkewPoly:
     return SkewPoly([_parse_element(ctx, tok) for tok in text.split(",")] + [ctx.one], tw)
 
 
+def positive_int(text: str) -> int:
+    """--cap's type: an int >= 1, else argparse's usage error (exit 1, not the cap code)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _twist(args, ctx) -> TwistContext:
     return TwistContext(ctx, Automorphism(ctx, args.sigma))
 
@@ -173,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", help="generator matrix and minimum distance")
     common(p, poly_flags=("f", "g"))
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap")
+    p.add_argument("--cap", type=positive_int, default=DEFAULT_ENUM_CAP, help="enumeration cap")
     p.set_defaults(func=cmd_mindist)
 
     p = sub.add_parser("check-equiv", help="classify the relation between two classes")
@@ -191,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalogue", help="deduplicated catalogue of code classes")
     common(p, needs_m=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap")
+    p.add_argument("--cap", type=positive_int, default=DEFAULT_ENUM_CAP, help="enumeration cap")
     p.add_argument("--constacyclic", action="store_true",
                    help="restrict to f = t^m - a")
     p.set_defaults(func=cmd_catalogue)

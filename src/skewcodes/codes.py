@@ -1,18 +1,20 @@
-"""Skew polycyclic codes built from right divisors of f.
+"""Skew polycyclic codes built from right divisors of f: the code of a generator and its parameters.
 
-A code of length m is the left S-span of the coefficient vectors of
-g, t*g, ..., t^(m-deg g-1)*g inside the quotient algebra of f.  Each of
-these rows has degree at most m - 1, so none is reduced by f: the code of a
-monic right divisor g, its dimension m - deg g and its minimum distance
-depend only on the twist, m and g, not on which f of degree m g divides.
+A code of length m is the left S-span of g, t*g, ..., t^(m-deg g-1)*g inside
+S_f (_left_ideal_span).  These rows have degree at most m - 1, so none is
+reduced by f: the code of a monic right divisor g, its dimension m - deg g and
+its minimum distance depend only on the twist, m and g, not on which f of
+degree m g divides, and the distance is shared over g's class (_orbit_distances).
 """
 
 from __future__ import annotations
 
-from .classify import _witness_map, check_equivalence
-from .errors import EnumerationCapExceeded, WitnessInvalid
-from .petit import PetitAlgebra, _check_generator, _left_ideal_span
-from .skewpoly import DEFAULT_ENUM_CAP, SkewPoly, all_monic_right_divisors, monic_scale
+from .classify import _Orbits, _witness_map, check_equivalence
+from .errors import (DegreeTooHigh, EnumerationCapExceeded, NonMonic, NotARightDivisor,
+                     WitnessInvalid)
+from .petit import PetitAlgebra
+from .skewpoly import (DEFAULT_ENUM_CAP, SkewPoly, _product, all_monic_right_divisors,
+                       monic_scale, right_divide)
 
 
 class LinearCode:
@@ -60,9 +62,31 @@ class LinearCode:
         return words
 
 
+def _left_ideal_span(tw, m: int, gv):
+    """Basis [g, t*g, ..., t^(m-deg g-1)*g] of the principal left ideal of g, as index tuples
+    of length m, gv the indices of a monic right divisor g of an f of degree m.
+
+    Each row is t times the one before (_product), with no reduction, so f
+    is never read: the rows t^i*g, i < m - deg g, have degree deg g + i <= m - 1,
+    and each row stepped has degree at most m - 2, so t*row has no t^m term.
+    """
+    t = (0, tw.ring.one.val)
+    row = list(gv) + [0] * (m - len(gv))
+    span = [tuple(row)]
+    for _ in range(m - len(gv)):
+        row = _product(tw, t, row)[:m]
+        span.append(tuple(row))
+    return span
+
+
 def build_code(A: PetitAlgebra, g: SkewPoly) -> LinearCode:
-    """The code of the principal left ideal of g; rows per the shifted images of g."""
-    _check_generator(A, g)
+    """The code of the principal left ideal of g, a monic right divisor of f of degree < m."""
+    if g.is_zero or g.degree >= A.m:
+        raise DegreeTooHigh("generator must be nonzero of degree < deg(f)")
+    if not g.is_monic:
+        raise NonMonic("generator must be monic")
+    if not right_divide(A.f, g)[1].is_zero:
+        raise NotARightDivisor("g does not divide f on the right")
     return LinearCode(A, g, _left_ideal_span(A.twist, A.m, g.vals))
 
 
@@ -71,16 +95,10 @@ def code_class_codes(A: PetitAlgebra):
 
     The divisors come from all_monic_right_divisors (the one-polynomial
     monic_right_divisor_lists), so their spans skip build_code's divisor
-    check.  The rows t^i*g have degree < m and are never reduced by f, so two
-    f of degree m sharing a divisor g share its code (the catalogue computes
-    each generator's parameters once for that reason, and takes the divisors
-    of all its representatives from one _divisor_tuples batch).
+    check.
     """
-    return [
-        LinearCode(A, g, _left_ideal_span(A.twist, A.m, g.vals))
-        for g in all_monic_right_divisors(A.f)
-        if g.degree < A.m
-    ]
+    return [LinearCode(A, g, _left_ideal_span(A.twist, A.m, g.vals))
+            for g in all_monic_right_divisors(A.f) if g.degree < A.m]
 
 
 def shift_closure_check(C: LinearCode) -> bool:
@@ -207,6 +225,34 @@ def _min_distance(ring, rows, cap: int):
             break
         search(0, w, zero, w, reps)
     return best
+
+
+def _orbit_distances(twist, m: int, cap: int):
+    """A function from monic g of degree d < m (index tuples) to the minimum distance of
+    g's code of length m, computed once per class of g: its orbit under the _Orbits of
+    degree d, built when d is first met.  The members are the monic(H(g)) over the maps
+    H(sum x_j t^j) = sum tau(x_j) N_j(alpha) t^j (_Orbits), and H carries the code of g
+    onto that of monic(H(g)), keeping dimension and distance:
+    - H is multiplicative on S[t; sigma] (check_equivalence proves it).
+    - H applies tau and then scales each coordinate by the unit N_j(alpha),
+      so it is a bijection on S^m that preserves Hamming weight.
+    - H(t^i g) = N_i(alpha) t^i H(g), and H is tau-semilinear, so H maps the
+      span of the rows t^i g (i < m - d) onto that of the rows t^i H(g),
+      the span for monic(H(g)) = N_d(alpha)^-1 H(g).
+    """
+    orbits = {}  # generator degree -> its _Orbits
+    dists = {}  # generator index tuple -> its code's minimum distance, filled a class at a time
+
+    def distance(g):
+        dist = dists.get(g)
+        if dist is None:
+            dist = _min_distance(twist.ring, _left_ideal_span(twist, m, g), cap)
+            d = len(g) - 1
+            orbits[d] = orbits.get(d) or _Orbits(twist, d)
+            dists.update(dict.fromkeys(orbits[d].orbit(g)[0], dist))
+        return dist
+
+    return distance
 
 
 def apply_isometry_to_code(C: LinearCode, witness, target: PetitAlgebra) -> LinearCode:

@@ -1,8 +1,8 @@
 """Quotient algebras R/Rf with multiplication g*h reduced by f on the right.
 
-These are nonassociative in general.  The structural probe (associativity,
-nuclei, two-sidedness of f) is exact and reads one additive kernel, the
-eigenring of f, on additive generators: it enumerates no element of S_f.
+These are nonassociative in general.  This module is the algebra S_f alone (its codes are
+in codes); the structural probe (associativity, nuclei, two-sidedness of f) is exact and
+reads one additive kernel, the eigenring of f, on additive generators, no element of S_f.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import math
 from collections import namedtuple
 
 from .coeffring import additive_generators
-from .errors import DegreeTooHigh, NonMonic, NotARightDivisor
-from .skewpoly import SkewPoly, _product, right_divide
+from .errors import NonMonic
+from .skewpoly import SkewPoly, _product
 
 
 class StructureReport(namedtuple(
@@ -235,30 +235,3 @@ def probe_structure(A: PetitAlgebra) -> StructureReport:
         orders = [ring.size, ring.size, c ** len(rows) // _image_order(rows, c)]
     left, middle, right = (_dim_from_count(A, n) for n in orders)
     return StructureReport(associative, left, middle, right, associative)
-
-
-def _check_generator(A: PetitAlgebra, g: SkewPoly):
-    """Raise unless g is a monic right divisor of f of degree < m."""
-    if g.is_zero or g.degree >= A.m:
-        raise DegreeTooHigh("generator must be nonzero of degree < deg(f)")
-    if not g.is_monic:
-        raise NonMonic("generator must be monic")
-    if not right_divide(A.f, g)[1].is_zero:
-        raise NotARightDivisor("g does not divide f on the right")
-
-
-def _left_ideal_span(tw, m: int, gv):
-    """Basis [g, t*g, ..., t^(m-deg g-1)*g] of the principal left ideal of g, as index tuples
-    of length m, gv the indices of a monic right divisor g of an f of degree m.
-
-    Each row is t times the one before (_product), with no reduction, so f
-    is never read: the rows t^i*g, i < m - deg g, have degree deg g + i <= m - 1,
-    and each row stepped has degree at most m - 2, so t*row has no t^m term.
-    """
-    t = (0, tw.ring.one.val)
-    row = list(gv) + [0] * (m - len(gv))
-    span = [tuple(row)]
-    for _ in range(m - len(gv)):
-        row = _product(tw, t, row)[:m]
-        span.append(tuple(row))
-    return span

@@ -17,6 +17,7 @@ from skewcodes.classify import (
     count_constacyclic_classes,
     count_constacyclic_classes_formula,
     equivalence_class_of,
+    _norm,
     _norms,
     _Orbits,
     _witness_map,
@@ -624,6 +625,38 @@ def test_norms_match_partial_norm(label, ring):
             for n in range(7):
                 want = [partial_norm(sigma, a, i).val for i in range(n + 1)]
                 assert _norms(ring, e, a.val, n) == want, (e, a, n)
+
+
+PERIOD_RINGS = [
+    ("GF(4)", GF4), ("GF(8)", make_field(2, 3)), ("GF(9)", make_field(3, 2)),
+    ("GF(16)", make_field(2, 4)), ("Z_4", make_residue_ring(4)),
+    ("Z_6", make_residue_ring(6)), ("Z_9", make_residue_ring(9)),
+]
+
+
+@pytest.mark.parametrize("label,ring", PERIOD_RINGS, ids=[c[0] for c in PERIOD_RINGS])
+def test_norm_reads_the_period_of_sigma(label, ring):
+    """_norm(ring, sigma, a, m) is _norms(ring, e, a, m)[m] for every sigma (over GF(8) both
+    sigma and sigma^2), every a and every m <= 3n + 2, n the order of sigma."""
+    for e in range(ring.r):
+        sigma = Automorphism(ring, e)
+        top = 3 * sigma.order + 2
+        for a in ring.elements:
+            norms = _norms(ring, e, a.val, top)
+            assert [_norm(ring, sigma, a.val, m) for m in range(top + 1)] == norms, (e, a)
+
+
+def test_formula_reads_brackets_mod_the_group_order():
+    """The closed form, which reads [m]_s mod p^r - 1, matches gcd([m]_s, p^r - 1) with
+    [m]_s = (p^(sm) - 1) / (p^s - 1) in full, and m = 10^7 needs no p^(sm)."""
+    for p, r in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (2, 6)):
+        for s in (s for s in range(1, r + 1) if r % s == 0):
+            n = r // s
+            for m in range(1, 40):
+                w = math.gcd((p ** (s * m) - 1) // (p ** s - 1), p ** r - 1)
+                assoc = w // ((p ** (s * n) - 1) // (p ** s - 1)) if m % n == 0 else 0
+                assert count_constacyclic_classes_formula(p, r, s, m) == (w - assoc, assoc)
+    assert count_constacyclic_classes_formula(3, 2, 1, 10 ** 7) == (6, 2)
 
 
 def test_valid_isometry_degrees():

@@ -64,6 +64,21 @@ def test_cap_only_where_enumerated(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("catalogue", "--field", "2,1", "--m", "3"),
+    ("mindist", "--field", "2,1", "--f", "1,0,0,0,0,0,0", "--g", "1,1,0"),
+], ids=["catalogue", "mindist"])
+@pytest.mark.parametrize("cap", ["0", "-1", "-5"])
+def test_cap_below_one_is_invalid_input(capsys, argv, cap):
+    """A --cap below 1 is a usage error (exit 1), not a size limit hit (exit 2)."""
+    code = main([*argv, "--cap", cap])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"argument --cap: must be at least 1, got {cap}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_mindist_cap(capsys):
     """--cap bounds the messages enumerated, not q^dim.
 
@@ -200,6 +215,18 @@ def test_count_classes(capsys):
     doc = json.loads(out)
     assert (doc["nonassoc"], doc["assoc"]) == (2, 1)
     assert (doc["formula_nonassoc"], doc["formula_assoc"]) == (2, 1)
+
+
+def test_count_classes_large_m(capsys):
+    """GF(256), sigma = Frobenius, m = 10^6: N_m is read through sigma's order 8 and
+    [m]_s mod 255, so the run takes no time linear in m."""
+    start = time.perf_counter()
+    code, out = run(capsys, "count-classes", "--field", "2,8", "--sigma", "1", "--m", "1000000")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out) == {"assoc": 1, "formula_assoc": 1, "formula_nonassoc": 254,
+                               "nonassoc": 254}
+    assert elapsed <= 10, f"runtime {elapsed:.1f}s over budget 10s"
 
 
 def test_count_classes_residue(capsys):
@@ -598,13 +625,13 @@ def test_catalogue_computes_each_generator_once(capsys, monkeypatch):
     classes of generators (orbits under the classify._Orbits of each
     generator's degree), so the minimum distance runs 56 times: the isometry
     t -> alpha*t twisted by tau maps the code of g onto the code of each
-    member of g's class, preserving Hamming weight (catalogue._codes_for).  The code spans never read f, so no
-    PetitAlgebra is built."""
-    import skewcodes.catalogue as catalogue
+    member of g's class, preserving Hamming weight (codes._orbit_distances).  The code spans never
+    read f, so no PetitAlgebra is built."""
+    import skewcodes.codes as codes
     from skewcodes.petit import PetitAlgebra
 
     calls = {"min_distance": 0, "algebra": 0}
-    min_distance, init = catalogue._min_distance, PetitAlgebra.__init__
+    min_distance, init = codes._min_distance, PetitAlgebra.__init__
 
     def counted_min_distance(*args, **kwargs):
         calls["min_distance"] += 1
@@ -614,7 +641,7 @@ def test_catalogue_computes_each_generator_once(capsys, monkeypatch):
         calls["algebra"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(catalogue, "_min_distance", counted_min_distance)
+    monkeypatch.setattr(codes, "_min_distance", counted_min_distance)
     monkeypatch.setattr(PetitAlgebra, "__init__", counted_init)
     code, out = run(capsys, "catalogue", "--ring", "4", "--sigma", "0", "--m", "4")
     assert code == 0
@@ -629,11 +656,11 @@ def test_catalogue_min_distance_once_per_tau_orbit(capsys, monkeypatch):
     """GF(8), sigma = Frobenius, m = 4: 273 distinct generators fall into 41
     classes under all three automorphisms tau (85 under tau = id alone), and the
     minimum distance runs once per class."""
-    import skewcodes.catalogue as catalogue
+    import skewcodes.codes as codes
 
     calls = []
-    min_distance = catalogue._min_distance
-    monkeypatch.setattr(catalogue, "_min_distance",
+    min_distance = codes._min_distance
+    monkeypatch.setattr(codes, "_min_distance",
                         lambda *args: calls.append(1) or min_distance(*args))
     code, out = run(capsys, "catalogue", "--field", "2,3", "--sigma", "1", "--m", "4")
     assert code == 0

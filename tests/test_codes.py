@@ -16,7 +16,9 @@ from skewcodes.classify import (
 )
 from skewcodes.codes import (
     LinearCode,
+    _left_ideal_span,
     _min_distance,
+    _orbit_distances,
     apply_isometry_to_code,
     build_code,
     code_class_codes,
@@ -32,7 +34,7 @@ from skewcodes.coeffring import (
     partial_norm,
 )
 from skewcodes.errors import DegreeTooHigh, EnumerationCapExceeded, NonMonic, WitnessInvalid
-from skewcodes.petit import PetitAlgebra, _left_ideal_span
+from skewcodes.petit import PetitAlgebra
 from skewcodes.skewpoly import (
     SkewPoly,
     TwistContext,
@@ -289,10 +291,11 @@ ORBIT_TWISTS = [
 def test_min_distance_constant_on_generator_orbits(label, tw, m):
     """For every monic g of degree 1..m-1, each member x of g's class (the orbit
     of an _Orbits of degree deg g) spans a code of length m with g's minimum
-    distance, each distance computed from x's own rows: the catalogue computes
-    one per class."""
+    distance, each distance computed from x's own rows: _orbit_distances, which
+    computes one per class, gives that distance for every member."""
     ring = tw.ring
     dist = {}
+    orbit_distance = _orbit_distances(tw, m, 2 ** 20)
 
     def distance(x):
         if x not in dist:
@@ -307,7 +310,7 @@ def test_min_distance_constant_on_generator_orbits(label, tw, m):
             members = orbits.orbit(g)[0]
             assert g in members
             for x in members:
-                assert distance(x) == distance(g), (g, x)
+                assert distance(x) == distance(g) == orbit_distance(x), (g, x)
             moved += len(members) - 1
     assert moved > 0 or len(ring.units) * len(orbits.taus) == 1  # GF(2): every class is {g}
 
@@ -342,6 +345,7 @@ def test_codes_for_builds_one_orbit_object_per_generator_degree(monkeypatch, tw,
     generator degree its codes meet, and none for a degree they do not meet
     (GF(4), m = 7, constacyclic: no generator of degree 2 or 5)."""
     import skewcodes.catalogue as catalogue
+    import skewcodes.codes as codes
 
     built = []
 
@@ -351,6 +355,7 @@ def test_codes_for_builds_one_orbit_object_per_generator_degree(monkeypatch, tw,
             super().__init__(twist, d)
 
     monkeypatch.setattr(catalogue, "_Orbits", CountedOrbits)
+    monkeypatch.setattr(codes, "_Orbits", CountedOrbits)
     lines = run_catalogue(tw, m, constacyclic)
     met = {len(code["g"]["coeffs"]) - 1 for line in lines for code in json.loads(line)["codes"]}
     assert sorted(built) == sorted(met) + [m]

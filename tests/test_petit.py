@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from skewcodes.codes import build_code
+from skewcodes.codes import _left_ideal_span, build_code
 from skewcodes.coeffring import Automorphism, identity_aut, make_field, make_residue_ring
 from skewcodes.errors import NonMonic, NotARightDivisor
 from skewcodes.petit import (
     PetitAlgebra,
     _eigenring_rows,
     _image_order,
-    _left_ideal_span,
     probe_structure,
 )
 from skewcodes.skewpoly import (

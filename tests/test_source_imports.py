@@ -118,10 +118,9 @@ def private_imports(source: str):
 # every private name a module takes from a sibling: a new cross-module
 # dependency on a private name shows up as a change here
 PRIVATE_IMPORTS = {
-    "catalogue": {"classify": ["_Orbits"], "codes": ["_min_distance"],
-                  "petit": ["_left_ideal_span"],
+    "catalogue": {"classify": ["_Orbits"], "codes": ["_orbit_distances"],
                   "skewpoly": ["_divisor_cap", "_divisor_tuples"]},
-    "codes": {"classify": ["_witness_map"], "petit": ["_check_generator", "_left_ideal_span"]},
+    "codes": {"classify": ["_Orbits", "_witness_map"], "skewpoly": ["_product"]},
     "petit": {"skewpoly": ["_product"]},
 }
 
